@@ -9,7 +9,9 @@ a machine-readable summary to ``BENCH_perf_core.json`` at the repo root.
 """
 
 import json
+import os
 import pathlib
+import platform
 import statistics
 import time
 
@@ -104,6 +106,45 @@ def test_perf_suggestion_cycle_small_collection(
     view = session.current
     result = benchmark(session.engine.suggest, view)
     assert result.all_suggestions()
+
+
+#: This test at the commit before per-item analyst records, on a 2-core
+#: x86_64 host under CPython 3.11.7: every cycle re-walked the graph,
+#: so cold and warm cost the same.
+LANDING_BEFORE = {"cold_ms": 3356.1, "warm_ms": 3375.3}
+
+
+def test_perf_landing_suggest(full_recipe_corpus, full_recipe_workspace):
+    """The landing pane: one suggestion cycle over the whole corpus.
+
+    ``cold_ms`` is the first cycle with the per-item analyst records
+    empty (the facet profile and the vector index already warm, as they
+    are after any earlier view); ``warm_ms`` the median cycle after it.
+    """
+    workspace = full_recipe_workspace
+    workspace._analyst_records = None  # records start empty
+    session = Session(workspace)
+    view = session.current
+    assert len(view.items) == len(workspace.items)
+    workspace.facet_profile(view.items)
+    start = time.perf_counter()
+    cold = session.engine.suggest(view)
+    cold_seconds = time.perf_counter() - start
+    warm_seconds, _ = _median_rounds(lambda: session.engine.suggest(view), 5)
+    titles = [s.title for s in session.engine.suggest(view).all_suggestions()]
+    assert titles == [s.title for s in cold.all_suggestions()]
+    _record_bench(
+        len(full_recipe_corpus.items),
+        "landing_suggest",
+        {
+            "corpus_size": len(view.items),
+            "cold_ms": round(cold_seconds * 1e3, 1),
+            "warm_ms": round(warm_seconds * 1e3, 1),
+            "before": LANDING_BEFORE,
+            "host": f"{platform.machine()} x{os.cpu_count()}, "
+            f"CPython {platform.python_version()}",
+        },
+    )
 
 
 def test_perf_repeated_refinement(full_recipe_corpus, full_recipe_workspace):

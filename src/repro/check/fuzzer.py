@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 
 from ..core.suggestions import Refine as RefineAction, RefineMode
@@ -44,6 +45,10 @@ from ..service.navigation import NavigationService
 from ..service.state import SessionState
 from .corpus import FuzzCorpus, random_corpus
 from .reference import ReferenceModel
+
+#: Analysts whose chip titles end in "(N)", N items of the view.
+_COUNTED_ANALYSTS = ("refine-by-property-value", "refine-by-path", "refine-by-text")
+_TITLE_COUNT = re.compile(r"\((\d+)\)$")
 
 __all__ = [
     "Divergence",
@@ -393,14 +398,8 @@ class DifferentialRunner:
         if not self.state.view.is_collection:
             return
         items = set(self.model.view.items)
-        probed = 0
-        for suggestion in first.all_suggestions():
-            if probed >= self.config.probe_suggestions:
-                break
+        for suggestion in self._probe_targets(first.all_suggestions()):
             action = suggestion.action
-            if not isinstance(action, RefineAction):
-                continue
-            probed += 1
             engine_count = self.service.preview_count(
                 self.workspace, self.state, action.predicate, RefineMode.FILTER
             )
@@ -425,6 +424,31 @@ class DifferentialRunner:
                         f"{action.predicate!r}: compiled {compiled_count} "
                         f"!= naive {naive_count}",
                     )
+            if suggestion.analyst in _COUNTED_ANALYSTS:
+                shown = _TITLE_COUNT.search(suggestion.title)
+                if shown is None or int(shown.group(1)) != naive_count:
+                    self._fail(
+                        command,
+                        f"{suggestion.analyst} chip {suggestion.title!r} "
+                        f"for {action.predicate!r}: naive count over the "
+                        f"view is {naive_count}",
+                    )
+
+    def _probe_targets(self, suggestions) -> list:
+        """The first few Refine suggestions, plus one of each counted kind.
+
+        Property-value chips dominate the head of the list, so the first
+        chip of each analyst in :data:`_COUNTED_ANALYSTS` is added
+        wherever it ranks.
+        """
+        refines = [s for s in suggestions if isinstance(s.action, RefineAction)]
+        chosen = refines[: self.config.probe_suggestions]
+        for analyst in _COUNTED_ANALYSTS:
+            if not any(s.analyst == analyst for s in chosen):
+                chosen.extend(
+                    [s for s in refines if s.analyst == analyst][:1]
+                )
+        return chosen
 
 
 class CommandGenerator:

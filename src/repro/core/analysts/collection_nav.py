@@ -6,17 +6,19 @@ collections of suggestions ... and browse them to find refinements
 useful for the original query" — e.g. from a collection of recipes to
 the collection of their ingredients, refine *that*, and apply the result
 back with an any/all quantifier.
+
+The values come from the workspace's per-item analyst records
+(:mod:`.records`); a property whose values in view are all literals
+offers no collection to browse and is never posted.
 """
 
 from __future__ import annotations
 
-from ...rdf.terms import Literal, Resource
 from ..advisors import MODIFY
 from ..blackboard import Blackboard
 from ..suggestions import GoToCollection
 from ..view import View
 from .base import Analyst
-from .common import ANNOTATION_PROPERTIES
 
 __all__ = ["RelatedCollectionsAnalyst"]
 
@@ -35,20 +37,22 @@ class RelatedCollectionsAnalyst(Analyst):
 
     def analyze(self, view: View, blackboard: Blackboard) -> None:
         workspace = view.workspace
-        by_property: dict[Resource, set] = {}
-        for item in view.items:
-            for prop, values in workspace.graph.properties_of(item).items():
-                if prop in ANNOTATION_PROPERTIES or workspace.schema.is_hidden(prop):
-                    continue
-                targets = by_property.setdefault(prop, set())
-                for value in values:
-                    if not isinstance(value, Literal):
-                        targets.add(value)
-        for prop, targets in sorted(by_property.items(), key=lambda kv: kv[0].uri):
+        records = workspace.analyst_records()
+        by_property: dict[int, set[int]] = {}
+        for record in records.of(view.items):
+            for prop_id, value_ids in record.targets:
+                targets = by_property.get(prop_id)
+                if targets is None:
+                    targets = by_property[prop_id] = set()
+                targets.update(value_ids)
+        for prop, targets in sorted(
+            ((records.node(p), t) for p, t in by_property.items()),
+            key=lambda kv: kv[0].uri,
+        ):
             if not (self.min_values <= len(targets) <= self.max_values):
                 continue
             label = workspace.schema.label(prop)
-            members = sorted(targets, key=lambda n: n.n3())
+            members = sorted(map(records.node, targets), key=lambda n: n.n3())
             self.post(
                 blackboard,
                 MODIFY,

@@ -9,17 +9,15 @@ keyword search within the collection (as shown under 'Query')".
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from ...query.ast import TextMatch
-from ...rdf.terms import Literal
-from ...vsm.tokenizer import tokenize
 from ..advisors import REFINE_COLLECTION
 from ..blackboard import Blackboard
 from ..suggestions import Invoke, Refine
 from ..view import View
 from ..weights import refinement_weight
 from .base import Analyst
-from .common import ANNOTATION_PROPERTIES
 
 __all__ = ["TextRefinementAnalyst", "KeywordSearchAnalyst"]
 
@@ -44,36 +42,27 @@ class TextRefinementAnalyst(Analyst):
 
     def analyze(self, view: View, blackboard: Blackboard) -> None:
         workspace = view.workspace
-        analyzer = workspace.text_index.analyzer
         size = len(view.items)
-        # token document-frequency within the collection, per property;
-        # surface forms are remembered so the pane shows "parsley", not
-        # the stem "parslei" (TextMatch re-analyzes, so either works).
-        per_property: dict = {}
-        surfaces: dict = {}
-        for item in view.items:
-            for prop, values in workspace.graph.properties_of(item).items():
-                if prop in ANNOTATION_PROPERTIES or workspace.schema.is_hidden(prop):
-                    continue
-                tokens: set[str] = set()
-                for value in values:
-                    if not isinstance(value, Literal):
-                        continue
-                    if value.is_numeric or value.is_temporal:
-                        continue
-                    for raw in tokenize(value.lexical):
-                        if analyzer.stop_words and raw in analyzer.stop_words:
-                            continue
-                        stem = analyzer.stem_token(raw)
-                        tokens.add(stem)
-                        surfaces.setdefault((prop, stem), Counter())[raw] += 1
-                if tokens:
-                    bucket = per_property.setdefault(prop, Counter())
-                    for token in tokens:
-                        bucket[token] += 1
-        for prop, counts in sorted(per_property.items(), key=lambda kv: kv[0].uri):
+        # per text property: each item's distinct stems (document
+        # frequency within the collection) and its raw tokens (surface
+        # forms, so the pane shows "parsley", not the stem "parslei";
+        # TextMatch re-analyzes, so either works).
+        records = workspace.analyst_records()
+        by_property: dict[int, tuple[list, list]] = {}
+        for record in records.of(view.items):
+            for prop_id, stems, raws in record.words:
+                lists = by_property.get(prop_id)
+                if lists is None:
+                    lists = by_property[prop_id] = ([], [])
+                lists[0].append(stems)
+                lists[1].append(raws)
+        universe = len(workspace.text_index.indexed_items) or 1
+        for prop, stems, raws in sorted(
+            ((records.node(p), s, r) for p, (s, r) in by_property.items()),
+            key=lambda entry: entry[0].uri,
+        ):
+            counts = Counter(chain.from_iterable(stems))
             corpus_df = workspace.text_index.token_frequencies(within=prop)
-            universe = len(workspace.text_index.indexed_items) or 1
             group = f"words in {workspace.schema.label(prop)}"
             scored = []
             for token, count in counts.items():
@@ -85,9 +74,11 @@ class TextRefinementAnalyst(Analyst):
                 if weight > 0.0:
                     scored.append((weight, token, count))
             scored.sort(key=lambda entry: (-entry[0], entry[1]))
+            if not scored:
+                continue
+            surfaces = _surface_forms(records, chain.from_iterable(raws))
             for weight, token, count in scored[: self.max_words_per_property]:
-                forms = surfaces.get((prop, token))
-                display = forms.most_common(1)[0][0] if forms else token
+                display = surfaces[token]
                 self.post(
                     blackboard,
                     REFINE_COLLECTION,
@@ -96,6 +87,21 @@ class TextRefinementAnalyst(Analyst):
                     weight=weight,
                     group=group,
                 )
+
+
+def _surface_forms(records, raws) -> dict[str, str]:
+    """Stem -> its most frequent raw form, ties to the first seen.
+
+    The raw counts keep first-occurrence order, so the strict ``>``
+    picks what ``Counter.most_common(1)`` over one stem's raws would.
+    """
+    best: dict[str, tuple[str, int]] = {}
+    for raw, count in Counter(raws).items():
+        stem = records.stem_of(raw)
+        held = best.get(stem)
+        if held is None or count > held[1]:
+            best[stem] = (raw, count)
+    return {stem: raw for stem, (raw, _count) in best.items()}
 
 
 def _safe_idf(universe: int, df: int) -> float:

@@ -9,21 +9,24 @@ predicates, so selecting one exercises the same typed-path machinery
 the query bar's ``author/affiliation`` syntax reaches — and the
 differential fuzzer's suggestion probe previews these chips against the
 naive model, racing path evaluation on every suggestion cycle.
+
+The chains come from the workspace's per-item analyst records
+(:mod:`.records`), so a cycle counts precomputed chips instead of
+walking two hops of the graph for every item in view.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from ...query.ast import Path, PathStep
-from ...rdf.terms import Literal
 from ..advisors import REFINE_COLLECTION
 from ..blackboard import Blackboard
 from ..suggestions import Refine
 from ..view import View
 from ..weights import refinement_weight
 from .base import Analyst
-from .common import ANNOTATION_PROPERTIES, is_facetable_value
 
 __all__ = ["PathAnalyst"]
 
@@ -41,29 +44,14 @@ class PathAnalyst(Analyst):
 
     def analyze(self, view: View, blackboard: Blackboard) -> None:
         workspace = view.workspace
-        graph = workspace.graph
         schema = workspace.schema
         size = len(view.items)
-        counts: Counter = Counter()
-        for item in view.items:
-            seen: set = set()
-            for p1, mids in graph.properties_of(item).items():
-                if p1 in ANNOTATION_PROPERTIES or schema.is_hidden(p1):
-                    continue
-                for mid in mids:
-                    if isinstance(mid, Literal):
-                        continue  # literals have no outgoing edges
-                    for p2, values in graph.properties_of(mid).items():
-                        if p2 in ANNOTATION_PROPERTIES or schema.is_hidden(p2):
-                            continue
-                        declared = schema.value_type(p2)
-                        for value in values:
-                            if not is_facetable_value(value, declared):
-                                continue
-                            seen.add((p1, p2, value))
-            counts.update(seen)
+        records = workspace.analyst_records()
+        counts = Counter(
+            chain.from_iterable(r.chips for r in records.of(view.items))
+        )
         ranked = sorted(
-            counts.items(),
+            ((records.chip(chip_id), count) for chip_id, count in counts.items()),
             key=lambda kv: (
                 -kv[1],
                 kv[0][0].uri,

@@ -420,8 +420,12 @@ class EpochManager:
                 dirty,
                 {d.p for d in delta},
             )
+        # Sessions still suggesting on ``prev`` insert into its memo
+        # concurrently; iterate a snapshot taken under the memo's lock.
+        with prev._profile_lock:
+            memo = list(prev._facet_profiles.items())
         carried_profiles = {}
-        for key, profile in prev._facet_profiles.items():
+        for key, profile in memo:
             version, collection = key
             if version != prev.graph.version:
                 continue

@@ -124,6 +124,9 @@ class Workspace:
         #: Held across the facet-memo check/compute/store so the memo's
         #: hit/miss counters stay exact under concurrent readers.
         self._profile_lock = threading.Lock()
+        #: Per-item analyst records of one graph version, built lazily.
+        self._analyst_records = None
+        self._records_lock = threading.Lock()
         self._wire_metrics()
 
     @classmethod
@@ -176,6 +179,8 @@ class Workspace:
         ws._as_of_views = {}
         ws._mutation_lock = threading.RLock()
         ws._profile_lock = threading.Lock()
+        ws._analyst_records = None
+        ws._records_lock = threading.Lock()
         if facet_postings is not None:
             ws.query_context.adopt_facet_postings(facet_postings)
         ws._wire_metrics()
@@ -390,6 +395,26 @@ class Workspace:
             while len(self._facet_profiles) > 8:
                 self._facet_profiles.pop(next(iter(self._facet_profiles)))
             return profile
+
+    def analyst_records(self):
+        """The per-item analyst records of the current graph version.
+
+        Collection analysts aggregate these instead of walking the graph
+        on every view.  The table starts empty and fills as views touch
+        items; it is replaced when the graph version moves, so a cycle
+        after any graph change on an unfrozen workspace sees the change.
+        """
+        from .analysts.records import AnalystRecords
+
+        version = self.graph.version
+        with self._records_lock:
+            records = self._analyst_records
+            if records is None or records.version != version:
+                records = AnalystRecords(
+                    self.graph, self.schema, self.text_index.analyzer
+                )
+                self._analyst_records = records
+            return records
 
     # ------------------------------------------------------------------
     # Persistence

@@ -295,10 +295,18 @@ class VectorStore:
 
         This backs the collection-flavored "Similar by Content" analyst:
         "more items similar to the items in the collection".  By default
-        current members are excluded so the advisor suggests *new* items.
+        current members are excluded so the advisor suggests *new* items;
+        when they cover every indexed item nothing is left to suggest,
+        and the centroid is never computed.
         """
-        query = self.model.centroid(items)
         member_set = set(items)
+        if not include_members:
+            index = self.index
+            if len(member_set) >= len(index) and member_set.issuperset(
+                index.documents()
+            ):
+                return []
+        query = self.model.centroid(items)
         exclude = None if include_members else (lambda item: item in member_set)
         return self.search(query, k, exclude=exclude)
 

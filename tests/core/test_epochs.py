@@ -1,5 +1,6 @@
 """Epoch lifecycle + the fold-vs-cold-build bit-identity contract."""
 
+import threading
 import time
 
 import pytest
@@ -157,6 +158,60 @@ def test_background_reindexer_drains_lag():
             time.sleep(0.01)
         assert manager.lag == 0
         assert manager.current.number >= 1
+    finally:
+        manager.stop_reindexer()
+    _assert_parity(manager, manager.current)
+
+
+class _RacingMemo(dict):
+    """A facet-profile memo that lets a concurrent suggest in mid-fold.
+
+    After the fold reads its first entry, a second thread profiles a
+    new collection on the same workspace — what a session suggesting
+    on the previous epoch does — and gets up to half a second to
+    insert into the memo before the fold reads on.
+    """
+
+    def __init__(self, workspace, collection):
+        super().__init__(workspace._facet_profiles)
+        self.workspace = workspace
+        self.collection = collection
+        self.raced = False
+
+    def items(self):
+        for pair in dict.items(self):
+            yield pair
+            if not self.raced:
+                self.raced = True
+                writer = threading.Thread(
+                    target=self.workspace.facet_profile,
+                    args=(self.collection,),
+                )
+                writer.start()
+                writer.join(timeout=0.5)
+
+
+def _wait_for(condition, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def test_fold_survives_a_concurrent_facet_profile():
+    manager = _manager()
+    prev = manager.current.workspace
+    prev.facet_profile(prev.items)
+    memo = prev._facet_profiles = _RacingMemo(prev, prev.items[:3])
+    manager.start_reindexer(interval=0.02)
+    try:
+        manager.ingest([(OP_ASSERT, EX.it0, EX.color, EX.green)])
+        assert _wait_for(lambda: manager.current.number == 1)
+        assert memo.raced
+        assert _wait_for(lambda: len(memo) == 2)
+        # The reindexer thread is still alive and publishing.
+        manager.ingest([(OP_ASSERT, EX.it1, EX.color, EX.green)])
+        assert _wait_for(lambda: manager.current.number == 2)
     finally:
         manager.stop_reindexer()
     _assert_parity(manager, manager.current)
