@@ -1,18 +1,15 @@
-"""Scaled-corpus (64k items) regressions for the compiled hot paths.
+"""Scaled-corpus (64k items) regression for the facet-postings profile.
 
 The paper's corpora top out at 6,444 items; the ROADMAP targets
-interactive navigation at 10–100× that.  This module pins the compiled
-engine's headline claims on the shared 64k synthetic corpus
-(:mod:`repro.datasets.scaled` — the same generator the equivalence
-tests use):
+interactive navigation at 10–100× that.  This module pins the facet
+overview's headline claim on the shared 64k synthetic corpus
+(:mod:`repro.datasets.scaled`): a cold profile replayed from the
+precomputed facet postings is ≥5× faster than the single-sweep graph
+profile, bit-identically.
 
-* a cold compiled facet overview is ≥5× faster than the legacy
-  single-sweep profile, bit-identically;
-* compiled conjunctive refinement beats the legacy bitset walk.
-
-Timings land as ``compiled_*`` rows in ``BENCH_perf_core.json``.  The
-tests are marked ``slow`` and excluded from tier-1; CI's perf job runs
-them with ``-m slow``.
+The timing lands as the ``compiled_facet_overview`` row in
+``BENCH_perf_core.json``.  The test is marked ``slow`` and excluded from
+tier-1; CI's perf job runs it with ``-m slow``.
 """
 
 import gc
@@ -24,7 +21,7 @@ import pytest
 
 from repro.core.analysts.common import collection_profile
 from repro.datasets import scaled
-from repro.query import And, HasValue, QueryContext, QueryEngine, Range, TypeIs
+from repro.query import QueryContext
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
 
@@ -49,7 +46,7 @@ def _record_bench(corpus_size: int, op: str, payload: dict) -> None:
 
 N_ITEMS = 65_536
 
-#: The acceptance floor for the compiled facet overview at 64k.
+#: The acceptance floor for the postings facet overview at 64k.
 FACET_SPEEDUP_FLOOR = 5.0
 
 pytestmark = pytest.mark.slow
@@ -116,62 +113,3 @@ def test_compiled_facet_overview_speedup(corpus):
         f"compiled facet overview only {speedup:.2f}x faster "
         f"(legacy {legacy_s * 1000:.0f}ms, compiled {compiled_s * 1000:.0f}ms)"
     )
-
-
-def test_compiled_refinement_speedup(corpus):
-    extras = corpus.extras
-
-    def queries():
-        # Distinct trees, so every evaluation is plan/extent-cold, while
-        # shared leaves let each engine's own leaf caching show.
-        return [
-            And(
-                [
-                    TypeIs(extras["types"][t]),
-                    HasValue(
-                        extras["p_category"], extras["categories"][c]
-                    ),
-                    Range(extras["p_year"], low=1950, high=1990),
-                ]
-            )
-            for t in range(4)
-            for c in range(3)
-        ]
-
-    def run(mode):
-        # A fresh context per run: nothing carries over between engines.
-        context = QueryContext(corpus.graph, schema=corpus.schema)
-        if mode == "compiled":
-            # Substrate construction — postings and the interned
-            # universe container — is one-time index build, warmed
-            # outside the timing like the vector store's refresh().
-            # Plans, leaf containers, and range arrays stay cold.
-            context.facet_postings()
-            context.universe_container()
-        engine = QueryEngine(context, mode=mode)
-        trees = queries()
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            total = sum(len(engine.evaluate(query)) for query in trees)
-            elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-        return elapsed, total
-
-    compiled_s, compiled_total = run("compiled")
-    legacy_s, legacy_total = run("legacy")
-    assert compiled_total == legacy_total
-
-    _record_bench(
-        N_ITEMS,
-        "compiled_refinement",
-        {
-            "legacy_s": round(legacy_s, 4),
-            "compiled_s": round(compiled_s, 4),
-            "speedup": round(legacy_s / compiled_s, 2),
-            "queries": 12,
-        },
-    )
-    assert compiled_s < legacy_s

@@ -42,13 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of random corpora to spread the steps over",
     )
     parser.add_argument(
-        "--engines",
-        default="bitset,naive",
-        help="comma-separated engines to race differentially: any of "
-        "compiled,bitset,naive (bitset and naive are mandatory; adding "
-        "compiled races the compiled-plan engine as a third model)",
-    )
-    parser.add_argument(
         "--fault-rounds",
         type=int,
         default=25,
@@ -158,23 +151,13 @@ def main(argv=None) -> int:
         return _replay(args.replay)
 
     from .faults import fuzz_faults
-    from .fuzzer import FuzzConfig, fuzz
-
-    engines = tuple(
-        name.strip() for name in args.engines.split(",") if name.strip()
-    )
-    try:
-        config = FuzzConfig(engines=engines)
-    except ValueError as error:
-        print(f"repro check: {error}", file=sys.stderr)
-        return 2
+    from .fuzzer import fuzz
 
     seed = args.seed
     if seed is None:
         seed = int(time.time() * 1000) % (2**31)
     print(
-        f"repro check: seed={seed} steps={args.steps} "
-        f"corpora={args.corpora} engines={','.join(engines)}"
+        f"repro check: seed={seed} steps={args.steps} corpora={args.corpora}"
     )
 
     status = 0
@@ -182,7 +165,6 @@ def main(argv=None) -> int:
         seed,
         steps=args.steps,
         corpora=args.corpora,
-        config=config,
         repro_path=args.repro,
         minimize_failures=not args.no_minimize,
         log=lambda line: print(f"  {line}"),

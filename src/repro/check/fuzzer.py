@@ -6,11 +6,7 @@
 stream and raises :class:`Divergence` the moment they disagree — on the
 view's extension, on which exception a bad command raises, on telemetry
 deltas, on suggestion determinism/preview counts, or on the JSON
-round-trip of the session state.  With ``engines`` including
-``"compiled"`` (``repro check --engines compiled,bitset,naive``) a third
-racer joins: a second service whose query engine evaluates compiled
-plans over compressed containers, checked in lockstep against both the
-bitset service and the naive model.
+round-trip of the session state.
 
 ``fuzz`` wraps that in the seeded outer loop (many corpora, many
 steps), and ``minimize`` shrinks a failing sequence with a ddmin-style
@@ -73,12 +69,6 @@ class Divergence(AssertionError):
         self.detail = detail
 
 
-#: Engine names ``FuzzConfig.engines`` accepts.  "bitset" (the production
-#: service) and "naive" (the reference model) are the mandatory pair;
-#: "compiled" adds the compiled-plan racer.
-KNOWN_ENGINES = ("compiled", "bitset", "naive")
-
-
 @dataclass
 class FuzzConfig:
     """Knobs for how aggressively each step is checked."""
@@ -89,38 +79,15 @@ class FuzzConfig:
     roundtrip_every: int = 7
     #: Cap on refinement suggestions preview-probed per suggest cycle.
     probe_suggestions: int = 4
-    #: Which engines race.  Must include "bitset" and "naive"; adding
-    #: "compiled" runs the compiled-plan engine as a third model.
-    engines: tuple = ("bitset", "naive")
     #: After each clean corpus, run the log-replay oracle: the corpus
     #: graph's datom log written to a real store and replayed must
     #: reproduce bit-identical indexes and navigation (storecheck).
     store_oracle: bool = True
 
-    def __post_init__(self):
-        unknown = [e for e in self.engines if e not in KNOWN_ENGINES]
-        if unknown:
-            raise ValueError(
-                f"unknown engine(s) {unknown}; choose from {KNOWN_ENGINES}"
-            )
-        if "bitset" not in self.engines or "naive" not in self.engines:
-            raise ValueError(
-                "engines must include both 'bitset' and 'naive'"
-            )
-
-    @property
-    def race_compiled(self) -> bool:
-        return "compiled" in self.engines
-
     @classmethod
-    def thorough(cls, engines: tuple = ("bitset", "naive")) -> "FuzzConfig":
+    def thorough(cls) -> "FuzzConfig":
         """Probe everything at every step (used when minimizing)."""
-        return cls(
-            suggest_every=1,
-            roundtrip_every=1,
-            probe_suggestions=8,
-            engines=engines,
-        )
+        return cls(suggest_every=1, roundtrip_every=1, probe_suggestions=8)
 
 
 @dataclass
@@ -165,22 +132,6 @@ class DifferentialRunner:
         self.model = ReferenceModel(
             self.workspace, back_limit=self.state.back_limit
         )
-        if self.config.race_compiled:
-            # The compiled racer shares the graph, indexes, and query
-            # context (so it races over identical state) but carries its
-            # own Observability — the primary's telemetry deltas, which
-            # _check_telemetry pins exactly, must not move twice.
-            self.compiled_workspace = self.workspace.with_query_mode(
-                "compiled"
-            )
-            self.compiled_service = NavigationService()
-            self.compiled_state: SessionState = (
-                self.compiled_service.initial_state(self.compiled_workspace)
-            )
-        else:
-            self.compiled_workspace = None
-            self.compiled_service = None
-            self.compiled_state = None
         self.steps = 0
         self._refinement_counter = self.workspace.obs.metrics.counter(
             "session.refinements"
@@ -226,8 +177,6 @@ class DifferentialRunner:
                         f"model={model_outcome!r}",
                     )
 
-        if self.compiled_service is not None:
-            self._step_compiled(command, service_error)
         self._check_telemetry(command, refinements_before)
         self._check_state(command)
         config = self.config
@@ -235,63 +184,6 @@ class DifferentialRunner:
             self._check_roundtrip(command)
         if config.suggest_every and self.steps % config.suggest_every == 0:
             self._check_suggestions(command)
-
-    def _step_compiled(
-        self, command: cmd.Command, service_error: BaseException | None
-    ) -> None:
-        """Apply the command to the compiled racer and cross-check it."""
-        compiled_error: BaseException | None = None
-        try:
-            transition = self.compiled_service.apply(
-                self.compiled_workspace, self.compiled_state, command
-            )
-        except Exception as error:  # noqa: BLE001 - parity-checked below
-            compiled_error = error
-        if (service_error is None) != (compiled_error is None) or (
-            service_error is not None
-            and type(compiled_error) is not type(service_error)
-        ):
-            raise Divergence(
-                self.steps,
-                command,
-                f"compiled exception mismatch: bitset={service_error!r} "
-                f"compiled={compiled_error!r}",
-            )
-        if compiled_error is None:
-            self.compiled_state = transition.state
-        view, ref = self.compiled_state.view, self.state.view
-        if view.kind != ref.kind:
-            self._fail(
-                command,
-                f"compiled view kind {view.kind!r} != bitset {ref.kind!r}",
-            )
-        if view.is_item:
-            if view.item != ref.item:
-                self._fail(
-                    command,
-                    f"compiled item {view.item!r} != bitset {ref.item!r}",
-                )
-        else:
-            if tuple(view.items) != tuple(ref.items):
-                self._fail(
-                    command,
-                    f"compiled view extension differs from bitset: "
-                    f"compiled has {len(view.items)} item(s) "
-                    f"{[n.n3() for n in view.items]}, bitset has "
-                    f"{len(ref.items)} item(s) "
-                    f"{[n.n3() for n in ref.items]}",
-                )
-            if view.query != ref.query:
-                self._fail(
-                    command,
-                    f"compiled query {view.query!r} != bitset {ref.query!r}",
-                )
-        if len(self.compiled_state.back_stack) != len(self.state.back_stack):
-            self._fail(
-                command,
-                f"compiled back depth {len(self.compiled_state.back_stack)}"
-                f" != bitset {len(self.state.back_stack)}",
-            )
 
     # -- the invariants ----------------------------------------------------
 
@@ -410,20 +302,6 @@ class DifferentialRunner:
                     f"preview count for suggested {action.predicate!r}: "
                     f"engine {engine_count} != naive {naive_count}",
                 )
-            if self.compiled_service is not None:
-                compiled_count = self.compiled_service.preview_count(
-                    self.compiled_workspace,
-                    self.compiled_state,
-                    action.predicate,
-                    RefineMode.FILTER,
-                )
-                if compiled_count != naive_count:
-                    self._fail(
-                        command,
-                        f"compiled preview count for suggested "
-                        f"{action.predicate!r}: compiled {compiled_count} "
-                        f"!= naive {naive_count}",
-                    )
             if suggestion.analyst in _COUNTED_ANALYSTS:
                 shown = _TITLE_COUNT.search(suggestion.title)
                 if shown is None or int(shown.group(1)) != naive_count:
@@ -668,18 +546,15 @@ def minimize(
     commands: list,
     config: FuzzConfig | None = None,
     service_factory=None,
-    engines: tuple = ("bitset", "naive"),
 ) -> list:
     """Shrink a failing sequence to a (1-minimal-ish) short repro.
 
     ddmin-style: repeatedly delete chunks, keeping any deletion after
     which the replay still diverges.  Replays run with the *thorough*
-    config (racing the same ``engines`` the failing run raced) so
-    probe-dependent failures don't escape through step-index drift.
+    config so probe-dependent failures don't escape through step-index
+    drift.
     """
-    config = (
-        config if config is not None else FuzzConfig.thorough(engines=engines)
-    )
+    config = config if config is not None else FuzzConfig.thorough()
 
     def reproduces(candidate: list) -> bool:
         corpus = random_corpus(corpus_seed)
@@ -758,16 +633,8 @@ def fuzz(
                 )
             commands = executed
             if minimize_failures:
-                engines = (
-                    config.engines
-                    if config is not None
-                    else FuzzConfig().engines
-                )
                 commands = minimize(
-                    corpus_seed,
-                    executed,
-                    service_factory=service_factory,
-                    engines=engines,
+                    corpus_seed, executed, service_factory=service_factory
                 )
             failure = FuzzFailure(
                 corpus_seed=corpus_seed,

@@ -350,8 +350,6 @@ class EpochManager:
             view = Workspace(
                 graph,
                 use_compositions=prev.model.use_compositions,
-                query_mode=prev.query_mode,
-                facet_mode=prev.facet_mode,
                 obs=self.obs,
             )
             view.freeze()
@@ -408,7 +406,7 @@ class EpochManager:
         # -- facet postings + profile memo ----------------------------
         facet_postings = None
         prior_postings = prev.query_context.facet_postings_if_built()
-        if prior_postings is not None and prev.facet_mode == "compiled":
+        if prior_postings is not None:
             from ..perf.postings import FacetPostings
 
             universe_order = _ordered_universe(graph, items_set)
@@ -418,7 +416,6 @@ class EpochManager:
                 schema,
                 universe_order,
                 dirty,
-                {d.p for d in delta},
             )
         # Sessions still suggesting on ``prev`` insert into its memo
         # concurrently; iterate a snapshot taken under the memo's lock.
@@ -440,8 +437,6 @@ class EpochManager:
             store,
             text_index,
             obs=self.obs,
-            query_mode=prev.query_mode,
-            facet_mode=prev.facet_mode,
             facet_postings=facet_postings,
             carried_profiles=carried_profiles,
         )

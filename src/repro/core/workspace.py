@@ -72,20 +72,14 @@ class Workspace:
         items: Iterable[Node] | None = None,
         use_compositions: bool = True,
         obs: Observability | None = None,
-        query_mode: str = "bitset",
-        facet_mode: str = "compiled",
     ):
         from ..vsm.model import VectorSpaceModel
 
-        if facet_mode not in ("compiled", "legacy"):
-            raise ValueError("facet_mode must be 'compiled' or 'legacy'")
         #: Shared tracing + metrics context; tracing is off by default
         #: (no-op tracer), telemetry gauges are wired regardless.
         self.obs = obs if obs is not None else Observability(tracing=False)
         self.graph = graph
         self.schema = schema if schema is not None else Schema(graph)
-        self.query_mode = query_mode
-        self.facet_mode = facet_mode
         if items is None:
             item_list = sorted(
                 {s for s, _p, _o in graph.triples(None, RDF.type, None)},
@@ -107,9 +101,7 @@ class Workspace:
             text_index=self.text_index,
             universe=set(self.items),
         )
-        self.query_engine = QueryEngine(
-            self.query_context, obs=self.obs, mode=query_mode
-        )
+        self.query_engine = QueryEngine(self.query_context, obs=self.obs)
         #: (graph version, collection) -> CollectionProfile, small FIFO
         self._facet_profiles: dict = {}
         self.facet_profile_stats = CacheStats()
@@ -140,8 +132,6 @@ class Workspace:
         text_index: TextIndex,
         *,
         obs: Observability | None = None,
-        query_mode: str = "bitset",
-        facet_mode: str = "compiled",
         facet_postings=None,
         carried_profiles: dict | None = None,
     ) -> "Workspace":
@@ -157,8 +147,6 @@ class Workspace:
         ws.obs = obs if obs is not None else Observability(tracing=False)
         ws.graph = graph
         ws.schema = schema
-        ws.query_mode = query_mode
-        ws.facet_mode = facet_mode
         ws.items = list(items)
         ws.model = model
         ws.vector_store = vector_store
@@ -169,9 +157,7 @@ class Workspace:
             text_index=text_index,
             universe=set(ws.items),
         )
-        ws.query_engine = QueryEngine(
-            ws.query_context, obs=ws.obs, mode=query_mode
-        )
+        ws.query_engine = QueryEngine(ws.query_context, obs=ws.obs)
         ws._facet_profiles = dict(carried_profiles or {})
         ws.facet_profile_stats = CacheStats()
         ws._frozen = False
@@ -220,24 +206,6 @@ class Workspace:
             lambda: self.vector_store.postings_touched,
         )
         metrics.gauge_fn("graph.version", lambda: self.graph.version)
-        if self.query_mode == "compiled":
-            # Compiled-plan counters appear only on compiled workspaces —
-            # the default snapshot stays exactly as the golden metrics
-            # test pins it.
-            plans = self.query_context.plan_stats
-            metrics.gauge_fn("query.plan_cache.hits", lambda: plans.hits)
-            metrics.gauge_fn("query.plan_cache.misses", lambda: plans.misses)
-            metrics.gauge_fn(
-                "query.plan_cache.invalidations",
-                lambda: plans.invalidations,
-            )
-            leaves = self.query_context.container_stats
-            metrics.gauge_fn(
-                "query.leaf_containers.hits", lambda: leaves.hits
-            )
-            metrics.gauge_fn(
-                "query.leaf_containers.misses", lambda: leaves.misses
-            )
 
     # ------------------------------------------------------------------
     # Sealing (shared read-mostly serving)
@@ -302,8 +270,6 @@ class Workspace:
             view = Workspace(
                 graph_at,
                 use_compositions=self.model.use_compositions,
-                query_mode=self.query_mode,
-                facet_mode=self.facet_mode,
                 obs=self.obs,
             )
             view._historical_tx = tx
@@ -339,27 +305,6 @@ class Workspace:
         """Display name via schema annotations."""
         return self.schema.label(node)
 
-    def with_query_mode(
-        self, mode: str, obs: Observability | None = None
-    ) -> "Workspace":
-        """A shallow view of this workspace evaluating queries in ``mode``.
-
-        Shares the graph, indexes, and query context (so compiled and
-        bitset engines race over identical state), but carries its own
-        :class:`QueryEngine` and — crucially for the differential fuzzer
-        — its own :class:`Observability`, so the original workspace's
-        counters do not move when the view evaluates.
-        """
-        import copy
-
-        clone = copy.copy(self)
-        clone.obs = obs if obs is not None else Observability(tracing=False)
-        clone.query_mode = mode
-        clone.query_engine = QueryEngine(
-            self.query_context, obs=clone.obs, mode=mode
-        )
-        return clone
-
     def facet_profile(self, items: Sequence[Node]):
         """The collection's single-pass metadata profile, memoized.
 
@@ -379,14 +324,10 @@ class Workspace:
                 return profile
             self.facet_profile_stats.misses += 1
             with self.obs.tracer.span("facets.profile", items=len(items)):
-                profile = None
-                if self.facet_mode == "compiled":
-                    # Single pass over precomputed facet records; bails
-                    # to the legacy sweep (None) for any item outside
-                    # the postings' build population.
-                    profile = self.query_context.facet_postings().profile(
-                        items
-                    )
+                # Single pass over precomputed facet records; bails to
+                # the graph sweep (None) for any item outside the
+                # postings' build population.
+                profile = self.query_context.facet_postings().profile(items)
                 if profile is None:
                     profile = collection_profile(
                         self.graph, self.schema, items

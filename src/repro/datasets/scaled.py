@@ -3,15 +3,13 @@
 The ROADMAP targets interactive navigation at corpus sizes far beyond
 the study's 6,444 recipes.  This module generates an item population of
 any requested size with the facet shape the hot paths care about —
-shared by the compiled-equivalence tests, the container kind-transition
-tests, and the ``benchmarks/test_perf_scaled.py`` regression bench, so
-all three measure the same data:
+shared by the analyst-record tests, the served-click benchmark's
+facets workload, and the ``benchmarks/test_perf_scaled.py`` regression
+bench, so they measure the same data:
 
 * one ``rdf:type`` per item drawn from 8 types;
-* a ``category`` facet over 32 values (dense postings — these cross the
-  array→bitmap container threshold at 64k items);
-* a ``tag`` facet over 256 values, 0–3 per item (sparse postings —
-  array containers);
+* a ``category`` facet over 32 values (dense postings);
+* a ``tag`` facet over 256 values, 0–3 per item (sparse postings);
 * numeric ``year``/``weight`` literals, with a sprinkle of the
   adversarial shapes the fuzz corpus uses ("nan", "inf", "n/a"
   strings) so scaled runs hit the same literal edge cases;

@@ -20,10 +20,6 @@ class InvertedIndex:
     def __init__(self):
         self._postings: dict[Hashable, dict[Hashable, float]] = {}
         self._doc_coords: dict[Hashable, list[Hashable]] = {}
-        #: coord -> (min weight, max weight), computed lazily and kept
-        #: exactly: inserts widen the cached bounds, removals (which can
-        #: shrink the true bounds) evict the entry.
-        self._weight_bounds: dict[Hashable, tuple[float, float]] = {}
         #: postings entries examined by retrieval (bumped by ``top_k``);
         #: survives :meth:`clear` so rebuilds don't erase the telemetry.
         self.postings_touched = 0
@@ -43,7 +39,6 @@ class InvertedIndex:
         clone._doc_coords = {
             item: list(coords) for item, coords in self._doc_coords.items()
         }
-        clone._weight_bounds = dict(self._weight_bounds)
         return clone
 
     def add(self, item: Hashable, entries: Iterable[tuple[Hashable, float]]) -> None:
@@ -51,17 +46,10 @@ class InvertedIndex:
         if item in self._doc_coords:
             self.remove(item)
         coords = []
-        bounds = self._weight_bounds
         for coord, weight in entries:
             if not weight:
                 continue
             self._postings.setdefault(coord, {})[item] = weight
-            cached = bounds.get(coord)
-            if cached is not None:
-                bounds[coord] = (
-                    min(cached[0], weight),
-                    max(cached[1], weight),
-                )
             coords.append(coord)
         self._doc_coords[item] = coords
 
@@ -76,7 +64,6 @@ class InvertedIndex:
         """
         postings = self._postings
         doc_coords = self._doc_coords
-        bounds = self._weight_bounds
         count = 0
         for item, entries in documents:
             if item in doc_coords:
@@ -89,12 +76,6 @@ class InvertedIndex:
                 if bucket is None:
                     bucket = postings[coord] = {}
                 bucket[item] = weight
-                cached = bounds.get(coord)
-                if cached is not None:
-                    bounds[coord] = (
-                        min(cached[0], weight),
-                        max(cached[1], weight),
-                    )
                 coords.append(coord)
             doc_coords[item] = coords
             count += 1
@@ -110,7 +91,6 @@ class InvertedIndex:
             if postings is None:
                 continue
             postings.pop(item, None)
-            self._weight_bounds.pop(coord, None)
             if not postings:
                 del self._postings[coord]
         return True
@@ -118,25 +98,6 @@ class InvertedIndex:
     def postings(self, coord: Hashable) -> dict[Hashable, float]:
         """The {item: weight} postings of a coordinate (live view)."""
         return self._postings.get(coord, {})
-
-    def weight_bounds(self, coord: Hashable) -> tuple[float, float]:
-        """(min, max) posting weight of a coordinate, cached exactly.
-
-        The max bound is what WAND-style pruning needs for its per-term
-        score ceilings; the min bound lets it verify the monotonicity
-        precondition (no negative weights).  Empty postings bound as
-        ``(0.0, 0.0)``.
-        """
-        cached = self._weight_bounds.get(coord)
-        if cached is not None:
-            return cached
-        postings = self._postings.get(coord)
-        if not postings:
-            return (0.0, 0.0)
-        weights = postings.values()
-        cached = (min(weights), max(weights))
-        self._weight_bounds[coord] = cached
-        return cached
 
     def document_frequency(self, coord: Hashable) -> int:
         return len(self._postings.get(coord, ()))
@@ -160,7 +121,6 @@ class InvertedIndex:
     def clear(self) -> None:
         self._postings.clear()
         self._doc_coords.clear()
-        self._weight_bounds.clear()
 
     def __repr__(self) -> str:
         return (

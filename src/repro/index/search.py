@@ -1,27 +1,11 @@
 """Top-k retrieval over an inverted index of weighted vectors.
 
-Two strategies over the same postings:
-
-* :func:`top_k` — exhaustive term-at-a-time accumulation followed by
-  heap selection; touches every posting of every query coordinate.
-* :func:`pruned_top_k` — WAND-style (maxscore) threshold pruning: each
-  coordinate carries a score ceiling (query weight × the coordinate's
-  cached max posting weight), and once the remaining coordinates'
-  combined ceiling falls *strictly* below the running k-th best partial
-  score, no unseen document can reach the top k — accumulation switches
-  to updating only the known candidates.
-
-The pruned path returns *exactly* what the exhaustive path returns —
-scores, ties, and repr tie-breaking included.  Two details carry the
-bit-for-bit guarantee: coordinates are processed in **query order**, not
-ceiling order, so every document's float additions happen in the same
-sequence as the exhaustive scan (and a same-order prefix sum of
-non-negative floats never exceeds its full sum, making the running
-threshold sound with no epsilon); and the candidate set closes only on
-*strict* inequality, so ties at the threshold — which repr tie-breaking
-arbitrates — are never pruned.  Negative query or posting weights break
-the monotone-partial-score argument, so those queries transparently
-fall back to the exhaustive scan.
+:func:`top_k` is exhaustive term-at-a-time accumulation followed by heap
+selection: it touches every posting of every query coordinate and ranks
+by (score desc, repr asc), so results are deterministic.  A WAND-style
+pruned variant was measured and dropped: made the default on the served
+browse workload it cut throughput from ~248 to ~108 ops/s, so the
+exhaustive scan is the only strategy.
 """
 
 from __future__ import annotations
@@ -32,7 +16,7 @@ from typing import Callable, Hashable, NamedTuple
 from ..vsm.vector import SparseVector
 from .inverted import InvertedIndex
 
-__all__ = ["Hit", "top_k", "pruned_top_k"]
+__all__ = ["Hit", "top_k"]
 
 
 class Hit(NamedTuple):
@@ -101,7 +85,7 @@ def _select(
 
     The kept set is canonical — the k smallest entries under
     ``(-score, repr)`` — so the result does not depend on the table's
-    iteration order; both retrieval strategies share this exact code.
+    iteration order.
     """
     heap: list[tuple[float, _MaxStr, int, Hashable]] = []
     seq = 0
@@ -119,115 +103,3 @@ def _select(
         seq += 1
     ordered = sorted(heap, key=lambda entry: (-entry[0], entry[1].value))
     return [Hit(item, score) for score, _marker, _seq, item in ordered]
-
-
-def pruned_top_k(
-    index: InvertedIndex,
-    query: SparseVector,
-    k: int,
-    exclude: Callable[[Hashable], bool] | None = None,
-) -> list[Hit]:
-    """Exactly :func:`top_k`, with maxscore threshold pruning.
-
-    Invariant (pinned by ``tests/index/test_pruned_topk.py``): a
-    document unseen after coordinate ``i`` can score at most
-    ``suffix_ub[i+1]`` (the remaining coordinates' summed ceilings);
-    once that is *strictly* below the k-th best partial score ``L``
-    among eligible candidates, its final score is strictly below the
-    final k-th score (same-order partials only grow), so it loses every
-    comparison — including repr tie-breaks, which only arbitrate
-    *equal* scores.  The suffix side of the comparison is inflated by
-    ``_SUM_ORDER_GUARD`` because the ceiling sum runs right-to-left
-    while a document's scan-order sum runs left-to-right, and float
-    addition of non-negative terms in different orders can differ by a
-    few ulps.
-    """
-    if k <= 0 or len(query) == 0:
-        return []
-    coords: list[tuple[float, float, dict[Hashable, float]]] = []
-    for coord, q_weight in query.items():
-        postings = index.postings(coord)
-        if not postings:
-            continue
-        low, high = index.weight_bounds(coord)
-        if q_weight < 0 or low < 0:
-            # Scores are no longer monotone in the number of processed
-            # coordinates; pruning would be unsound.
-            return top_k(index, query, k, exclude=exclude)
-        coords.append((q_weight * high, q_weight, postings))
-    n = len(coords)
-    suffix_ub = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_ub[i] = suffix_ub[i + 1] + coords[i][0]
-    scores: dict[Hashable, float] = {}
-    eligible: dict[Hashable, bool] = {}
-    touched = 0
-    pruning = False
-    candidates: list[Hashable] = []
-    for i, (_ub, q_weight, postings) in enumerate(coords):
-        if pruning:
-            # Phase 2: no unseen document can reach the top k; only the
-            # known candidates accumulate.  Probe whichever side of the
-            # join is smaller.
-            if len(candidates) <= len(postings):
-                touched += len(candidates)
-                for item in candidates:
-                    d_weight = postings.get(item)
-                    if d_weight is not None:
-                        scores[item] += q_weight * d_weight
-            else:
-                touched += len(postings)
-                for item, d_weight in postings.items():
-                    if item in scores:
-                        scores[item] += q_weight * d_weight
-            continue
-        touched += len(postings)
-        for item, d_weight in postings.items():
-            scores[item] = scores.get(item, 0.0) + q_weight * d_weight
-        if i + 1 >= n or len(scores) < k:
-            continue
-        threshold = _kth_partial(scores, k, exclude, eligible)
-        if (
-            threshold is not None
-            and suffix_ub[i + 1] * _SUM_ORDER_GUARD < threshold
-        ):
-            pruning = True
-            candidates = list(scores)
-    index.postings_touched += touched
-    return _select(scores, k, exclude)
-
-
-#: Relative slack covering summation-order float drift between the
-#: right-to-left ceiling sums and a document's left-to-right term sums.
-#: Non-negative float sums of m terms agree to within ~m·2⁻⁵³
-#: relatively, so 1e-9 is safe for queries up to millions of
-#: coordinates while costing essentially no pruning.
-_SUM_ORDER_GUARD = 1.0 + 1e-9
-
-
-def _kth_partial(
-    scores: dict[Hashable, float],
-    k: int,
-    exclude: Callable[[Hashable], bool] | None,
-    eligible: dict[Hashable, bool],
-) -> float | None:
-    """The k-th largest partial score among non-excluded candidates.
-
-    None when fewer than k candidates are eligible (no pruning then —
-    which is also what keeps ``k >= corpus`` exact).  Exclusion verdicts
-    are memoized so the filter callable runs once per document.
-    """
-    if exclude is None:
-        values = list(scores.values())
-    else:
-        values = []
-        for item, score in scores.items():
-            verdict = eligible.get(item)
-            if verdict is None:
-                verdict = not exclude(item)
-                eligible[item] = verdict
-            if verdict:
-                values.append(score)
-    if len(values) < k:
-        return None
-    return heapq.nlargest(k, values)[-1]

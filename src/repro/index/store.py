@@ -31,7 +31,7 @@ from ..vsm.model import VectorSpaceModel
 from ..vsm.vector import SparseVector
 from ..vsm.weighting import idf
 from .inverted import InvertedIndex
-from .search import Hit, pruned_top_k, top_k
+from .search import Hit, top_k
 
 __all__ = ["VectorStore"]
 
@@ -53,7 +53,6 @@ class VectorStore:
         model: VectorSpaceModel,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         obs: Observability | None = None,
-        prune_top_k: bool = False,
         exact: bool = False,
     ):
         self.model = model
@@ -64,12 +63,6 @@ class VectorStore:
         #: refresh.  Epoch snapshots run in this mode: the byte-parity
         #: oracle (`as_of` at the watermark) demands it.
         self.exact = exact
-        #: When set, searches use WAND-style threshold pruning
-        #: (:func:`repro.index.search.pruned_top_k`).  Results are
-        #: identical to the exhaustive scan; only the postings-touched
-        #: telemetry shrinks — which is why the default stays off (the
-        #: existing telemetry tests pin exhaustive counts).
-        self.prune_top_k = prune_top_k
         self.obs = obs if obs is not None else NULL_OBS
         self._index = InvertedIndex()
         self._built_version = -1
@@ -110,7 +103,6 @@ class VectorStore:
         store.model = model
         store.drift_threshold = prior.drift_threshold
         store.exact = prior.exact
-        store.prune_top_k = prior.prune_top_k
         store.obs = obs if obs is not None else prior.obs
         store._index = prior._index.copy()
         store._built_version = model.stats.version
@@ -266,11 +258,7 @@ class VectorStore:
         index = self.index
         before = index.postings_touched
         with self.obs.tracer.span("store.search", k=k) as span:
-            if self.prune_top_k:
-                hits = pruned_top_k(index, query, k, exclude=exclude)
-                span.set_tag("pruned", True)
-            else:
-                hits = top_k(index, query, k, exclude=exclude)
+            hits = top_k(index, query, k, exclude=exclude)
             touched = index.postings_touched - before
             span.set_tag("postings", touched)
         self.obs.metrics.histogram(

@@ -12,37 +12,25 @@ package supplies the shared low-level pieces:
   bitwise operations;
 * :class:`CacheStats` / :class:`IndexMaintenanceStats` — counters that
   make cache behaviour observable in tests and benchmarks;
-* :class:`RoaringBitmap` — roaring-style compressed bitsets
-  (array/bitmap/run chunks) for the compiled query path;
-* :class:`CompiledPlan` / :func:`compile_predicate` — flat bytecode
-  query plans with selectivity-ordered conjuncts;
-* :class:`FacetPostings` — precomputed per-item facet records and
-  per-property numeric posting arrays feeding the single-pass facet
-  profile and ``Range`` leaves.
+* :class:`FacetPostings` — precomputed per-item facet records feeding
+  the single-pass facet profile.
 
 Everything here is pure bookkeeping: no component changes any query,
 facet, or ranking *output*, only the time taken to produce it.
 """
 
 from .bitset import bits_from_ids, bits_from_nodes, iter_ids, popcount
-from .containers import ARRAY_MAX_CARD, RUN_COMPRESSION_FACTOR, RoaringBitmap
 from .intern import InternTable
-from .plan import CompiledPlan, compile_predicate
 from .postings import FacetPostings
 from .stats import CacheStats, IndexMaintenanceStats
 
 __all__ = [
-    "ARRAY_MAX_CARD",
-    "RUN_COMPRESSION_FACTOR",
     "InternTable",
     "CacheStats",
     "IndexMaintenanceStats",
-    "RoaringBitmap",
-    "CompiledPlan",
     "FacetPostings",
     "bits_from_ids",
     "bits_from_nodes",
-    "compile_predicate",
     "iter_ids",
     "popcount",
 ]

@@ -1,19 +1,12 @@
-"""Precomputed per-facet posting data feeding the compiled hot paths.
+"""Precomputed per-item facet records feeding the facet profile.
 
-Two structures, both keyed to one graph version:
-
-* **per-item facet records** — for every universe item, the outcome of
-  the classification work :func:`repro.core.analysts.common.
-  collection_profile` performs per value (facetable? continuous?
-  numeric reading?), captured once at build time.  Profiling a
-  collection then reduces to a single pass of C-level
-  ``Counter.update`` / ``list.extend`` calls per (item, property) —
-  no per-value Python loop, no ``properties_of`` copies.
-
-* **per-property numeric arrays** — every ``(reading, subject)`` pair of
-  a property, sorted by reading, built lazily on the first ``Range``
-  leaf over that property.  A range extent becomes two bisects instead
-  of a full triple scan.
+For every universe item of one graph version, the records capture the
+outcome of the classification work :func:`repro.core.analysts.common.
+collection_profile` performs per value (facetable? continuous? numeric
+reading?), once at build time.  Profiling a collection then reduces to a
+single pass of C-level ``Counter.update`` / ``list.extend`` calls per
+(item, property) — no per-value Python loop, no ``properties_of``
+copies.
 
 Bit-identity is load-bearing, not best-effort: facet Counters leak their
 *insertion order* into suggestion ranking via ``Counter.most_common``
@@ -23,15 +16,12 @@ legacy sweep would encounter them — the iteration order of the same
 version.  ``profile`` replays items in caller order, so the rebuilt
 :class:`~repro.core.analysts.common.CollectionProfile` matches the
 legacy sweep byte for byte (the equivalence suite pins this, including
-Counter item order).  Range arrays cover *all* subjects of the property
-(annotation nodes included), mirroring ``Range.candidates`` exactly.
+Counter item order).
 """
 
 from __future__ import annotations
 
 import itertools as _chain_mod
-import math
-from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable
 
 _chain = _chain_mod.chain
@@ -56,7 +46,7 @@ _Entry = tuple[int, tuple[Node, ...], int, int, tuple[float, ...]]
 
 
 class FacetPostings:
-    """Version-pinned posting data for compiled profiles and range leaves."""
+    """Version-pinned per-item facet records for single-pass profiles."""
 
     __slots__ = (
         "graph",
@@ -68,7 +58,6 @@ class FacetPostings:
         "rebuilt_records",
         "_props",
         "_records",
-        "_range_arrays",
     )
 
     def __init__(self, graph: "Graph", schema: "Schema", version: int):
@@ -84,10 +73,6 @@ class FacetPostings:
         #: prop_idx -> (prop, declared type, is_annotation).
         self._props: list[tuple[Resource, "str | None", bool]] = []
         self._records: dict[Node, tuple[_Entry, ...]] = {}
-        #: prop -> (sorted readings, parallel subjects); built lazily.
-        self._range_arrays: dict[
-            Resource, tuple[list[float], list[Node]]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Build
@@ -131,18 +116,15 @@ class FacetPostings:
         schema: "Schema",
         items: Iterable[Node],
         dirty: "set[Node]",
-        dirty_props: "set[Resource]",
     ) -> "FacetPostings":
         """Build postings for the next epoch, re-sweeping only ``dirty``.
 
         Records of items outside ``dirty`` are carried over verbatim —
         valid because an untouched item's ``properties_of`` view (and
         hence its sweep outcome) is shared, unchanged, between the prior
-        graph and the fork.  Range posting arrays carry over for every
-        property no delta datom mentions; touched properties rebuild
-        lazily.  ``items`` must be the new build population in sweep
-        order; the property table extends the prior one so carried
-        records' indices stay valid.
+        graph and the fork.  ``items`` must be the new build population
+        in sweep order; the property table extends the prior one so
+        carried records' indices stay valid.
         """
         postings = cls(graph, schema, graph.version)
         postings._props = list(prior._props)
@@ -167,9 +149,6 @@ class FacetPostings:
         postings.n_entries = n_entries
         postings.reused_records = reused
         postings.rebuilt_records = rebuilt
-        for prop, pair in prior._range_arrays.items():
-            if prop not in dirty_props:
-                postings._range_arrays[prop] = pair
         return postings
 
     def _sweep_item(
@@ -297,55 +276,10 @@ class FacetPostings:
             )
         return profile
 
-    # ------------------------------------------------------------------
-    # Range posting arrays
-    # ------------------------------------------------------------------
-
-    def _range_array(
-        self, prop: Resource
-    ) -> tuple[list[float], list[Node]]:
-        arrays = self._range_arrays
-        pair = arrays.get(prop)
-        if pair is None:
-            pairs: list[tuple[float, Node]] = []
-            for subject, _p, value in self.graph.triples(None, prop, None):
-                if not isinstance(value, Literal):
-                    continue
-                number = value.as_number()
-                if number is None or math.isnan(number):
-                    continue
-                pairs.append((number, subject))
-            pairs.sort(key=lambda entry: entry[0])
-            pair = (
-                [number for number, _s in pairs],
-                [subject for _n, subject in pairs],
-            )
-            arrays[prop] = pair
-        return pair
-
-    def range_extent(
-        self, prop: Resource, low: float | None, high: float | None
-    ) -> set[Node]:
-        """Exactly ``Range(prop, low, high).candidates(...)``, by bisect.
-
-        A NaN bound compares False against every reading on the scan
-        path, i.e. it never excludes anything — treated as unbounded
-        here so the two paths agree.
-        """
-        readings, subjects = self._range_array(prop)
-        lo_idx = 0
-        hi_idx = len(readings)
-        if low is not None and not math.isnan(low):
-            lo_idx = bisect_left(readings, low)
-        if high is not None and not math.isnan(high):
-            hi_idx = bisect_right(readings, high)
-        return set(subjects[lo_idx:hi_idx])
-
     def __repr__(self) -> str:
         return (
             f"<FacetPostings v{self.version} items={self.n_items} "
-            f"entries={self.n_entries} "
-            f"range_props={len(self._range_arrays)}>"
+            f"entries={self.n_entries}>"
         )
 
 

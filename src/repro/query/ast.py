@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..index.textindex import TextIndex
-from ..perf.containers import RoaringBitmap
 from ..perf.stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..perf.plan import CompiledPlan
     from ..perf.postings import FacetPostings
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
@@ -66,10 +64,13 @@ class QueryContext:
 
     The context also owns the **extent cache** of the performance layer:
     predicate extents are stored as bitmasks over the graph's intern
-    table, keyed on the predicate (hashable by construction) and the
-    graph's mutation version.  Every mutation invalidates lazily — stale
-    entries are simply recomputed on the next lookup — so repeated query
-    previews over an unchanged corpus stop re-deriving the same extents.
+    table, keyed on the predicate (hashable by construction), the
+    graph's mutation version and the universe size.  Every mutation —
+    and every in-place universe growth (``Workspace.add_item``), which
+    changes complements and empty conjunctions — invalidates lazily:
+    stale entries are simply recomputed on the next lookup, so repeated
+    query previews over an unchanged corpus stop re-deriving the same
+    extents.
     """
 
     def __init__(
@@ -83,30 +84,20 @@ class QueryContext:
         self.schema = schema if schema is not None else Schema(graph)
         self.text_index = text_index
         self._universe = universe
-        #: predicate -> (graph version, bitmask | None)
-        self._extent_cache: dict[Predicate, tuple[int, int | None]] = {}
+        #: predicate -> ((graph version, universe size), bitmask | None)
+        self._extent_cache: dict[
+            Predicate, tuple[tuple[int, int], int | None]
+        ] = {}
         self._universe_bits: tuple[tuple[int, int], int] | None = None
         self.cache_stats = CacheStats()
-        # --- compiled-plan layer (repro.perf.plan / .containers) ---
-        #: predicate -> (graph version, CompiledPlan | None-for-fallback)
-        self._plan_cache: dict[
-            Predicate, tuple[int, "CompiledPlan | None"]
-        ] = {}
-        #: leaf predicate -> (graph version, leaf extent container)
-        self._leaf_container_cache: dict[
-            Predicate, tuple[int, RoaringBitmap]
-        ] = {}
-        self._universe_container: (
-            tuple[tuple[int, int], RoaringBitmap] | None
-        ) = None
         self._facet_postings: "FacetPostings | None" = None
         self._postings_lock = threading.Lock()
-        self.plan_stats = CacheStats()
-        self.container_stats = CacheStats()
-        #: Path predicate -> (graph version, frozen extent).  Path
-        #: extents are the product of a whole reachability walk, so they
-        #: get their own memo (all three engine modes funnel through it).
-        self._path_cache: dict[Predicate, tuple[int, frozenset[Node]]] = {}
+        #: Path predicate -> ((graph version, universe size), frozen
+        #: extent).  Path extents are the product of a whole reachability
+        #: walk, so they get their own memo beneath the extent cache.
+        self._path_cache: dict[
+            Predicate, tuple[tuple[int, int], frozenset[Node]]
+        ] = {}
         self.path_stats = CacheStats()
 
     @property
@@ -135,18 +126,22 @@ class QueryContext:
         """The node set a bitmask denotes."""
         return self.graph.interner.nodes_of(mask)
 
-    def universe_bits(self) -> int:
-        """The universe as a cached bitmask.
+    def _cache_key(self) -> tuple[int, int]:
+        """(graph version, universe size): what every extent depends on.
 
-        Keyed on (graph version, universe size) so both graph mutations
-        and in-place universe growth (``Workspace.add_item``) refresh it.
+        Graph mutations bump the version; ``Workspace.add_item`` grows
+        the universe in place without one, which moves complements and
+        empty conjunctions all the same.
         """
-        universe = self.universe
-        key = (self.graph.version, len(universe))
+        return (self.graph.version, len(self.universe))
+
+    def universe_bits(self) -> int:
+        """The universe as a cached bitmask, keyed like the extent cache."""
+        key = self._cache_key()
         cached = self._universe_bits
         if cached is not None and cached[0] == key:
             return cached[1]
-        bits = self.bits_of(universe)
+        bits = self.bits_of(self.universe)
         self._universe_bits = (key, bits)
         return bits
 
@@ -158,7 +153,7 @@ class QueryContext:
             # Unhashable custom predicate: evaluable, just not cacheable.
             return _MISS
         if entry is not None:
-            if entry[0] == self.graph.version:
+            if entry[0] == self._cache_key():
                 self.cache_stats.record_hit()
                 return entry[1]
             self.cache_stats.record_invalidation()
@@ -166,9 +161,9 @@ class QueryContext:
         return _MISS
 
     def store_extent_bits(self, predicate: "Predicate", bits: int | None) -> None:
-        """Record a predicate's extent bitmask for the current version."""
+        """Record a predicate's extent bitmask for the current key."""
         try:
-            self._extent_cache[predicate] = (self.graph.version, bits)
+            self._extent_cache[predicate] = (self._cache_key(), bits)
         except (TypeError, NotImplementedError):
             pass
 
@@ -176,112 +171,29 @@ class QueryContext:
         """Drop every cached extent (stats counters are kept)."""
         self._extent_cache.clear()
         self._universe_bits = None
-        self._plan_cache.clear()
-        self._leaf_container_cache.clear()
-        self._universe_container = None
         self._facet_postings = None
         self._path_cache.clear()
 
     def path_extent(self, path: "Path") -> set[Node]:
-        """The exact extent of a :class:`Path`, memoized per graph version.
+        """The exact extent of a :class:`Path`, memoized per cache key.
 
-        Keyed on (predicate, graph version) like every other extent
-        cache here, so both epoch publishes (each epoch carries a fresh
-        context) and in-place mutation (version bump) invalidate stale
-        walks naturally.  Returns a fresh set; the memo itself is
-        immutable.
+        Keyed on (predicate, graph version, universe size) like the
+        extent cache, so epoch publishes (each epoch carries a fresh
+        context), in-place mutation (version bump) and universe growth
+        (the walk is clipped to the universe) invalidate stale walks
+        naturally.  Returns a fresh set; the memo itself is immutable.
         """
+        key = self._cache_key()
         entry = self._path_cache.get(path)
         if entry is not None:
-            if entry[0] == self.graph.version:
+            if entry[0] == key:
                 self.path_stats.record_hit()
                 return set(entry[1])
             self.path_stats.record_invalidation()
         self.path_stats.record_miss()
         extent = path._compute_extent(self)
-        self._path_cache[path] = (self.graph.version, frozenset(extent))
+        self._path_cache[path] = (key, frozenset(extent))
         return extent
-
-    # ------------------------------------------------------------------
-    # Compressed containers and compiled plans (performance layer)
-    # ------------------------------------------------------------------
-
-    def containers_of(self, nodes: Iterable[Node]) -> RoaringBitmap:
-        """A compressed container over the nodes' ids (minting as needed)."""
-        intern = self.graph.interner.intern
-        return RoaringBitmap.from_ids(intern(node) for node in nodes)
-
-    def nodes_of_container(self, container: RoaringBitmap) -> set[Node]:
-        """The node set a compressed container denotes."""
-        node_at = self.graph.interner.node_at
-        return {node_at(idx) for idx in container.iter_ids()}
-
-    def universe_container(self) -> RoaringBitmap:
-        """The universe as a cached, run-optimized compressed container.
-
-        Keyed like :meth:`universe_bits` — on (graph version, universe
-        size) — so graph mutations and in-place universe growth both
-        refresh it.  Universe ids are dense first-seen intern ids, so
-        run containers typically collapse the whole thing to a handful
-        of intervals.
-        """
-        universe = self.universe
-        key = (self.graph.version, len(universe))
-        cached = self._universe_container
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        container = self.containers_of(universe).run_optimize()
-        self._universe_container = (key, container)
-        return container
-
-    def cached_plan(self, predicate: "Predicate"):
-        """A cached plan, ``None`` (cached fall-back decision), or _MISS."""
-        try:
-            entry = self._plan_cache.get(predicate)
-        except (TypeError, NotImplementedError):
-            return _MISS
-        if entry is not None:
-            if entry[0] == self.graph.version:
-                self.plan_stats.record_hit()
-                return entry[1]
-            self.plan_stats.record_invalidation()
-        self.plan_stats.record_miss()
-        return _MISS
-
-    def store_plan(
-        self, predicate: "Predicate", plan: "CompiledPlan | None"
-    ) -> None:
-        """Record a predicate's compiled plan for the current version."""
-        try:
-            self._plan_cache[predicate] = (self.graph.version, plan)
-        except (TypeError, NotImplementedError):
-            pass
-
-    def cached_leaf_container(self, predicate: "Predicate"):
-        """A cached leaf extent container or _MISS."""
-        try:
-            entry = self._leaf_container_cache.get(predicate)
-        except (TypeError, NotImplementedError):
-            return _MISS
-        if entry is not None:
-            if entry[0] == self.graph.version:
-                self.container_stats.record_hit()
-                return entry[1]
-            self.container_stats.record_invalidation()
-        self.container_stats.record_miss()
-        return _MISS
-
-    def store_leaf_container(
-        self, predicate: "Predicate", container: RoaringBitmap
-    ) -> None:
-        """Record a leaf extent container for the current version."""
-        try:
-            self._leaf_container_cache[predicate] = (
-                self.graph.version,
-                container,
-            )
-        except (TypeError, NotImplementedError):
-            pass
 
     def facet_postings(self) -> "FacetPostings":
         """Version-pinned facet postings over the current universe.
@@ -608,8 +520,7 @@ class Path(Predicate):
     the *pre-image* backward from the value over the POS/SPO indexes —
     one walk for the whole extent instead of one per item — and is
     memoized per graph version via :meth:`QueryContext.path_extent`, so
-    all three engine modes (per-item, bitset, compiled) answer from the
-    same cached container once warmed.
+    repeated evaluation answers from the cached walk once warmed.
     """
 
     def __init__(

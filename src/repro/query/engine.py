@@ -7,29 +7,19 @@ plug in evaluators for new predicate types without touching the engine —
 the paper's mechanism for "a uniform interface to query both metadata
 ... and other attribute value types".
 
-Evaluation runs over **bitset extents** by default: leaf extents are
-interned into Python-int bitmasks and cached on the context keyed by
-(predicate, graph version), so And/Or/Not combine as single bitwise
+Evaluation runs over **bitset extents**: leaf extents are interned into
+Python-int bitmasks and cached on the context keyed by (predicate,
+graph version, universe size), so And/Or/Not combine as single bitwise
 operations and repeated refinement clicks reuse prior work instead of
 re-deriving the same sets.  ``Path`` leaves enumerate exactly — their
-backward reachability walk is memoized per graph version on the context
-(:meth:`QueryContext.path_extent`) and lands in the same bitmask and
-container caches as any other leaf, with the container's cardinality
-doubling as the compiled planner's selectivity estimate.  Predicates
-that cannot enumerate an extent (extension-only predicates such as
-``PathValue``/``Cardinality``, or trees containing them) fall back
-transparently to the original per-item filtering path.  Results are identical either way — only the
-time to produce them changes; ``use_bitsets=False`` forces the original
-strategy (used by the equivalence tests and benchmarks).
-
-``mode="compiled"`` selects the third strategy: predicate trees compile
-once into flat bytecode plans (``repro.perf.plan``) evaluated over
-roaring-style compressed containers (``repro.perf.containers``), with
-conjuncts intersected in estimated-selectivity order and ``Range``
-leaves answered by bisection over precomputed posting arrays.  The
-compiled engine is bit-identical to both other modes — the three-way
-differential harness in ``tests/perf`` and ``repro check --engines``
-pins this.
+backward reachability walk is memoized on the context
+(:meth:`QueryContext.path_extent`) and lands in the same bitmask cache
+as any other leaf.  Predicates that cannot enumerate an extent
+(extension-only predicates such as ``PathValue``/``Cardinality``, or
+trees containing them) fall back to per-item filtering; results are the
+same either way, only the time to produce them changes.
+``repro.check.reference.naive_extent`` is the oracle the test suites
+and the differential fuzzer compare this engine against.
 """
 
 from __future__ import annotations
@@ -38,10 +28,8 @@ from typing import Callable, Iterable, Optional
 
 from ..obs import NULL_OBS, Observability
 from ..perf.bitset import popcount
-from ..perf.containers import RoaringBitmap
-from ..perf.plan import CompiledPlan, compile_predicate
 from ..rdf.terms import Node
-from .ast import _MISS, And, Not, Or, Predicate, QueryContext, Range
+from .ast import _MISS, And, Not, Or, Predicate, QueryContext
 
 __all__ = ["QueryEngine"]
 
@@ -50,28 +38,13 @@ __all__ = ["QueryEngine"]
 ExtensionEvaluator = Callable[[Predicate, QueryContext], Optional[set[Node]]]
 
 
-#: Evaluation strategies: compiled plans over compressed containers,
-#: cached int-bitmask extents, or the original per-item set walk.
-MODES = ("compiled", "bitset", "legacy")
-
-
 class QueryEngine:
     """Resolves predicates against a :class:`QueryContext`."""
 
     def __init__(
-        self,
-        context: QueryContext,
-        use_bitsets: bool = True,
-        obs: Observability | None = None,
-        mode: str | None = None,
+        self, context: QueryContext, obs: Observability | None = None
     ):
-        if mode is None:
-            mode = "bitset" if use_bitsets else "legacy"
-        elif mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         self.context = context
-        self.mode = mode
-        self.use_bitsets = mode != "legacy"
         self.obs = obs if obs is not None else NULL_OBS
         self._extensions: dict[type, ExtensionEvaluator] = {}
 
@@ -103,9 +76,7 @@ class QueryEngine:
         if not tracer.enabled:
             return self._evaluate(predicate, within)
         with tracer.span(
-            "query.evaluate",
-            root=type(predicate).__name__,
-            mode=self.mode,
+            "query.evaluate", root=type(predicate).__name__
         ) as span:
             result = self._evaluate(predicate, within)
             span.set_tag("results", len(result))
@@ -115,26 +86,11 @@ class QueryEngine:
         self, predicate: Predicate, within: Iterable[Node] | None
     ) -> set[Node]:
         context = self.context
-        if self.mode == "compiled":
-            container = self._compiled_container(predicate)
-            if container is not None:
-                if within is not None:
-                    scoped = container & context.containers_of(within)
-                else:
-                    scoped = container & context.universe_container()
-                return context.nodes_of_container(scoped)
-        elif self.use_bitsets:
-            bits = self._root_bits(predicate)
-            if bits is not None:
-                if within is not None:
-                    return context.nodes_of(bits & context.bits_of(within))
-                return context.nodes_of(bits & context.universe_bits())
-        else:
-            extent = self._extent(predicate)
-            if extent is not None:
-                if within is not None:
-                    return extent & set(within)
-                return extent & context.universe
+        bits = self._root_bits(predicate)
+        if bits is not None:
+            if within is not None:
+                return context.nodes_of(bits & context.bits_of(within))
+            return context.nodes_of(bits & context.universe_bits())
         population = set(within) if within is not None else context.universe
         return {
             item
@@ -145,7 +101,7 @@ class QueryEngine:
     def count(self, predicate: Predicate, within: Iterable[Node] | None = None) -> int:
         """Size of the predicate's result set (used for query previews).
 
-        On the bitset path the count is a popcount — no item set is
+        When the extent is known the count is a popcount — no item set is
         materialized, which is what makes §3.2's per-click previews
         near-free once extents are cached.
         """
@@ -153,9 +109,7 @@ class QueryEngine:
         if not tracer.enabled:
             return self._count(predicate, within)
         with tracer.span(
-            "query.count",
-            root=type(predicate).__name__,
-            mode=self.mode,
+            "query.count", root=type(predicate).__name__
         ) as span:
             count = self._count(predicate, within)
             span.set_tag("results", count)
@@ -165,18 +119,11 @@ class QueryEngine:
         self, predicate: Predicate, within: Iterable[Node] | None
     ) -> int:
         context = self.context
-        if self.mode == "compiled":
-            container = self._compiled_container(predicate)
-            if container is not None:
-                if within is not None:
-                    return len(container & context.containers_of(within))
-                return len(container & context.universe_container())
-        elif self.use_bitsets:
-            bits = self._root_bits(predicate)
-            if bits is not None:
-                if within is not None:
-                    return popcount(bits & context.bits_of(within))
-                return popcount(bits & context.universe_bits())
+        bits = self._root_bits(predicate)
+        if bits is not None:
+            if within is not None:
+                return popcount(bits & context.bits_of(within))
+            return popcount(bits & context.universe_bits())
         return len(self._evaluate(predicate, within))
 
     def matches(self, predicate: Predicate, item: Node) -> bool:
@@ -187,69 +134,12 @@ class QueryEngine:
     # Extent resolution
     # ------------------------------------------------------------------
 
-    def _extent(self, predicate: Predicate) -> Optional[set[Node]]:
-        evaluator = self._extensions.get(type(predicate))
-        if evaluator is not None:
-            extent = evaluator(predicate, self.context)
-            if extent is not None:
-                return extent
-        if self.obs.tracer.enabled:
-            return self._extent_traced(predicate)
-        return predicate.candidates(self.context)
-
-    def _extent_traced(self, predicate: Predicate) -> Optional[set[Node]]:
-        """Per-node spans for the legacy strategy.
-
-        Mirrors exactly what ``candidates`` does for the combinators —
-        And resolves every part then intersects, Or stops at the first
-        unknown part, Not complements against the universe — so the
-        result (and any error surfaced along the way) is identical to
-        the untraced path; only spans are added.  Extension evaluators
-        are *not* consulted here: as on the untraced path, they apply at
-        the query root only.
-        """
-        tracer = self.obs.tracer
-        context = self.context
-        with tracer.span("query.node", kind=type(predicate).__name__) as span:
-            if isinstance(predicate, And):
-                parts = [self._extent_traced(part) for part in predicate.parts]
-                if any(part is None for part in parts):
-                    extent = None
-                elif not parts:
-                    extent = set(context.universe)
-                else:
-                    extent = set(min(parts, key=len))
-                    for part in parts:
-                        extent &= part
-            elif isinstance(predicate, Or):
-                extent = set()
-                for part in predicate.parts:
-                    part_extent = self._extent_traced(part)
-                    if part_extent is None:
-                        extent = None
-                        break
-                    extent |= part_extent
-            elif isinstance(predicate, Not):
-                part_extent = self._extent_traced(predicate.part)
-                extent = (
-                    None
-                    if part_extent is None
-                    else context.universe - part_extent
-                )
-            else:
-                extent = predicate.candidates(context)
-            span.set_tag(
-                "extent", "unknown" if extent is None else len(extent)
-            )
-            return extent
-
     def _root_bits(self, predicate: Predicate) -> int | None:
         """Extent bitmask of the query root, or None when unknown.
 
-        Mirrors :meth:`_extent`: extension evaluators are consulted only
-        for the root predicate (exactly as the set path does), and their
-        results are never cached — extension closures may depend on
-        state the graph version cannot see.
+        Extension evaluators are consulted only for the root predicate,
+        and their results are never cached — extension closures may
+        depend on state the graph version cannot see.
         """
         evaluator = self._extensions.get(type(predicate))
         if evaluator is not None:
@@ -294,7 +184,7 @@ class QueryEngine:
             else:
                 # No early exit on an empty intersection: every part is
                 # still resolved so errors (e.g. TextMatch without a
-                # text index) surface exactly as on the set path.
+                # text index) surface whatever the other parts hold.
                 parts = [self._tree_bits(part) for part in predicate.parts]
                 if any(part is None for part in parts):
                     bits = None
@@ -321,93 +211,6 @@ class QueryEngine:
             extent = predicate.candidates(context)
             bits = None if extent is None else context.bits_of(extent)
         return bits
-
-    # ------------------------------------------------------------------
-    # Compiled plans (mode="compiled")
-    # ------------------------------------------------------------------
-
-    def _compiled_container(
-        self, predicate: Predicate
-    ) -> RoaringBitmap | None:
-        """The root's extent container, or None to fall back to filtering.
-
-        Mirrors :meth:`_root_bits`: extension evaluators apply at the
-        root only and are never cached.  The executed plan result, like
-        the legacy root bitmask, is *unscoped* — the caller intersects
-        with the universe or a ``within`` restriction.
-        """
-        evaluator = self._extensions.get(type(predicate))
-        if evaluator is not None:
-            extent = evaluator(predicate, self.context)
-            if extent is not None:
-                return self.context.containers_of(extent)
-        plan = self._plan_for(predicate)
-        if plan is None:
-            return None
-        return plan.execute(self.context.universe_container())
-
-    def _plan_for(self, predicate: Predicate) -> CompiledPlan | None:
-        """The predicate's compiled plan (cached per graph version).
-
-        A cached None records the fall-back decision — trees containing
-        extension-only leaves stay on the per-item path without being
-        re-compiled every click.
-        """
-        context = self.context
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            cached = context.cached_plan(predicate)
-            if cached is not _MISS:
-                return cached
-            plan = compile_predicate(
-                predicate, self._resolve_leaf, len(context.universe)
-            )
-            context.store_plan(predicate, plan)
-            return plan
-        with tracer.span(
-            "query.plan", root=type(predicate).__name__
-        ) as span:
-            cached = context.cached_plan(predicate)
-            if cached is not _MISS:
-                span.set_tag("cache", "hit")
-                plan = cached
-            else:
-                span.set_tag("cache", "miss")
-                plan = compile_predicate(
-                    predicate, self._resolve_leaf, len(context.universe)
-                )
-                context.store_plan(predicate, plan)
-            if plan is None:
-                span.set_tag("plan", "fallback")
-            else:
-                span.set_tag("ops", len(plan.ops))
-                span.set_tag("leaves", len(plan.leaves))
-            return plan
-
-    def _resolve_leaf(self, predicate: Predicate) -> RoaringBitmap | None:
-        """A leaf's extent container, from the per-version leaf cache.
-
-        ``Range`` leaves bisect the precomputed posting arrays instead
-        of scanning every triple of the property; everything else uses
-        the predicate's own ``candidates``.  Unknown extents (None) are
-        not cached — the whole-tree plan cache already records the
-        fall-back decision.
-        """
-        context = self.context
-        cached = context.cached_leaf_container(predicate)
-        if cached is not _MISS:
-            return cached
-        if isinstance(predicate, Range):
-            extent = context.facet_postings().range_extent(
-                predicate.prop, predicate.low, predicate.high
-            )
-        else:
-            extent = predicate.candidates(context)
-        if extent is None:
-            return None
-        container = context.containers_of(extent)
-        context.store_leaf_container(predicate, container)
-        return container
 
     def __repr__(self) -> str:
         return (

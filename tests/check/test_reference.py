@@ -1,6 +1,6 @@
 """The oracle itself: naive set-algebra semantics, and its agreement
-with both production engine strategies (the differential harness is
-only as good as its reference)."""
+with the production query engine (the differential harness is only as
+good as its reference)."""
 
 import random
 
@@ -51,61 +51,62 @@ class TestNaiveExtent:
 
 
 class TestEngineAgreement:
-    """Random predicate trees: naive == bitset engine == legacy engine.
+    """Random predicate trees: naive == the production engine.
 
     This is the live version of the "simplify's complement
-    short-circuit agrees with the engine for empty And/Or under both
-    strategies" check: complement pairs simplify to ``Or([])``/
-    ``And([])``, and all three evaluators must still agree.
+    short-circuit agrees with the engine for empty And/Or" check:
+    complement pairs simplify to ``Or([])``/``And([])``, and the engine
+    and the oracle must still agree.
     """
 
     @pytest.fixture(scope="class")
     def setting(self):
         corpus = random_corpus(20260807)
         context = corpus.workspace.query_context
-        fast = QueryEngine(context, use_bitsets=True)
-        slow = QueryEngine(context, use_bitsets=False)
+        engine = QueryEngine(context)
         generator = CommandGenerator(random.Random(13), corpus)
-        return corpus, context, fast, slow, generator
+        return corpus, context, engine, generator
 
-    def test_random_trees_agree_across_all_three(self, setting):
-        corpus, context, fast, slow, generator = setting
+    def test_random_trees_agree_with_naive(self, setting):
+        corpus, context, engine, generator = setting
         universe = set(context.universe)
         for _ in range(120):
             predicate = generator.predicate()
             naive = naive_extent(predicate, universe, context)
-            assert set(fast.evaluate(predicate)) == naive, predicate
-            assert set(slow.evaluate(predicate)) == naive, predicate
+            assert set(engine.evaluate(predicate)) == naive, predicate
+            assert engine.count(predicate) == len(naive), predicate
 
     def test_simplified_trees_agree_too(self, setting):
-        corpus, context, fast, slow, generator = setting
+        corpus, context, engine, generator = setting
         universe = set(context.universe)
         for _ in range(120):
             predicate = simplify(generator.predicate())
             naive = naive_extent(predicate, universe, context)
-            assert set(fast.evaluate(predicate)) == naive, predicate
-            assert set(slow.evaluate(predicate)) == naive, predicate
+            assert set(engine.evaluate(predicate)) == naive, predicate
 
     def test_complement_short_circuit_both_strategies(self, setting):
-        corpus, context, fast, slow, _generator = setting
+        """The engine and the naive oracle both honour the short-circuit."""
+        corpus, context, engine, _generator = setting
         universe = set(context.universe)
         p = HasValue(corpus.props[0], corpus.values[0])
         contradiction = simplify(And([p, Not(p)]))
         tautology = simplify(Or([p, Not(p)]))
         assert contradiction == Or([])
         assert tautology == And([])
-        for engine in (fast, slow):
-            assert set(engine.evaluate(contradiction)) == set()
-            assert set(engine.evaluate(tautology)) == universe
-            assert engine.count(contradiction) == 0
-            assert engine.count(tautology) == len(universe)
+        assert naive_extent(contradiction, universe, context) == set()
+        assert naive_extent(tautology, universe, context) == universe
+        assert set(engine.evaluate(contradiction)) == set()
+        assert set(engine.evaluate(tautology)) == universe
+        assert engine.count(contradiction) == 0
+        assert engine.count(tautology) == len(universe)
 
     def test_empty_combinators_with_within(self, setting):
-        corpus, context, fast, slow, _generator = setting
+        corpus, context, engine, _generator = setting
         some = list(context.universe)[:5]
-        for engine in (fast, slow):
-            assert set(engine.evaluate(And([]), within=some)) == set(some)
-            assert set(engine.evaluate(Or([]), within=some)) == set()
+        assert set(engine.evaluate(And([]), within=some)) == set(some)
+        assert set(engine.evaluate(Or([]), within=some)) == set()
+        assert naive_extent(And([]), set(some), context) == set(some)
+        assert naive_extent(Or([]), set(some), context) == set()
 
 
 class TestReferenceModelWalk:

@@ -1,6 +1,8 @@
 """Tests for the Workspace integration object."""
 
+from repro.check.reference import naive_extent
 from repro.core import Workspace
+from repro.query import And, HasValue, Not, Path
 from repro.rdf import Graph, Literal, Namespace, RDF, Schema
 
 EX = Namespace("http://w.example/")
@@ -70,3 +72,32 @@ class TestIncrementalArrival:
         workspace = Workspace(build_graph())
         workspace.add_item(EX.a)
         assert workspace.items.count(EX.a) == 1
+
+    def test_add_item_refreshes_cached_complements(self):
+        # Extents cached between graph.add and add_item must not outlive
+        # the universe growth: add_item moves no graph version.
+        g = build_graph()
+        g.add(EX.a, EX.color, EX.red)
+        workspace = Workspace(g)
+        g.add(EX.c, RDF.type, EX.Doc)
+        g.add(EX.c, EX.color, EX.blue)
+        predicate = Not(HasValue(EX.color, EX.red))
+        assert workspace.query_engine.evaluate(predicate) == {EX.b}
+        workspace.add_item(EX.c)
+        context = workspace.query_context
+        expected = naive_extent(predicate, set(context.universe), context)
+        assert expected == {EX.b, EX.c}
+        assert workspace.query_engine.evaluate(predicate) == expected
+        assert workspace.query_engine.count(predicate) == 2
+        assert workspace.query_engine.evaluate(And([])) == {EX.a, EX.b, EX.c}
+
+    def test_add_item_refreshes_cached_path_extents(self):
+        g = build_graph()
+        g.add(EX.a, EX.cites, EX.b)
+        workspace = Workspace(g)
+        g.add(EX.c, RDF.type, EX.Doc)
+        g.add(EX.c, EX.cites, EX.b)
+        predicate = Path((EX.cites,), EX.b)
+        assert workspace.query_engine.evaluate(predicate) == {EX.a}
+        workspace.add_item(EX.c)
+        assert workspace.query_engine.evaluate(predicate) == {EX.a, EX.c}

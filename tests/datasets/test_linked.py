@@ -78,7 +78,7 @@ class TestStructure:
 
 
 class TestPathQueries:
-    def test_two_hop_agrees_across_engines(self):
+    def test_two_hop_agrees_with_forward_matching(self):
         corpus = _build()
         context = QueryContext(
             corpus.graph, schema=corpus.schema, universe=set(corpus.items)
@@ -100,9 +100,7 @@ class TestPathQueries:
             item for item in corpus.items if predicate.matches(item, context)
         }
         assert expected  # the dense institution is reachable
-        for mode in ("legacy", "bitset", "compiled"):
-            engine = QueryEngine(context, mode=mode)
-            assert engine.evaluate(predicate) == expected, mode
+        assert QueryEngine(context).evaluate(predicate) == expected
 
     def test_closure_terminates_despite_cycles(self):
         corpus = _build(256)

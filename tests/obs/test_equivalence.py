@@ -2,8 +2,8 @@
 
 Over seeded-random predicate trees (reusing the bitset-equivalence
 generators) and over a full suggestion flow, a traced engine must return
-exactly what an untraced one does — on both the bitset and the legacy
-strategy, with and without ``within=`` restrictions.
+exactly what an untraced one does — and both exactly what
+``naive_extent`` computes — with and without ``within=`` restrictions.
 """
 
 import random
@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.browser.session import Session
+from repro.check.reference import naive_extent
 from repro.core.workspace import Workspace
 from repro.obs import ManualClock, Observability
 from repro.query import HasValue, QueryEngine, TypeIs
@@ -24,55 +25,42 @@ def _traced_obs():
 class TestQueryEquivalence:
     @pytest.fixture(scope="class")
     def engines(self, recipe_workspace):
-        """Four engines over one shared context: {bitset, legacy} × {traced, plain}."""
+        """A traced and a plain engine over one shared context."""
         context = recipe_workspace.query_context
         return {
-            ("bitset", "traced"): QueryEngine(
-                context, use_bitsets=True, obs=_traced_obs()
-            ),
-            ("bitset", "plain"): QueryEngine(context, use_bitsets=True),
-            ("legacy", "traced"): QueryEngine(
-                context, use_bitsets=False, obs=_traced_obs()
-            ),
-            ("legacy", "plain"): QueryEngine(context, use_bitsets=False),
+            "traced": QueryEngine(context, obs=_traced_obs()),
+            "plain": QueryEngine(context),
         }
 
     def test_random_trees_agree(self, engines, recipe_corpus):
         leaves = _leaf_pool(recipe_corpus)
+        context = engines["plain"].context
         rng = random.Random(20260806)
         for _ in range(40):
             predicate = _random_tree(rng, leaves, depth=3)
-            expected = engines[("bitset", "plain")].evaluate(predicate)
-            for mode in ("bitset", "legacy"):
-                assert engines[(mode, "traced")].evaluate(predicate) == expected
-                assert engines[(mode, "plain")].evaluate(predicate) == expected
-                assert engines[(mode, "traced")].count(predicate) == len(expected)
+            expected = naive_extent(predicate, set(context.universe), context)
+            for engine in engines.values():
+                assert engine.evaluate(predicate) == expected
+                assert engine.count(predicate) == len(expected)
 
     def test_random_trees_agree_within(self, engines, recipe_corpus):
         leaves = _leaf_pool(recipe_corpus)
-        universe = sorted(
-            engines[("bitset", "plain")].context.universe, key=lambda n: n.n3()
-        )
+        context = engines["plain"].context
+        universe = sorted(context.universe, key=lambda n: n.n3())
         rng = random.Random(41)
         for _ in range(25):
             predicate = _random_tree(rng, leaves, depth=2)
             within = rng.sample(universe, rng.randint(0, len(universe)))
-            expected = engines[("bitset", "plain")].evaluate(
-                predicate, within=within
-            )
-            for mode in ("bitset", "legacy"):
-                traced = engines[(mode, "traced")]
-                assert traced.evaluate(predicate, within=within) == expected
-                assert traced.count(predicate, within=within) == len(expected)
+            expected = naive_extent(predicate, set(within), context)
+            for engine in engines.values():
+                assert engine.evaluate(predicate, within=within) == expected
+                assert engine.count(predicate, within=within) == len(expected)
 
     def test_traced_engines_recorded_spans(self, engines):
-        """Sanity: the traced engines above really were tracing."""
-        for variant in ("bitset", "legacy"):
-            tracer = engines[(variant, "traced")].obs.tracer
-            assert tracer.enabled
-            assert any(
-                span.name == "query.node" for span in tracer.spans()
-            ), variant
+        """Sanity: the traced engine above really was tracing."""
+        tracer = engines["traced"].obs.tracer
+        assert tracer.enabled
+        assert any(span.name == "query.node" for span in tracer.spans())
 
 
 class TestSuggestionEquivalence:

@@ -41,7 +41,7 @@ class TestGoldenTinyFlow:
         assert render_trace_forest(workspace.obs.tracer.roots) == "\n".join(
             [
                 "session.refine items=2 mode=filter [5]",
-                "  query.evaluate mode=bitset results=2 root=HasValue [3]",
+                "  query.evaluate results=2 root=HasValue [3]",
                 "    query.node cache=miss kind=HasValue [1]",
             ]
         )
@@ -55,7 +55,7 @@ class TestGoldenTinyFlow:
         assert render_trace_forest(workspace.obs.tracer.roots) == "\n".join(
             [
                 "session.preview_count mode=filter results=2 [5]",
-                "  query.count mode=bitset results=2 root=HasValue [3]",
+                "  query.count results=2 root=HasValue [3]",
                 "    query.node cache=hit kind=HasValue [1]",
             ]
         )

@@ -1,11 +1,10 @@
 """A one-item delta must advance the facet postings, not rebuild them.
 
 The epoch fold calls :meth:`FacetPostings.advance`, which carries every
-record whose item the delta did not touch and every range-posting array
-whose property no delta datom mentions.  These tests pin that: touching
-one item out of hundreds re-sweeps that one item (plus any items the
-fold conservatively marks dirty), reuses the rest verbatim, and leaves
-the untouched numeric arrays aliased to the prior epoch's.  The facet
+record whose item the delta did not touch.  These tests pin that:
+touching one item out of hundreds re-sweeps that one item (plus any
+items the fold conservatively marks dirty) and reuses the rest
+verbatim, and a re-swept record reflects the delta.  The facet
 profile memo rides the same delta: collections disjoint from the dirty
 set carry across the publish, collections containing a touched item are
 dropped.
@@ -38,7 +37,6 @@ def test_one_item_delta_reuses_records():
     ws = _big_workspace()
     prior = ws.query_context.facet_postings()  # force the epoch-0 build
     assert prior.rebuilt_records == N_ITEMS
-    prior._range_array(EX.weight)  # and one lazy range array
 
     manager = EpochManager(ws)
     manager.ingest([(OP_ASSERT, EX.it7, EX.color, EX.c99)])
@@ -53,29 +51,26 @@ def test_one_item_delta_reuses_records():
     # it7's record was rebuilt, everything else is the same object.
     assert postings._records[EX.it7] is not prior._records[EX.it7]
     assert postings._records[EX.it0] is prior._records[EX.it0]
-    # The delta never mentioned weight: the sorted array is aliased.
-    assert postings._range_arrays[EX.weight] is \
-        prior._range_arrays[EX.weight]
 
     cold = manager.cold_workspace(epoch.watermark)
     assert workspace_fingerprint(epoch.workspace) == \
         workspace_fingerprint(cold)
 
 
-def test_touched_prop_range_array_rebuilds():
+def test_touched_item_record_reflects_the_delta():
     ws = _big_workspace()
     prior = ws.query_context.facet_postings()
-    prior._range_array(EX.weight)
 
     manager = EpochManager(ws)
     manager.ingest([(OP_ASSERT, EX.it5, EX.weight, Literal(12.5))])
     epoch = manager.publish()
 
     postings = epoch.workspace.query_context.facet_postings_if_built()
-    assert EX.weight not in postings._range_arrays  # rebuilt lazily
-    readings, subjects = postings._range_array(EX.weight)
-    assert len(readings) == N_ITEMS + 1  # it5 now posts twice
-    assert subjects.count(EX.it5) == 2
+    assert postings._records[EX.it5] is not prior._records[EX.it5]
+    profile = postings.profile([EX.it5])
+    assert sorted(profile.properties[EX.weight]._readings) == [5.0, 12.5]
+    whole = postings.profile(epoch.workspace.items)
+    assert len(whole.properties[EX.weight]._readings) == N_ITEMS + 1
 
 
 def test_facet_memo_carries_only_clean_collections():

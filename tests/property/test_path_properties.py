@@ -1,9 +1,9 @@
 """Property-based tests: path predicates over random cyclic graphs.
 
 For arbitrary link structures — cycles, self-loops, hops through blank
-nodes, literal endpoints including NaN — every engine mode must compute
-the same path extent, that extent must equal per-item forward matching,
-and closure walks must terminate (the BFS visited-set guarantee).
+nodes, literal endpoints including NaN — the engine's path extent must
+equal per-item forward matching, and closure walks must terminate (the
+BFS visited-set guarantee).
 """
 
 import math
@@ -15,8 +15,6 @@ from repro.query import Path, PathStep, QueryContext, QueryEngine
 from repro.rdf import BlankNode, Graph, Literal, Namespace, RDF
 
 EX = Namespace("http://pathprop.example/")
-
-MODES = ("legacy", "bitset", "compiled")
 
 link_props = st.integers(min_value=0, max_value=1).map(lambda i: EX[f"link{i}"])
 closures = st.sampled_from(["", "+", "*"])
@@ -73,16 +71,14 @@ def path_predicates(draw, items):
 
 @given(linked_graphs(), st.data())
 @settings(max_examples=80)
-def test_all_engines_agree_with_forward_matching(graph_items, data):
+def test_engine_agrees_with_forward_matching(graph_items, data):
     graph, items = graph_items
     predicate = data.draw(path_predicates(items))
     context = QueryContext(graph, universe=set(items))
     expected = {
         item for item in items if predicate.matches(item, context)
     }
-    for mode in MODES:
-        engine = QueryEngine(context, mode=mode)
-        assert engine.evaluate(predicate) == expected, mode
+    assert QueryEngine(context).evaluate(predicate) == expected
 
 
 @given(linked_graphs(), st.data())
@@ -94,10 +90,9 @@ def test_path_composes_with_boolean_algebra(graph_items, data):
     graph, items = graph_items
     predicate = data.draw(path_predicates(items))
     context = QueryContext(graph, universe=set(items))
-    for mode in MODES:
-        engine = QueryEngine(context, mode=mode)
-        extent = engine.evaluate(predicate)
-        assert engine.evaluate(Not(predicate)) == set(items) - extent, mode
+    engine = QueryEngine(context)
+    extent = engine.evaluate(predicate)
+    assert engine.evaluate(Not(predicate)) == set(items) - extent
 
 
 @given(st.integers(min_value=1, max_value=8), st.sampled_from(["+", "*"]))
@@ -124,6 +119,4 @@ def test_star_without_value_covers_the_universe(graph_items):
     graph, items = graph_items
     context = QueryContext(graph, universe=set(items))
     predicate = Path((PathStep(EX.link0, closure="*"),))
-    for mode in MODES:
-        engine = QueryEngine(context, mode=mode)
-        assert engine.evaluate(predicate) == set(items), mode
+    assert QueryEngine(context).evaluate(predicate) == set(items)

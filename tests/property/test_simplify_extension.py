@@ -1,16 +1,17 @@
-"""Property-based tests: ``simplify`` preserves extension, both engines.
+"""Property-based tests: ``simplify`` preserves extension, both strategies.
 
 For every random predicate tree — including empty ``And([])``/``Or([])``
 combinators and complement pairs the simplifier short-circuits to those
 empty forms — ``simplify(p)`` must have exactly the extension of ``p``
-under the bitset strategy, the legacy set strategy, and naive per-item
-evaluation.  This is the offline counterpart of the differential
-harness's live shadow-query check.
+under both evaluation strategies: the production query engine and the
+differential harness's ``naive_extent`` oracle.  This is the offline
+counterpart of the harness's live shadow-query check.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.reference import naive_extent
 from repro.query import And, HasValue, Not, Or, QueryContext, QueryEngine
 from repro.query.simplify import simplify
 from repro.rdf import Graph, Namespace, RDF
@@ -54,11 +55,14 @@ def predicates(draw, depth=2):
     return And(parts) if kind == "and" else Or(parts)
 
 
-def _extensions(graph, predicate):
-    context = QueryContext(graph)
-    bitset = QueryEngine(context, use_bitsets=True)
-    legacy = QueryEngine(context, use_bitsets=False)
-    return context, set(bitset.evaluate(predicate)), set(legacy.evaluate(predicate))
+def _strategies(context):
+    """(name, evaluate) for the engine and the naive oracle."""
+    engine = QueryEngine(context)
+    universe = set(context.universe)
+    return [
+        ("engine", engine.evaluate),
+        ("naive", lambda predicate: naive_extent(predicate, universe, context)),
+    ]
 
 
 @given(corpora(), predicates())
@@ -66,18 +70,18 @@ def _extensions(graph, predicate):
 def test_simplify_preserves_extension_under_both_strategies(graph, predicate):
     simplified = simplify(predicate)
     context = QueryContext(graph)
-    for use_bitsets in (True, False):
-        engine = QueryEngine(context, use_bitsets=use_bitsets)
-        assert engine.evaluate(simplified) == engine.evaluate(predicate), (
-            f"use_bitsets={use_bitsets}: {predicate!r} -> {simplified!r}"
+    for name, evaluate in _strategies(context):
+        assert evaluate(simplified) == evaluate(predicate), (
+            f"{name}: {predicate!r} -> {simplified!r}"
         )
 
 
 @given(corpora(), predicates())
 @settings(max_examples=80)
 def test_both_strategies_agree_on_raw_trees(graph, predicate):
-    _context, bitset, legacy = _extensions(graph, predicate)
-    assert bitset == legacy, predicate
+    context = QueryContext(graph)
+    (_e, engine), (_n, naive) = _strategies(context)
+    assert engine(predicate) == naive(predicate), predicate
 
 
 @given(corpora())
@@ -85,12 +89,12 @@ def test_both_strategies_agree_on_raw_trees(graph, predicate):
 def test_empty_combinators_under_both_strategies(graph):
     context = QueryContext(graph)
     universe = set(context.universe)
-    for use_bitsets in (True, False):
-        engine = QueryEngine(context, use_bitsets=use_bitsets)
-        assert engine.evaluate(And([])) == universe
-        assert engine.evaluate(Or([])) == set()
-        assert engine.count(And([])) == len(universe)
-        assert engine.count(Or([])) == 0
+    for _name, evaluate in _strategies(context):
+        assert evaluate(And([])) == universe
+        assert evaluate(Or([])) == set()
+    engine = QueryEngine(context)
+    assert engine.count(And([])) == len(universe)
+    assert engine.count(Or([])) == 0
 
 
 @given(corpora(), predicates())
@@ -106,10 +110,9 @@ def test_complement_short_circuit_agrees_with_engine(graph, predicate):
     universe = set(context.universe)
     contradiction = simplify(And([predicate, Not(predicate)]))
     tautology = simplify(Or([predicate, Not(predicate)]))
-    for use_bitsets in (True, False):
-        engine = QueryEngine(context, use_bitsets=use_bitsets)
-        assert engine.evaluate(contradiction) == set()
-        assert engine.evaluate(tautology) == universe
+    for _name, evaluate in _strategies(context):
+        assert evaluate(contradiction) == set()
+        assert evaluate(tautology) == universe
     leaf = HasValue(EX.p0, EX.v0)
     assert simplify(And([leaf, Not(leaf)])) == Or([])
     assert simplify(Or([leaf, Not(leaf)])) == And([])

@@ -2,9 +2,8 @@
 
 Covers the :class:`Path` AST node (sequences, inverse hops, ``+``/``*``
 closures, cycle-safe traversal), the toolbar syntax that produces it,
-and the promise the engines rely on: ``candidates`` computes exactly the
-set of items whose forward walk succeeds, under all three evaluation
-modes.
+and the promise the engine relies on: ``candidates`` computes exactly the
+set of items whose forward walk succeeds.
 """
 
 import pytest
@@ -134,14 +133,12 @@ class TestCycleTermination:
 
 
 class TestEngineAgreement:
-    MODES = ("legacy", "bitset", "compiled")
+    def _assert_engine(self, context, predicate, expected):
+        engine = QueryEngine(context)
+        assert engine.evaluate(predicate) == expected
+        assert engine.count(predicate) == len(expected)
 
-    def _assert_all_modes(self, context, predicate, expected):
-        for mode in self.MODES:
-            engine = QueryEngine(context, mode=mode)
-            assert engine.evaluate(predicate) == expected, mode
-
-    def test_extent_matches_naive_all_modes(self, papers):
+    def test_extent_matches_naive(self, papers):
         _g, context, items = papers
         cases = [
             Path((EX.author, EX.affiliation), EX.uni0),
@@ -155,12 +152,12 @@ class TestEngineAgreement:
             expected = {
                 item for item in items if predicate.matches(item, context)
             }
-            self._assert_all_modes(context, predicate, expected)
+            self._assert_engine(context, predicate, expected)
 
     def test_unconstrained_star_is_whole_universe(self, papers):
         _g, context, items = papers
         predicate = Path((PathStep(EX.cites, closure="*"),))
-        self._assert_all_modes(context, predicate, set(items))
+        self._assert_engine(context, predicate, set(items))
 
     def test_extent_memoized_until_graph_changes(self, papers):
         g, context, _items = papers
