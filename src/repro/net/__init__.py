@@ -5,7 +5,10 @@ worker pool, explicit backpressure, per-request deadlines, a typed
 error envelope, and graceful drain.  :class:`NavigationServer` is the
 single-process tier; :class:`ShardedServer` scales past the GIL by
 running one such server per worker process behind a session-affinity
-router (:mod:`repro.net.router`).  The wire format is canonical JSON
+router (:mod:`repro.net.router`).  Both tiers share one front door
+(:mod:`repro.net.front`): a single event-loop thread for every client
+socket, framing, deadlines, admission, keep-alive and the worker pool;
+each tier plugs in only its handler.  The wire format is canonical JSON
 over the existing :mod:`repro.check` command codec and
 :mod:`repro.service.serialize` state codec, which is what makes the
 byte-level differential wire check (:mod:`repro.net.wirecheck`)

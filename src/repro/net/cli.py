@@ -217,10 +217,12 @@ def serve_main(argv=None) -> int:
     host, port = server.address
     if args.selftest:
         return _selftest(server)
-    print(f"serving on http://{host}:{port} "
-          f"({args.procs} proc(s) x {args.workers} workers, "
-          f"queue {args.queue_limit})")
     try:
+        # The banner is inside the try: a SIGINT that lands right after
+        # it must still drain, not escape as a traceback.
+        print(f"serving on http://{host}:{port} "
+              f"({args.procs} proc(s) x {args.workers} workers, "
+              f"queue {args.queue_limit})")
         import time
 
         while True:

@@ -1,44 +1,27 @@
-"""Minimal HTTP/1.1 framing over a socket (stdlib-only).
+"""Minimal HTTP/1.1 framing helpers (stdlib-only).
 
 The serving layer speaks plain HTTP so any client works, but it needs
-tighter control than ``http.server`` offers: per-request deadlines via
-socket timeouts, a hard body cap enforced *before* reading, and typed
-errors for every way a request can go wrong.  This module is that thin
-framing layer.
-
-Connections default to one request then ``Connection: close``; a client
-that sends ``Connection: keep-alive`` explicitly may reuse the socket
-for further requests (the server still closes when draining).  Callers
-that serve several requests on one socket must thread the same
-``buffer`` through consecutive :func:`read_request` calls so bytes read
-past one request's end seed the next request's parse.
+tighter control than ``http.server`` offers: incremental framing on an
+event loop, a hard body cap enforced from the declared length before
+any body byte is read, and a typed error for every way a request can
+be malformed.  This module is that thin layer: :class:`Request`, plus
+:func:`find_head`, :func:`parse_head` and :func:`content_length`, which
+the shared front door (:mod:`repro.net.front`), the router's upstream
+connections and the load generator use to frame bytes they have
+buffered themselves.
 """
 
 from __future__ import annotations
 
-import socket
-from typing import Optional
-
-from .protocol import (
-    BadRequest,
-    ClientDisconnect,
-    DeadlineExceeded,
-    PayloadTooLarge,
-)
+from .protocol import BadRequest, PayloadTooLarge
 
 __all__ = [
     "Request",
-    "read_request",
-    "read_response",
-    "write_response",
     "find_head",
     "parse_head",
     "content_length",
     "STATUS_REASONS",
 ]
-
-_MAX_LINE = 8192
-_MAX_HEADERS = 64
 
 STATUS_REASONS = {
     200: "OK",
@@ -75,125 +58,16 @@ class Request:
         return f"<Request {self.method} {self.path} body={len(self.body)}B>"
 
 
-def _recv_line(conn: socket.socket, buffer: bytearray) -> bytes:
-    """Read one CRLF/LF-terminated line from the connection."""
-    while True:
-        newline = buffer.find(b"\n")
-        if newline >= 0:
-            line = bytes(buffer[: newline + 1])
-            del buffer[: newline + 1]
-            return line
-        if len(buffer) > _MAX_LINE:
-            raise BadRequest("header line too long")
-        chunk = _recv(conn, 4096)
-        if not chunk:
-            raise ClientDisconnect("connection closed mid-request")
-        buffer.extend(chunk)
-
-
-def _recv(conn: socket.socket, size: int) -> bytes:
-    try:
-        return conn.recv(size)
-    except socket.timeout:
-        raise DeadlineExceeded("deadline elapsed while reading the request")
-    except (ConnectionResetError, BrokenPipeError, OSError) as error:
-        raise ClientDisconnect(f"connection lost: {error}") from error
-
-
-def read_request(
-    conn: socket.socket, max_body: int, buffer: bytearray | None = None
-) -> Request:
-    """Parse one request; the socket's timeout enforces the deadline.
-
-    ``buffer`` carries bytes already read off the socket; pass the same
-    bytearray across calls when serving several requests on one
-    keep-alive connection, so over-read bytes are not lost between
-    requests.
-
-    Raises :class:`BadRequest` for malformed framing,
-    :class:`PayloadTooLarge` when the declared body exceeds ``max_body``,
-    :class:`DeadlineExceeded` when the socket timeout fires, and
-    :class:`ClientDisconnect` when the peer goes away mid-request.
-    """
-    if buffer is None:
-        buffer = bytearray()
-    request_line = _recv_line(conn, buffer).decode("latin-1").strip()
-    if not request_line:
-        raise BadRequest("empty request line")
-    parts = request_line.split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise BadRequest(f"malformed request line {request_line!r}")
-    method, path, _version = parts
-
-    headers: dict[str, str] = {}
-    for _ in range(_MAX_HEADERS):
-        line = _recv_line(conn, buffer).decode("latin-1")
-        if line in ("\r\n", "\n"):
-            break
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise BadRequest(f"malformed header line {line.strip()!r}")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise BadRequest("too many header lines")
-
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise BadRequest(f"bad Content-Length {length_text!r}") from None
-    if length < 0:
-        raise BadRequest(f"bad Content-Length {length_text!r}")
-    if length > max_body:
-        raise PayloadTooLarge(
-            f"declared body of {length} bytes exceeds the {max_body} byte cap"
-        )
-
-    body = bytes(buffer[:length])
-    del buffer[: len(body)]
-    while len(body) < length:
-        chunk = _recv(conn, min(65536, length - len(body)))
-        if not chunk:
-            raise ClientDisconnect("connection closed mid-body")
-        body += chunk
-    return Request(method, path, headers, body)
-
-
-def write_response(
-    conn: socket.socket,
-    status: int,
-    body: bytes,
-    reason: Optional[str] = None,
-    keep_alive: bool = False,
-) -> None:
-    """Send one complete JSON response.
-
-    ``keep_alive`` announces that the server will serve another request
-    on this socket; the default closes after the response, which is
-    what every one-shot caller expects.
-    """
-    reason = reason or STATUS_REASONS.get(status, "Unknown")
-    connection = "keep-alive" if keep_alive else "close"
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: {connection}\r\n"
-        f"\r\n"
-    ).encode("latin-1")
-    conn.sendall(head + body)
-
-
 # ----------------------------------------------------------------------
-# Incremental parsing (event-loop callers: router, loadgen)
+# Incremental parsing (event-loop callers: front, router, loadgen)
 # ----------------------------------------------------------------------
 
 
 def find_head(buffer: bytearray) -> tuple[int, int]:
     """Locate the header terminator: (end_of_head, body_start) or (-1, -1).
 
-    Event-loop code cannot block in :func:`read_request`; it accumulates
-    bytes and asks this: is a complete header block buffered yet?
+    Event-loop code never blocks on a socket; it accumulates bytes and
+    asks this: is a complete header block buffered yet?
     """
     end = buffer.find(b"\r\n\r\n")
     if end >= 0:
@@ -233,53 +107,3 @@ def content_length(headers: dict[str, str], cap: int) -> int:
             f"declared body of {length} bytes exceeds the {cap} byte cap"
         )
     return length
-
-
-def read_response(
-    conn: socket.socket, buffer: bytearray, max_body: int = 1 << 30
-) -> tuple[int, bytes, bool]:
-    """Parse one HTTP response off ``conn``: (status, body, keep_alive).
-
-    The router's forwarding path reads worker responses with this —
-    framing by ``Content-Length``, never by EOF, so persistent upstream
-    connections work.  ``buffer`` must persist across calls on the same
-    socket, exactly like :func:`read_request`'s.  The returned
-    ``keep_alive`` flag reports whether the peer will accept another
-    request on this socket.
-    """
-    status_line = _recv_line(conn, buffer).decode("latin-1").strip()
-    parts = status_line.split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise BadRequest(f"malformed status line {status_line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise BadRequest(f"malformed status line {status_line!r}") from None
-
-    headers: dict[str, str] = {}
-    for _ in range(_MAX_HEADERS):
-        line = _recv_line(conn, buffer).decode("latin-1")
-        if line in ("\r\n", "\n"):
-            break
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise BadRequest(f"malformed header line {line.strip()!r}")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise BadRequest("too many header lines")
-
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise BadRequest("bad Content-Length in response") from None
-    if length < 0 or length > max_body:
-        raise BadRequest(f"unreasonable response length {length}")
-    body = bytes(buffer[:length])
-    del buffer[: len(body)]
-    while len(body) < length:
-        chunk = _recv(conn, min(65536, length - len(body)))
-        if not chunk:
-            raise ClientDisconnect("connection closed mid-response")
-        body += chunk
-    keep_alive = headers.get("connection", "").lower() == "keep-alive"
-    return status, body, keep_alive

@@ -1,4 +1,4 @@
-"""The sharded serving front: session-affinity routing over workers.
+"""The sharded serving tier: session-affinity routing over workers.
 
 :class:`ShardedServer` is the multi-process answer to the GIL: it owns
 ``procs`` worker processes (:mod:`repro.net.worker`), each a complete
@@ -14,36 +14,31 @@ routing) — so a session's commands always land on the same worker and
 the per-session lock and telemetry semantics of the single-process
 server carry over unchanged.
 
-The front itself is a **single-threaded event loop** (one ``selectors``
-loop drives the listener, every client socket, and every upstream
-worker socket).  On this project's reference hardware that matters
-more than it may appear: the box has one core, so a thread-per-
-connection front would convoy with the workers it is feeding; the
-event loop keeps the router's CPU cost per request to a few
-microseconds of buffer shuffling.  Requests are forwarded over
-persistent keep-alive connections (at most one per worker thread, so a
-worker is never oversubscribed), responses are copied back **byte for
-byte** — both sides build payloads with :mod:`repro.net.protocol`, so
-the differential wire check passes against a sharded server exactly as
-it does against a single process.
+The front door is the same :class:`~repro.net.front.Front` the
+single-process server uses — one event loop, framing, per-request
+deadlines, bounded admission (typed ``ServerOverloaded``), keep-alive
+and the "stop admitting, finish in-flight" half of drain — under the
+``router.*`` metric prefix.  The router plugs in one handler:
 
-Single-process semantics are preserved at the front:
-
-* **backpressure** — at most ``queue_limit`` requests may be queued
-  waiting for a worker slot; beyond that the router answers the same
-  typed ``ServerOverloaded`` envelope the single server sends;
-* **deadlines** — a queued request past its deadline gets a typed
-  ``DeadlineExceeded`` without ever reaching a worker;
-* **typed worker failure** — a dead worker yields an immediate
+* **session routes** are forwarded over persistent keep-alive upstream
+  connections whose sockets sit on the front's own selector (at most
+  one per worker thread, so a worker is never oversubscribed).
+  Responses are copied back **byte for byte** — both sides build
+  payloads with :mod:`repro.net.protocol`, so the differential wire
+  check passes against a sharded server exactly as it does against a
+  single process.  A dead worker yields an immediate typed
   ``WorkerUnavailable`` 503, never a hang;
-* **aggregation** — ``/metrics`` merges every worker's snapshot with
-  the router's own registry via
-  :func:`repro.obs.merge_snapshots` (exact bucket-wise histograms);
-* **graceful drain** — the front stops admitting, lets queued and
-  in-flight requests finish, then sends each worker exactly one drain
-  message; each session lives on exactly one worker and each worker
-  saves exactly once, so every session file is written atomically
-  exactly once.
+* **control routes** — ``/healthz``, ``/metrics`` and ``GET /sessions``
+  (which query and merge every worker, via
+  :func:`repro.obs.merge_snapshots` for metrics) and ``/ingest`` (a
+  write-all fan-out) — block on workers, so they run on the front's
+  pool, never on the loop: a slow worker delays them, not navigation on
+  the other shards.
+
+Graceful drain stops admitting, lets waiting and in-flight requests
+finish, then sends each worker exactly one drain message; each session
+lives on exactly one worker and each worker saves exactly once, so
+every session file is written atomically exactly once.
 """
 
 from __future__ import annotations
@@ -59,15 +54,13 @@ from collections import deque
 from typing import Any, Optional
 
 from ..obs import MetricsRegistry, merge_snapshots
-from .httpio import STATUS_REASONS, content_length, find_head, parse_head
+from .front import Exchange, Front
+from .httpio import Request, content_length, find_head, parse_head
 from .protocol import (
     BadRequest,
-    DeadlineExceeded,
     MethodNotAllowed,
     NetError,
     NotFound,
-    PayloadTooLarge,
-    ServerOverloaded,
     WorkerUnavailable,
     canonical_json,
     error_envelope,
@@ -78,7 +71,8 @@ from .worker import DatasetSpec, WorkerHandle
 
 __all__ = ["ShardedServer", "shard_for"]
 
-_MAX_HEAD = 16384
+_READ = selectors.EVENT_READ
+_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
 
 
 def shard_for(name: str, procs: int) -> int:
@@ -87,42 +81,14 @@ def shard_for(name: str, procs: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Connection state machines
+# Upstream connection state
 # ----------------------------------------------------------------------
-
-
-class _Client:
-    """One accepted client connection on the router's event loop."""
-
-    __slots__ = (
-        "sock",
-        "inbuf",
-        "outbuf",
-        "wants_keep_alive",
-        "close_after_flush",
-        "in_flight",
-        "queued",
-        "last_activity",
-    )
-
-    def __init__(self, sock: socket.socket):
-        self.sock: Optional[socket.socket] = sock
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
-        #: The current request asked for connection reuse.
-        self.wants_keep_alive = False
-        self.close_after_flush = False
-        #: A request is forwarded and its response not yet delivered.
-        self.in_flight = False
-        #: The request sits in a shard queue waiting for a worker slot.
-        self.queued = False
-        self.last_activity = time.monotonic()
 
 
 class _Upstream:
     """One persistent keep-alive connection to a worker process."""
 
-    __slots__ = ("sock", "shard", "state", "outbuf", "inbuf", "client")
+    __slots__ = ("sock", "shard", "state", "outbuf", "inbuf", "exchange")
 
     CONNECTING = 0
     BUSY = 1
@@ -134,7 +100,7 @@ class _Upstream:
         self.state = _Upstream.CONNECTING
         self.outbuf = bytearray()
         self.inbuf = bytearray()
-        self.client: Optional[_Client] = None
+        self.exchange: Optional[Exchange] = None
 
 
 class _Shard:
@@ -150,8 +116,8 @@ class _Shard:
         #: Live upstream connections (all states) — capped at the
         #: worker's thread count so the worker is never oversubscribed.
         self.conns = 0
-        #: (client, forward_bytes, deadline) waiting for a slot.
-        self.pending: deque[tuple[_Client, bytes, float]] = deque()
+        #: (exchange, forward_bytes) waiting for a slot.
+        self.pending: deque[tuple[Exchange, bytes]] = deque()
 
 
 # ----------------------------------------------------------------------
@@ -176,24 +142,16 @@ class ShardedServer:
         self.procs = procs
         self.start_method = start_method
         self.metrics = MetricsRegistry()
-        self._requests = self.metrics.counter("router.requests")
+        self._front = Front(self.config, self._route, self.metrics, "router")
         self._forwarded = self.metrics.counter("router.forwarded")
-        self._rejections = self.metrics.counter(
-            "router.rejections{reason=overloaded}"
-        )
-        self._expired = self.metrics.counter("router.deadline_expired")
         self._worker_errors = self.metrics.counter("router.worker_errors")
-        self._queue_depth = self.metrics.gauge("router.queue_depth")
         self._shards: list[_Shard] = []
-        self._listener: socket.socket | None = None
-        self._selector: selectors.DefaultSelector | None = None
-        self._thread: threading.Thread | None = None
-        self._accepting = False
-        self._running = False
         self._started = False
+        #: Serializes ingest fan-outs so every replica applies batches
+        #: in the same order.
+        self._ingest_lock = threading.Lock()
         self._drain_lock = threading.Lock()
         self._final_report: DrainReport | None = None
-        self._served = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -202,8 +160,8 @@ class ShardedServer:
     def start(self) -> "ShardedServer":
         if self._started:
             raise RuntimeError("server already started")
-        # Workers fork/spawn BEFORE the router's own thread exists, so a
-        # fork never duplicates a running event loop.
+        # Workers fork/spawn BEFORE the front's threads exist, so a fork
+        # never duplicates a running event loop.
         manager = None
         method = self.start_method
         if method is None:
@@ -235,21 +193,8 @@ class ShardedServer:
             for handle in handles:
                 handle.terminate()
             raise
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.port))
-        listener.listen(max(64, self.config.queue_limit))
-        listener.setblocking(False)
-        self._listener = listener
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ, ("listen", None))
-        self._accepting = True
-        self._running = True
+        self._front.start()
         self._started = True
-        self._thread = threading.Thread(
-            target=self._loop, name="net-router", daemon=True
-        )
-        self._thread.start()
         return self
 
     def _worker_config(self) -> ServerConfig:
@@ -263,7 +208,6 @@ class ShardedServer:
             queue_limit=self.config.queue_limit,
             request_deadline=self.config.request_deadline,
             max_body=self.config.max_body,
-            keep_alive=True,
             keepalive_idle=max(30.0, self.config.keepalive_idle),
             ingest=self.config.ingest,
             publish_interval=self.config.publish_interval,
@@ -272,10 +216,7 @@ class ShardedServer:
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("server not started")
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        return self._front.address
 
     @property
     def worker_ports(self) -> list[int]:
@@ -293,21 +234,14 @@ class ShardedServer:
         timeout: float = 30.0,
     ) -> DrainReport:
         """Stop admitting, finish in-flight work, drain every worker once."""
-        self._accepting = False
         deadline = time.monotonic() + timeout
-        while self._busy() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        self._running = False
-        thread = self._thread  # racing drains: read once, join is reentrant
-        if thread is not None:
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
-            self._thread = None
+        self._front.drain(timeout)
         with self._drain_lock:
             if self._final_report is not None:
                 return self._final_report
             # ``served`` is the front's own count: workers also count the
             # forwarded requests, so summing both would double-count.
-            served = self._served
+            served = self._front.served
             saved: list[str] = []
             dropped: list[str] = []
             for shard in self._shards:
@@ -323,349 +257,69 @@ class ShardedServer:
 
     close = drain
 
-    def _busy(self) -> bool:
-        if any(shard.pending for shard in self._shards):
-            return True
-        selector = self._selector
-        if selector is None:
-            return False
-        try:
-            entries = list(selector.get_map().values())
-        except RuntimeError:
-            return True  # map mutated under us: the loop is clearly active
-        for key in entries:
-            kind, obj = key.data
-            if kind == "up" and obj.state != _Upstream.IDLE:
-                return True
-            if kind == "cl" and (obj.in_flight or obj.queued or obj.outbuf):
-                return True
-        return False
-
     # ------------------------------------------------------------------
-    # Event loop
+    # The front's handler (runs on the loop thread; never blocks)
     # ------------------------------------------------------------------
 
-    def _loop(self) -> None:
-        selector = self._selector
-        assert selector is not None
-        last_sweep = time.monotonic()
-        try:
-            while self._running:
-                events = selector.select(timeout=0.05)
-                for key, mask in events:
-                    kind, obj = key.data
-                    try:
-                        if kind == "listen":
-                            self._on_accept()
-                        elif kind == "cl":
-                            self._on_client_event(obj, mask)
-                        elif kind == "up":
-                            self._on_upstream_event(obj, mask)
-                    except Exception:  # noqa: BLE001 - one conn, not the loop
-                        self.metrics.counter("router.loop_errors").inc()
-                        if kind == "cl":
-                            self._drop_client(obj)
-                        elif kind == "up":
-                            self._fail_upstream(obj)
-                now = time.monotonic()
-                if now - last_sweep >= 0.05:
-                    last_sweep = now
-                    self._sweep(now)
-        finally:
-            self._shutdown_loop()
-
-    def _shutdown_loop(self) -> None:
-        selector = self._selector
-        if selector is None:
-            return
-        for key in list(selector.get_map().values()):
-            kind, obj = key.data
-            if kind == "cl":
-                self._drop_client(obj)
-            elif kind == "up":
-                self._close_sock(obj.sock)
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            self._close_sock(listener)
-        selector.close()
-        self._selector = None
-
-    def _register(self, sock: socket.socket, mask: int, data: Any) -> None:
-        assert self._selector is not None
-        self._selector.register(sock, mask, data)
-
-    def _set_mask(self, sock: socket.socket, mask: int) -> None:
-        assert self._selector is not None
-        try:
-            self._selector.modify(
-                sock, mask, self._selector.get_key(sock).data
-            )
-        except KeyError:
-            pass
-
-    def _unregister(self, sock: socket.socket) -> None:
-        if self._selector is None:
-            return
-        try:
-            self._selector.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-
-    @staticmethod
-    def _close_sock(sock: socket.socket | None) -> None:
-        if sock is None:
-            return
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    # -- accept ---------------------------------------------------------
-
-    def _on_accept(self) -> None:
-        listener = self._listener
-        if listener is None:
-            return
-        for _ in range(64):
-            try:
-                sock, _addr = listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            if not self._accepting:
-                self._close_sock(sock)
-                continue
-            client = _Client(sock)
-            self._register(sock, selectors.EVENT_READ, ("cl", client))
-
-    # -- client side ----------------------------------------------------
-
-    def _on_client_event(self, client: _Client, mask: int) -> None:
-        if client.sock is None:
-            return
-        client.last_activity = time.monotonic()
-        if mask & selectors.EVENT_WRITE:
-            self._flush_client(client)
-        if client.sock is not None and mask & selectors.EVENT_READ:
-            try:
-                chunk = client.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                chunk = None
-            except OSError:
-                self._drop_client(client)
-                return
-            if chunk == b"":
-                self._drop_client(client)
-                return
-            if chunk:
-                client.inbuf.extend(chunk)
-                self._advance_client(client)
-
-    def _advance_client(self, client: _Client) -> None:
-        """Parse and dispatch as many complete requests as are buffered."""
-        while (
-            client.sock is not None
-            and not client.in_flight
-            and not client.queued
-        ):
-            head_end, body_start = find_head(client.inbuf)
-            if head_end < 0:
-                if len(client.inbuf) > _MAX_HEAD:
-                    self._fail_client(client, BadRequest("header block too long"))
-                return
-            try:
-                first, headers = parse_head(bytes(client.inbuf[:head_end]))
-                if len(first) != 3 or not first[2].startswith("HTTP/"):
-                    raise BadRequest(
-                        f"malformed request line {' '.join(first)!r}"
-                    )
-                length = content_length(headers, self.config.max_body)
-            except NetError as error:
-                self._fail_client(client, error)
-                return
-            if len(client.inbuf) - body_start < length:
-                return  # body still in flight
-            body = bytes(client.inbuf[body_start:body_start + length])
-            del client.inbuf[: body_start + length]
-            method, path = first[0], first[1]
-            client.wants_keep_alive = (
-                headers.get("connection", "").lower() == "keep-alive"
-                and self.config.keep_alive
-            )
-            self._requests.inc()
-            self._route(client, method, path, headers, body)
-
-    def _fail_client(self, client: _Client, error: NetError) -> None:
-        """Framing failure: typed envelope, then close (framing is lost)."""
-        client.wants_keep_alive = False
-        self._respond_local(client, error.status, error_envelope(error))
-
-    def _drop_client(self, client: _Client) -> None:
-        sock, client.sock = client.sock, None
-        if sock is not None:
-            self._unregister(sock)
-            self._close_sock(sock)
-
-    def _respond_local(
-        self, client: _Client, status: int, payload: dict[str, Any]
-    ) -> None:
-        self._respond_bytes(client, status, canonical_json(payload))
-
-    def _respond_bytes(
-        self, client: _Client, status: int, body: bytes
-    ) -> None:
-        if client.sock is None:
-            return
-        keep = client.wants_keep_alive and self._accepting
-        reason = STATUS_REASONS.get(status, "Unknown")
-        connection = "keep-alive" if keep else "close"
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        client.outbuf.extend(head)
-        client.outbuf.extend(body)
-        if not keep:
-            client.close_after_flush = True
-        self._served += 1
-        self.metrics.counter(f"router.responses{{status={status}}}").inc()
-        self._flush_client(client)
-        # A kept-alive client may already have pipelined the next one.
-        if client.sock is not None and not client.close_after_flush:
-            self._advance_client(client)
-
-    def _flush_client(self, client: _Client) -> None:
-        if client.sock is None:
-            return
-        while client.outbuf:
-            try:
-                sent = client.sock.send(client.outbuf)
-            except (BlockingIOError, InterruptedError):
-                self._set_mask(
-                    client.sock,
-                    selectors.EVENT_READ | selectors.EVENT_WRITE,
-                )
-                return
-            except OSError:
-                self._drop_client(client)
-                return
-            if sent <= 0:
-                self._drop_client(client)
-                return
-            del client.outbuf[:sent]
-        if client.close_after_flush:
-            self._drop_client(client)
-        else:
-            self._set_mask(client.sock, selectors.EVENT_READ)
-
-    # -- routing --------------------------------------------------------
-
-    def _route(
-        self,
-        client: _Client,
-        method: str,
-        path: str,
-        headers: dict[str, str],
-        body: bytes,
-    ) -> None:
+    def _route(self, exchange: Exchange) -> None:
+        request = exchange.request
+        method, path = request.method, request.path
         normalized = path.rstrip("/") or "/"
-        if normalized == "/healthz":
-            if method != "GET":
-                return self._fail_route(client, MethodNotAllowed("use GET"))
-            return self._respond_local(client, 200, ok_envelope(self._health()))
-        if normalized == "/metrics":
-            if method != "GET":
-                return self._fail_route(client, MethodNotAllowed("use GET"))
-            return self._respond_local(
-                client, 200, ok_envelope(self._merged_metrics())
-            )
-        if normalized == "/ingest":
-            if method != "POST":
-                return self._fail_route(client, MethodNotAllowed("use POST"))
-            status, payload = self._ingest_fanout(body)
-            return self._respond_local(client, status, payload)
-        if normalized == "/sessions" and method == "GET":
-            return self._respond_local(
-                client, 200, ok_envelope(self._merged_sessions())
-            )
+        if normalized in ("/healthz", "/metrics", "/ingest") or (
+            normalized == "/sessions" and method == "GET"
+        ):
+            return self._front.submit(exchange, self._control)
         if normalized == "/sessions":
             if method != "POST":
-                return self._fail_route(client, MethodNotAllowed("use POST"))
+                return self._front.fail(exchange, MethodNotAllowed("use POST"))
             # Route creation by the requested name; a malformed body goes
             # to shard 0, whose error reply is byte-identical to the
             # single-process server's.
             shard_index = 0
             try:
-                parsed = json.loads(body.decode("utf-8"))
+                parsed = json.loads(request.body.decode("utf-8"))
                 name = parsed.get("name") if isinstance(parsed, dict) else None
                 if isinstance(name, str) and name:
                     shard_index = shard_for(name, self.procs)
             except (ValueError, UnicodeDecodeError):
                 shard_index = 0
-            return self._forward(client, shard_index, method, path, headers, body)
+            return self._forward(exchange, shard_index)
         parts = [p for p in normalized.split("/") if p]
         if len(parts) >= 2 and parts[0] == "sessions" and len(parts) <= 3:
-            name = parts[1]
-            return self._forward(
-                client, shard_for(name, self.procs), method, path, headers, body
-            )
-        self._fail_route(client, NotFound(f"no route for {method} {path}"))
-
-    def _fail_route(self, client: _Client, error: NetError) -> None:
-        self._respond_local(client, error.status, error_envelope(error))
+            return self._forward(exchange, shard_for(parts[1], self.procs))
+        self._front.fail(exchange, NotFound(f"no route for {method} {path}"))
 
     # -- forwarding -----------------------------------------------------
 
-    def _forward(
-        self,
-        client: _Client,
-        shard_index: int,
-        method: str,
-        path: str,
-        headers: dict[str, str],
-        body: bytes,
-    ) -> None:
+    def _forward(self, exchange: Exchange, shard_index: int) -> None:
         shard = self._shards[shard_index]
-        queued = sum(len(s.pending) for s in self._shards)
-        if queued >= self.config.queue_limit:
-            self._rejections.inc()
-            error = ServerOverloaded(
-                f"accept queue full ({self.config.queue_limit} waiting); retry"
-            )
-            return self._respond_local(client, error.status, error_envelope(error))
+        request = exchange.request
         head = (
-            f"{method} {path} HTTP/1.1\r\n"
+            f"{request.method} {request.path} HTTP/1.1\r\n"
             f"Host: 127.0.0.1\r\n"
             f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
+            f"Content-Length: {len(request.body)}\r\n"
             f"Connection: keep-alive\r\n"
             f"\r\n"
         ).encode("latin-1")
-        deadline = time.monotonic() + self.config.request_deadline
-        client.queued = True
-        shard.pending.append((client, head + body, deadline))
+        # Requests that expired or lost their client while queued behind
+        # a stuck worker are already answered; forget them.
+        while shard.pending and not self._front.is_waiting(shard.pending[0][0]):
+            shard.pending.popleft()
+        shard.pending.append((exchange, head + request.body))
         self._forwarded.inc()
         self._pump_shard(shard)
-        self._queue_depth.set(sum(len(s.pending) for s in self._shards))
 
     def _pump_shard(self, shard: _Shard) -> None:
         while shard.pending:
             upstream = self._acquire_upstream(shard)
             if upstream is None:
                 return
-            client, wire, _deadline = shard.pending.popleft()
-            if client.sock is None:  # client gave up while queued
-                client.queued = False
+            exchange, wire = shard.pending.popleft()
+            if not self._front.claim(exchange):
                 self._release_upstream(upstream)
                 continue
-            client.queued = False
-            client.in_flight = True
-            upstream.client = client
+            upstream.exchange = exchange
             upstream.state = _Upstream.BUSY
             upstream.outbuf.extend(wire)
             self._flush_upstream(upstream)
@@ -685,15 +339,16 @@ class ShardedServer:
         except BlockingIOError:
             pass
         except OSError:
-            self._close_sock(sock)
+            _close(sock)
             self._fail_shard_head(shard)
             return None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         shard.conns += 1
-        self._register(
+        self._front.register(
             sock,
-            selectors.EVENT_READ | selectors.EVENT_WRITE,
-            ("up", upstream),
+            _READ_WRITE,
+            (lambda mask: self._on_upstream_event(upstream, mask),
+             lambda: self._fail_upstream(upstream)),
         )
         return upstream
 
@@ -701,17 +356,14 @@ class ShardedServer:
         """Connection to the worker refused: fail the oldest queued request."""
         if not shard.pending:
             return
-        client, _wire, _deadline = shard.pending.popleft()
-        client.queued = False
+        exchange, _wire = shard.pending.popleft()
         self._worker_errors.inc()
-        error = WorkerUnavailable(
+        self._front.fail(exchange, WorkerUnavailable(
             f"worker {shard.index} is not responding; session shard offline"
-        )
-        if client.sock is not None:
-            self._respond_local(client, error.status, error_envelope(error))
+        ))
 
     def _release_upstream(self, upstream: _Upstream) -> None:
-        upstream.client = None
+        upstream.exchange = None
         upstream.state = _Upstream.IDLE
         upstream.shard.idle.append(upstream)
 
@@ -724,11 +376,11 @@ class ShardedServer:
                 self._fail_upstream(upstream)
                 return
             upstream.state = (
-                _Upstream.BUSY if upstream.client is not None else _Upstream.IDLE
+                _Upstream.BUSY if upstream.exchange is not None else _Upstream.IDLE
             )
         if mask & selectors.EVENT_WRITE:
             self._flush_upstream(upstream)
-        if mask & selectors.EVENT_READ:
+        if mask & _READ:
             try:
                 chunk = upstream.sock.recv(65536)
             except (BlockingIOError, InterruptedError):
@@ -749,19 +401,13 @@ class ShardedServer:
             try:
                 sent = upstream.sock.send(upstream.outbuf)
             except (BlockingIOError, InterruptedError):
-                self._set_mask(
-                    upstream.sock,
-                    selectors.EVENT_READ | selectors.EVENT_WRITE,
-                )
+                self._front.set_mask(upstream.sock, _READ_WRITE)
                 return
             except OSError:
                 self._fail_upstream(upstream)
                 return
-            if sent <= 0:
-                self._fail_upstream(upstream)
-                return
             del upstream.outbuf[:sent]
-        self._set_mask(upstream.sock, selectors.EVENT_READ)
+        self._front.set_mask(upstream.sock, _READ)
 
     def _advance_upstream(self, upstream: _Upstream) -> None:
         head_end, body_start = find_head(upstream.inbuf)
@@ -779,34 +425,28 @@ class ShardedServer:
         body = bytes(upstream.inbuf[body_start:body_start + length])
         del upstream.inbuf[: body_start + length]
         worker_keeps = headers.get("connection", "").lower() == "keep-alive"
-        client, upstream.client = upstream.client, None
-        if client is not None:
-            client.in_flight = False
-            if client.sock is not None:
-                self._respond_bytes(client, status, body)
+        exchange, upstream.exchange = upstream.exchange, None
         shard = upstream.shard
         if worker_keeps:
             self._release_upstream(upstream)
         else:
             self._discard_upstream(upstream)
+        if exchange is not None:
+            self._front.respond(exchange, status, body)
         self._pump_shard(shard)
 
     def _fail_upstream(self, upstream: _Upstream) -> None:
-        """The worker connection died; answer its client with a typed 503."""
-        client, upstream.client = upstream.client, None
-        was_busy = upstream.state == _Upstream.BUSY or client is not None
+        """The worker connection died; answer its request with a typed 503."""
+        exchange, upstream.exchange = upstream.exchange, None
+        was_busy = upstream.state == _Upstream.BUSY or exchange is not None
         shard = upstream.shard
         self._discard_upstream(upstream)
-        if client is not None:
-            client.in_flight = False
-            if client.sock is not None:
-                self._worker_errors.inc()
-                error = WorkerUnavailable(
-                    f"worker {shard.index} dropped the connection mid-request"
-                )
-                self._respond_local(client, error.status, error_envelope(error))
-        elif was_busy:
+        if was_busy:
             self._worker_errors.inc()
+        if exchange is not None:
+            self._front.fail(exchange, WorkerUnavailable(
+                f"worker {shard.index} dropped the connection mid-request"
+            ))
         # If the worker is gone entirely, fail queued requests fast
         # instead of retrying a dead port once per loop tick.
         if not shard.handle.alive:
@@ -814,49 +454,33 @@ class ShardedServer:
                 self._fail_shard_head(shard)
 
     def _discard_upstream(self, upstream: _Upstream) -> None:
-        self._unregister(upstream.sock)
-        self._close_sock(upstream.sock)
+        self._front.unregister(upstream.sock)
+        _close(upstream.sock)
         upstream.state = _Upstream.IDLE
         shard = upstream.shard
         shard.conns = max(0, shard.conns - 1)
         if upstream in shard.idle:
             shard.idle.remove(upstream)
 
-    # -- sweeps ---------------------------------------------------------
-
-    def _sweep(self, now: float) -> None:
-        for shard in self._shards:
-            while shard.pending and shard.pending[0][2] < now:
-                client, _wire, _deadline = shard.pending.popleft()
-                client.queued = False
-                self._expired.inc()
-                error = DeadlineExceeded(
-                    "deadline elapsed while queued for a worker slot"
-                )
-                if client.sock is not None:
-                    self._respond_local(
-                        client, error.status, error_envelope(error)
-                    )
-        self._queue_depth.set(sum(len(s.pending) for s in self._shards))
-        selector = self._selector
-        if selector is None:
-            return
-        horizon = now - self.config.keepalive_idle
-        for key in list(selector.get_map().values()):
-            kind, obj = key.data
-            if (
-                kind == "cl"
-                and not obj.in_flight
-                and not obj.queued
-                and not obj.outbuf
-                and not obj.inbuf
-                and obj.last_activity < horizon
-            ):
-                self._drop_client(obj)
-
     # ------------------------------------------------------------------
-    # Control plane (rare requests; may query workers synchronously)
+    # Control plane (runs on the front's pool; may block on workers)
     # ------------------------------------------------------------------
+
+    def _control(self, request: Request) -> tuple[int, bytes]:
+        method, path = request.method, request.path.rstrip("/")
+        if path == "/sessions":
+            status, payload = 200, ok_envelope(self._merged_sessions())
+        elif path == "/ingest":
+            if method != "POST":
+                raise MethodNotAllowed("use POST")
+            with self._ingest_lock:
+                status, payload = self._ingest_fanout(request.body)
+        else:
+            if method != "GET":
+                raise MethodNotAllowed("use GET")
+            result = self._health() if path == "/healthz" else self._merged_metrics()
+            status, payload = 200, ok_envelope(result)
+        return status, canonical_json(payload)
 
     def _worker_call(self, shard: _Shard, path: str) -> Any | None:
         from .client import NavigationClient, ServerError
@@ -875,12 +499,11 @@ class ShardedServer:
         """Replicate one N-Triples batch to every worker, in order.
 
         Each worker holds a full replica, so ingestion is a write-all
-        fan-out, not a shard pick.  The router serializes batches (the
-        event loop is single-threaded and this runs inline), and every
-        worker applies them in the same order from the same starting
-        log, so all replicas mint the same tx — checked here: a tx
-        mismatch means a diverged replica and is reported as a 503
-        rather than papered over.
+        fan-out, not a shard pick.  The caller holds ``_ingest_lock``,
+        so batches are serialized: every worker applies them in the
+        same order from the same starting log, and all replicas mint
+        the same tx — checked here: a tx mismatch means a diverged
+        replica and is reported as a 503 rather than papered over.
         """
         from .client import NavigationClient, ServerError
 
@@ -950,13 +573,12 @@ class ShardedServer:
             workers.append(
                 {"shard": shard.index, "alive": alive, "port": shard.port}
             )
-        queued = sum(len(shard.pending) for shard in self._shards)
         return {
-            "status": "serving" if self._accepting else "draining",
+            "status": "serving" if self._front.accepting else "draining",
             "procs": self.procs,
             "sessions": sessions,
             "workers": self.config.workers,
-            "queue_depth": queued,
+            "queue_depth": self._front.waiting,
             "queue_limit": self.config.queue_limit,
             "shards": workers,
         }
@@ -978,5 +600,12 @@ class ShardedServer:
         return {"sessions": sorted(names), "active": None}
 
     def __repr__(self) -> str:
-        state = "serving" if self._accepting else "stopped"
+        state = "serving" if self._front.accepting else "stopped"
         return f"<ShardedServer {state} procs={self.procs}>"
+
+
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass

@@ -1,41 +1,34 @@
-"""A bounded-concurrency JSON-over-HTTP front for the session manager.
+"""The single-process JSON-over-HTTP server for the session manager.
 
 The ROADMAP's serving posture made concrete: one process holds ONE
 frozen :class:`~repro.core.workspace.Workspace` and a
 :class:`~repro.service.manager.SessionManager` of light per-user
-sessions; this server puts that stack behind a network boundary with
-explicit capacity semantics:
+sessions; this server puts that stack behind a network boundary.
 
-* a **bounded worker pool** — ``workers`` threads apply commands; the
-  shared substrate's telemetry is lock-guarded (PR-3), per-session
-  mutation is serialized by a per-session lock;
-* **backpressure** — accepted connections enter a bounded queue; when
-  it is full the acceptor immediately answers a typed
-  ``ServerOverloaded`` envelope instead of letting the client hang;
-* **per-request deadlines** — the clock starts when the connection is
-  admitted; reading, queue wait, and dispatch all charge against it and
-  a typed ``DeadlineExceeded`` is returned the moment it elapses;
-* **graceful drain** — :meth:`NavigationServer.drain` stops admitting,
-  finishes every queued and in-flight transition, then saves every
-  session atomically through the PR-4
-  :data:`~repro.service.manager.StateWriter` seam.
+The front door — listener, event loop, framing, per-request deadlines,
+bounded admission (typed ``ServerOverloaded``), keep-alive and the
+worker pool — is the shared :class:`~repro.net.front.Front`.  This
+module plugs in one handler: every framed request runs
+:meth:`NavigationServer._dispatch` on a pool thread and is encoded
+there; per-session mutation is serialized by a per-session lock, and
+the shared substrate's telemetry is lock-guarded (PR-3).
+:meth:`NavigationServer.drain` stops admitting, finishes every waiting
+and in-flight transition, then saves every session atomically through
+the PR-4 :data:`~repro.service.manager.StateWriter` seam.
 
-Every request is traced (``net.request`` spans) and counted
-(request/rejection/error counters, queue-depth gauge, latency
-histogram) through the workspace's :mod:`repro.obs` bundle.
+Every request is traced (``net.request`` spans) and counted (the
+front's ``net.*`` request/rejection/disconnect counters, queue-depth
+gauge and latency histogram) through the workspace's :mod:`repro.obs`
+bundle.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
-import selectors
-import socket
 import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..check.codec import command_from_dict
 from ..service.manager import SessionManager
@@ -43,16 +36,13 @@ from ..service.serialize import (
     StateSerializationError,
     predicate_from_dict,
 )
-from .httpio import Request, read_request, write_response
+from .front import Exchange, Front
+from .httpio import Request
 from .protocol import (
     BadRequest,
-    ClientDisconnect,
-    DeadlineExceeded,
     MethodNotAllowed,
     NetError,
     NotFound,
-    PayloadTooLarge,
-    ServerOverloaded,
     canonical_json,
     error_envelope,
     ok_envelope,
@@ -63,11 +53,6 @@ from .protocol import (
 
 __all__ = ["ServerConfig", "DrainReport", "NavigationServer"]
 
-#: Latency bucket bounds (milliseconds) for the request histogram.
-LATENCY_BUCKETS_MS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0)
-
-_STOP = object()
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -76,17 +61,12 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0: pick an ephemeral port
     workers: int = 4
-    #: Connections admitted but not yet picked up by a worker; beyond
-    #: this the acceptor answers ServerOverloaded.
+    #: Complete requests admitted but not yet started; beyond this the
+    #: front answers ServerOverloaded.
     queue_limit: int = 32
-    #: Seconds from admission to the last response byte.
+    #: Seconds from a request's first byte to the start of its work.
     request_deadline: float = 10.0
     max_body: int = 1 << 20
-    #: Honor an explicit ``Connection: keep-alive`` from the client.
-    #: Idle kept-alive sockets are parked off the worker pool and
-    #: re-admitted (through the same bounded queue) when bytes arrive,
-    #: so they never pin a worker thread.
-    keep_alive: bool = True
     #: Seconds a kept-alive connection may sit idle before it is closed.
     keepalive_idle: float = 10.0
     #: Accept live ingestion: attach an EpochManager to the manager so
@@ -116,127 +96,6 @@ class DrainReport:
         return not self.dropped
 
 
-class _Task:
-    __slots__ = ("conn", "admitted", "buffer", "continuation")
-
-    def __init__(
-        self,
-        conn: socket.socket,
-        admitted: float,
-        buffer: bytearray | None = None,
-        continuation: bool = False,
-    ):
-        self.conn = conn
-        self.admitted = admitted
-        #: Bytes already read past the previous request's end (keep-alive).
-        self.buffer = buffer if buffer is not None else bytearray()
-        #: True when this is the 2nd+ request on a kept-alive connection.
-        self.continuation = continuation
-
-
-class _Parker:
-    """Watches idle keep-alive connections without occupying workers.
-
-    A worker that finishes a response on a connection the client wants
-    to keep open hands the socket here instead of blocking on the next
-    request.  One selector thread waits for readability and re-admits
-    the connection through the server's bounded queue — the same
-    backpressure path fresh connections take — or closes it after the
-    idle timeout, on client EOF, or at drain.
-    """
-
-    def __init__(self, readmit: Callable[[socket.socket, bytearray], None],
-                 idle_timeout: float):
-        self._readmit = readmit
-        self._idle_timeout = idle_timeout
-        self._selector = selectors.DefaultSelector()
-        self._pending: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._running = False
-        self._thread: threading.Thread | None = None
-        #: Wakes the selector loop when a socket is parked or at stop.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-
-    def start(self) -> None:
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._loop, name="net-parker", daemon=True
-        )
-        self._thread.start()
-
-    def park(self, conn: socket.socket, buffer: bytearray) -> None:
-        self._pending.put((conn, buffer))
-        self._poke()
-
-    def stop(self) -> None:
-        self._running = False
-        self._poke()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _poke(self) -> None:
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
-
-    def _loop(self) -> None:
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
-        try:
-            while self._running:
-                for key, _events in self._selector.select(timeout=0.5):
-                    if key.fileobj is self._wake_r:
-                        try:
-                            while self._wake_r.recv(256):
-                                pass
-                        except (BlockingIOError, OSError):
-                            pass
-                        continue
-                    self._selector.unregister(key.fileobj)
-                    conn, buffer, _parked_at = key.data
-                    self._readmit(conn, buffer)
-                while True:
-                    try:
-                        conn, buffer = self._pending.get_nowait()
-                    except queue.Empty:
-                        break
-                    conn.setblocking(False)
-                    try:
-                        self._selector.register(
-                            conn,
-                            selectors.EVENT_READ,
-                            (conn, buffer, time.monotonic()),
-                        )
-                    except (ValueError, OSError):
-                        _close_socket(conn)
-                self._sweep_idle()
-        finally:
-            for key in list(self._selector.get_map().values()):
-                if key.fileobj is not self._wake_r:
-                    _close_socket(key.data[0])
-            self._selector.close()
-            _close_socket(self._wake_r)
-            _close_socket(self._wake_w)
-
-    def _sweep_idle(self) -> None:
-        horizon = time.monotonic() - self._idle_timeout
-        for key in list(self._selector.get_map().values()):
-            if key.fileobj is self._wake_r:
-                continue
-            conn, _buffer, parked_at = key.data
-            if parked_at < horizon:
-                self._selector.unregister(key.fileobj)
-                _close_socket(conn)
-
-
-def _close_socket(conn) -> None:
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
 class NavigationServer:
     """Serves one SessionManager over HTTP with bounded concurrency."""
 
@@ -244,79 +103,40 @@ class NavigationServer:
         self.manager = manager
         self.config = config if config is not None else ServerConfig()
         self.obs = manager.workspace.obs
-        self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._accepting = False
+        self._front = Front(self.config, self._handle, self.obs.metrics, "net")
         self._started = False
-        self._served = 0
-        self._served_lock = threading.Lock()
         #: Serializes manager-level mutation (create/remove/save).
         self._manager_lock = threading.Lock()
         #: name -> per-session lock; commands on one session serialize,
         #: different sessions proceed in parallel.
         self._session_locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
-        self._parker: _Parker | None = None
         #: Guards the one-shot parts of drain (pool stop, session saves).
         self._drain_lock = threading.Lock()
         self._saves_done = False
-        metrics = self.obs.metrics
-        self._requests = metrics.counter("net.requests")
-        self._rejections = metrics.counter("net.rejections{reason=overloaded}")
-        self._disconnects = metrics.counter("net.disconnects")
-        self._queue_depth = metrics.gauge("net.queue_depth")
-        self._latency_ms = metrics.histogram(
-            "net.request_ms", buckets=LATENCY_BUCKETS_MS
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "NavigationServer":
-        """Bind, listen, and spin up the acceptor + worker pool."""
+        """Bind, listen, and start the front's loop and worker pool."""
         if self._started:
             raise RuntimeError("server already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.port))
-        listener.listen(max(16, self.config.queue_limit))
-        # Closing a socket does not reliably wake a thread blocked in
-        # accept(); a short timeout lets the acceptor notice drain.
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._accepting = True
+        self._front.start()
         self._started = True
-        if self.config.keep_alive:
-            self._parker = _Parker(self._readmit, self.config.keepalive_idle)
-            self._parker.start()
         epochs = self.manager.epochs
         if epochs is not None and not self.config.publish_sync:
             # Started here, not at construction: reindexer threads must
             # be born in the serving process (threads don't survive a
             # fork into a worker).
             epochs.start_reindexer(self.config.publish_interval)
-        acceptor = threading.Thread(
-            target=self._accept_loop, name="net-acceptor", daemon=True
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
-        for index in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"net-worker-{index}", daemon=True
-            )
-            worker.start()
-            self._threads.append(worker)
         return self
 
     @property
     def address(self) -> tuple[str, int]:
         """The bound (host, port) — read after :meth:`start`."""
-        if self._listener is None:
-            raise RuntimeError("server not started")
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        return self._front.address
 
     def __enter__(self) -> "NavigationServer":
         return self.start()
@@ -331,20 +151,13 @@ class NavigationServer:
     ) -> DrainReport:
         """Graceful shutdown: stop admitting, finish, persist.
 
-        Already-admitted requests (queued or in flight) are completed —
+        Already-admitted requests (waiting or in flight) are completed —
         their transitions land and their responses are delivered — then
-        the workers exit and, when ``save_dir`` is given, every named
-        session's state is written atomically (temp file + rename via
-        the StateWriter seam).  Idempotent; safe to call on a server
+        the front's threads exit and, when ``save_dir`` is given, every
+        named session's state is written atomically (temp file + rename
+        via the StateWriter seam).  Idempotent; safe to call on a server
         that never started.
         """
-        self._accepting = False
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
         with self._drain_lock:
             if self._started:
                 epochs = self.manager.epochs
@@ -352,25 +165,7 @@ class NavigationServer:
                     # Stop folding; already-durable datoms replay on the
                     # next start, so nothing is lost by not publishing.
                     epochs.stop_reindexer(drain=False)
-                # Idle kept-alive sockets are closed first so only
-                # genuinely in-flight requests hold up the pool.
-                if self._parker is not None:
-                    self._parker.stop()
-                    self._parker = None
-                # Let every admitted task finish before stopping the pool.
-                deadline = time.monotonic() + timeout
-                while (
-                    self._queue.unfinished_tasks
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)
-                for _ in range(self.config.workers):
-                    self._queue.put(_STOP)
-                for thread in self._threads:
-                    if thread is threading.current_thread():
-                        continue
-                    thread.join(timeout=max(0.1, deadline - time.monotonic()))
-                self._threads = []
+                self._front.drain(timeout)
                 self._started = False
 
             saved: list[str] = []
@@ -392,177 +187,23 @@ class NavigationServer:
                         except Exception:  # noqa: BLE001 - reported, not raised
                             dropped.append(name)
                             self.obs.metrics.counter("net.save_failures").inc()
-        return DrainReport(served=self._served, saved=saved, dropped=dropped)
+        return DrainReport(served=self._front.served, saved=saved, dropped=dropped)
 
     close = drain
 
     # ------------------------------------------------------------------
-    # Accept loop (backpressure lives here)
+    # The front's handler: dispatch and encode on a pool thread
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while self._accepting:
-            listener = self._listener
-            if listener is None:
-                return
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                continue  # periodic wake-up to re-check _accepting
-            except OSError:
-                return  # listener closed: drain in progress
-            conn.settimeout(self.config.request_deadline)
-            task = _Task(conn, time.monotonic())
-            try:
-                self._queue.put_nowait(task)
-            except queue.Full:
-                self._rejections.inc()
-                self._reject(conn)
-                continue
-            self._queue_depth.set(self._queue.qsize())
+    def _handle(self, exchange: Exchange) -> None:
+        self._front.submit(exchange, self._serve)
 
-    def _readmit(self, conn: socket.socket, buffer: bytearray) -> None:
-        """A parked keep-alive connection became readable: re-admit it."""
-        task = _Task(conn, time.monotonic(), buffer, continuation=True)
+    def _serve(self, request: Request) -> tuple[int, bytes]:
         try:
-            self._queue.put_nowait(task)
-        except queue.Full:
-            self._rejections.inc()
-            self._reject(conn)
-
-    def _reject(self, conn: socket.socket) -> None:
-        """Typed 503 for a connection the queue cannot admit."""
-        error = ServerOverloaded(
-            f"accept queue full ({self.config.queue_limit} waiting); retry"
-        )
-        try:
-            conn.settimeout(1.0)
-            write_response(
-                conn, error.status, canonical_json(error_envelope(error))
-            )
-        except OSError:
-            pass
-        finally:
-            self._close(conn)
-
-    @staticmethod
-    def _close(conn: socket.socket) -> None:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Worker loop
-    # ------------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            task = self._queue.get()
-            try:
-                if task is _STOP:
-                    return
-                self._queue_depth.set(self._queue.qsize())
-                self._serve_one(task)
-            finally:
-                self._queue.task_done()
-
-    def _serve_one(self, task: _Task) -> None:
-        conn = task.conn
-        buffer = task.buffer
-        admitted = task.admitted
-        # A re-admitted kept-alive socket with no buffered bytes may
-        # deliver EOF before any request byte: the client simply closed
-        # between requests.  That is a clean end of the connection, not
-        # a mid-request disconnect, and must not perturb telemetry.
-        quiet_eof = task.continuation and not buffer
-        while True:
-            started = time.monotonic()
-            deadline = admitted + self.config.request_deadline
-            status = 500
-            keep = False
-            counted = not quiet_eof
-            if counted:
-                self._requests.inc()
-            try:
-                try:
-                    conn.settimeout(max(0.001, deadline - time.monotonic()))
-                    request = read_request(conn, self.config.max_body, buffer)
-                    if not counted:
-                        self._requests.inc()
-                        counted = True
-                    quiet_eof = False
-                    if time.monotonic() > deadline:
-                        raise DeadlineExceeded(
-                            "deadline elapsed before dispatch"
-                        )
-                    status, payload = self._dispatch(request)
-                    keep = (
-                        self.config.keep_alive
-                        and request.wants_keep_alive
-                        and self._accepting
-                        and self._parker is not None
-                    )
-                except ClientDisconnect:
-                    if counted:
-                        self._disconnects.inc()
-                    self._close(conn)
-                    return
-                except NetError as error:
-                    if not counted:
-                        self._requests.inc()
-                        counted = True
-                    status, payload = error.status, error_envelope(error)
-                except Exception as error:  # noqa: BLE001 - last-resort 500
-                    self.obs.metrics.counter("net.internal_errors").inc()
-                    status, payload = 500, error_envelope(error)
-                try:
-                    write_response(
-                        conn, status, canonical_json(payload), keep_alive=keep
-                    )
-                except OSError:
-                    self._disconnects.inc()
-                    keep = False
-            finally:
-                if counted:
-                    with self._served_lock:
-                        self._served += 1
-                    self._latency_ms.observe(
-                        (time.monotonic() - started) * 1000.0
-                    )
-                    self.obs.metrics.counter(
-                        f"net.responses{{status={status}}}"
-                    ).inc()
-            if not keep:
-                self._close(conn)
-                return
-            if buffer:
-                # Pipelined bytes already arrived; serve them now with a
-                # fresh deadline rather than a parking round-trip.
-                admitted = time.monotonic()
-                continue
-            # Peek for a back-to-back next request before parking.
-            conn.setblocking(False)
-            try:
-                chunk = conn.recv(4096)
-            except (BlockingIOError, InterruptedError):
-                chunk = None
-            except OSError:
-                self._close(conn)
-                return
-            if chunk == b"":
-                self._close(conn)
-                return
-            if chunk:
-                buffer.extend(chunk)
-                admitted = time.monotonic()
-                continue
-            parker = self._parker
-            if parker is None:
-                self._close(conn)
-                return
-            parker.park(conn, buffer)
-            return
+            status, payload = self._dispatch(request)
+        except NetError as error:
+            status, payload = error.status, error_envelope(error)
+        return status, canonical_json(payload)
 
     # ------------------------------------------------------------------
     # Routing
@@ -625,10 +266,10 @@ class NavigationServer:
 
     def _health(self) -> dict[str, Any]:
         health = {
-            "status": "serving" if self._accepting else "draining",
+            "status": "serving" if self._front.accepting else "draining",
             "sessions": len(self.manager),
             "workers": self.config.workers,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._front.waiting,
             "queue_limit": self.config.queue_limit,
         }
         epochs = self.manager.epochs
@@ -765,5 +406,5 @@ class NavigationServer:
             return 200, ok_envelope({"count": count})
 
     def __repr__(self) -> str:
-        state = "serving" if self._accepting else "stopped"
+        state = "serving" if self._front.accepting else "stopped"
         return f"<NavigationServer {state} sessions={len(self.manager)}>"

@@ -9,13 +9,24 @@ session state stays exactly where it was.
 
 import json
 import socket
+import threading
 import time
 
 import pytest
 
-from repro.net import NavigationClient, NavigationServer, ServerConfig
+from repro.net import (
+    DatasetSpec,
+    NavigationClient,
+    NavigationServer,
+    ServerConfig,
+    ShardedServer,
+)
 from repro.service import commands as cmd
 from repro.service.manager import SessionManager
+
+CORPUS_SEED = 20260807
+#: Both tiers share one front door, so they share one fault suite.
+TIERS = ("single", "sharded")
 
 
 def _connect(server) -> socket.socket:
@@ -34,6 +45,17 @@ def _read_response(sock: socket.socket) -> tuple[int, dict]:
     head, _, body = data.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, json.loads(body)
+
+
+def _serve(tier: str, corpus, config: ServerConfig):
+    if tier == "single":
+        return NavigationServer(SessionManager(corpus.workspace), config)
+    spec = DatasetSpec(kind="check_corpus", seed=CORPUS_SEED)
+    return ShardedServer(spec, config, procs=2)
+
+
+def _get(path: str) -> bytes:
+    return f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii")
 
 
 def _post(path: str, body: bytes, content_length: int | None = None) -> bytes:
@@ -65,24 +87,26 @@ class TestMalformedRequests:
         assert status == 400
         assert envelope["error"]["type"] == "BadRequest"
 
-    def test_garbage_request_line_is_400(self, server):
-        sock = _connect(server)
+
+class TestFraming:
+    """Framing faults, answered by the front door of either tier."""
+
+    @pytest.fixture(params=TIERS)
+    def front_door(self, request, corpus):
+        config = ServerConfig(workers=1, max_body=256, request_deadline=0.4)
+        with _serve(request.param, corpus, config) as live:
+            yield live
+
+    def test_garbage_request_line_is_400(self, front_door):
+        sock = _connect(front_door)
         sock.sendall(b"EHLO there\r\n\r\n")
         status, envelope = _read_response(sock)
         sock.close()
         assert status == 400
         assert envelope["error"]["type"] == "BadRequest"
 
-
-class TestOversizedBody:
-    @pytest.fixture()
-    def server(self, manager):
-        config = ServerConfig(workers=1, max_body=256)
-        with NavigationServer(manager, config) as live:
-            yield live
-
-    def test_declared_oversize_is_413_before_the_body_uploads(self, server):
-        sock = _connect(server)
+    def test_declared_oversize_is_413_before_the_body_uploads(self, front_door):
+        sock = _connect(front_door)
         # Declare a huge body but send none: the cap must trip on the
         # declaration, not after buffering a gigabyte.
         sock.sendall(_post("/sessions", b"", content_length=10_000_000))
@@ -90,6 +114,18 @@ class TestOversizedBody:
         sock.close()
         assert status == 413
         assert envelope["error"]["type"] == "PayloadTooLarge"
+
+    def test_stalled_body_is_504(self, front_door):
+        sock = _connect(front_door)
+        # Declare a body and never finish sending it; the per-request
+        # deadline (0.4 s) must convert the stall into a typed 504, not
+        # a hang.
+        sock.sendall(_post("/sessions", b'{"na', 64))
+        sock.settimeout(3.0)
+        status, envelope = _read_response(sock)
+        sock.close()
+        assert status == 504
+        assert envelope["error"]["type"] == "DeadlineExceeded"
 
 
 class TestClientDisconnect:
@@ -118,59 +154,76 @@ class TestClientDisconnect:
         assert len(after["trail"]) == len(before["trail"]) + 1
 
 
-class TestDeadline:
-    @pytest.fixture()
-    def server(self, manager):
-        config = ServerConfig(workers=1, request_deadline=0.4)
-        with NavigationServer(manager, config) as live:
-            yield live
-
-    def test_stalled_body_is_504(self, server):
-        sock = _connect(server)
-        # Declare a body and never finish sending it; the per-request
-        # deadline must convert the stall into a typed 504, not a hang.
-        sock.sendall(_post("/sessions", b'{"na', 64))
-        status, envelope = _read_response(sock)
-        sock.close()
-        assert status == 504
-        assert envelope["error"]["type"] == "DeadlineExceeded"
+class TestSilentSockets:
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_silent_connections_do_not_delay_a_real_request(self, tier, corpus):
+        # More connections that never send a byte than there are worker
+        # threads and queue slots together: they must cost the front a
+        # selector entry each, not a worker or an admission slot.
+        config = ServerConfig(workers=2, queue_limit=4, request_deadline=3.0)
+        with _serve(tier, corpus, config) as server:
+            silent = [
+                _connect(server)
+                for _ in range(config.workers + config.queue_limit + 1)
+            ]
+            try:
+                time.sleep(0.2)  # every silent socket is accepted
+                sock = _connect(server)
+                started = time.monotonic()
+                sock.sendall(_get("/healthz"))
+                status, envelope = _read_response(sock)
+                elapsed = time.monotonic() - started
+                sock.close()
+            finally:
+                for quiet in silent:
+                    quiet.close()
+        assert status == 200 and envelope["ok"]
+        assert elapsed < 1.0  # well under the 3 s request deadline
 
 
 class TestOverload:
     def test_queue_overflow_is_typed_503(self, corpus):
         manager = SessionManager(corpus.workspace)
         config = ServerConfig(workers=1, queue_limit=1, request_deadline=5.0)
-        server = NavigationServer(manager, config).start()
+        server = NavigationServer(manager, config)
+        entered, release = threading.Event(), threading.Event()
+        dispatch = server._dispatch
+
+        def gated(request):
+            entered.set()
+            release.wait(10.0)
+            return dispatch(request)
+
+        server._dispatch = gated
+        server.start()
+        metrics = manager.workspace.obs.metrics
         held = []
         try:
-            # Occupy the lone worker and the lone queue slot with
-            # connections that send nothing, then knock again.
-            for _ in range(2):
-                held.append(_connect(server))
-            time.sleep(0.2)  # let the acceptor hand #1 to the worker
-            overflow = None
+            # A complete request holds the lone worker inside dispatch,
+            # a second one fills the lone queue slot, and a third knocks.
+            held.append(_connect(server))
+            held[0].sendall(_get("/healthz"))
+            assert entered.wait(5.0)
+            held.append(_connect(server))
+            held[1].sendall(_get("/healthz"))
             deadline = time.monotonic() + 5.0
-            while overflow is None and time.monotonic() < deadline:
-                sock = _connect(server)
-                sock.settimeout(2.0)
-                try:
-                    status, envelope = _read_response(sock)
-                except socket.timeout:
-                    held.append(sock)  # raced into the freed slot; retry
-                    continue
-                overflow = (status, envelope)
-                sock.close()
-            assert overflow is not None, "never saw the overload rejection"
-            status, envelope = overflow
+            while metrics.snapshot()["gauges"]["net.queue_depth"] < 1:
+                assert time.monotonic() < deadline, "request never queued"
+                time.sleep(0.01)
+            sock = _connect(server)
+            sock.sendall(_get("/healthz"))
+            status, envelope = _read_response(sock)
+            sock.close()
             assert status == 503
             assert envelope["error"]["type"] == "ServerOverloaded"
             assert (
-                manager.workspace.obs.metrics.counter(
-                    "net.rejections{reason=overloaded}"
-                ).value
-                >= 1
+                metrics.counter("net.rejections{reason=overloaded}").value >= 1
             )
+            # The admitted requests still complete once dispatch resumes.
+            release.set()
+            assert [_read_response(sock)[0] for sock in held] == [200, 200]
         finally:
+            release.set()
             for sock in held:
                 sock.close()
             server.drain(timeout=10.0)

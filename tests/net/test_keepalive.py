@@ -1,4 +1,4 @@
-"""Connection reuse: the keep-alive opt-in, the parker, drain-once."""
+"""Connection reuse: the keep-alive opt-in, idle sockets, drain-once."""
 
 import socket
 import time
@@ -68,7 +68,7 @@ class TestKeepAlive:
         assert b"Connection: close" in bytes(raw)
 
     def test_parked_connection_survives_a_quiet_gap(self, server):
-        # Between requests the socket sits in the parker, not on a
+        # Between requests the socket sits on the front's selector, not on a
         # worker thread; a later request must still be served.
         host, port = server.address
         with socket.create_connection((host, port), timeout=10.0) as sock:
@@ -92,7 +92,7 @@ class TestKeepAlive:
                 for sock in idle:
                     raw = _raw_roundtrip(sock, "/healthz", keep_alive=True)
                     assert raw.startswith(b"HTTP/1.1 200")
-                # All four connections idle in the parker; a fresh one
+                # All four connections idle on the selector; a fresh one
                 # must still get a worker immediately.
                 with socket.create_connection((host, port), timeout=10.0) as extra:
                     raw = _raw_roundtrip(extra, "/healthz", keep_alive=True)
@@ -144,7 +144,7 @@ class TestDrainOnce:
             raw = _raw_roundtrip(sock, "/healthz", keep_alive=True)
             assert raw.startswith(b"HTTP/1.1 200")
             server.drain()
-            # The parked socket is closed by the drain, not leaked.
+            # The idle socket is closed by the drain, not leaked.
             sock.settimeout(5.0)
             assert sock.recv(1) == b""
             sock.close()

@@ -1,6 +1,7 @@
 """The multi-process sharded tier: routing, failure, drain, telemetry."""
 
 import os
+import signal
 import threading
 import time
 import zlib
@@ -145,6 +146,47 @@ class TestWorkerDeath:
             client.create_session(survivor)
             result = client.apply(survivor, {"c": "Search", "text": "x"})
             assert "state" in result
+
+
+class TestControlPlane:
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP/SIGCONT"
+    )
+    def test_stopped_worker_does_not_stall_other_shards(self):
+        # /healthz asks every worker; with one worker stopped that call
+        # waits out its timeout.  It must wait on a pool thread, not on
+        # the router's event loop, so a session routed to the live
+        # shard is served meanwhile.
+        spec = DatasetSpec(kind="check_corpus", seed=CORPUS_SEED)
+        with ShardedServer(spec, ServerConfig(workers=2), procs=2) as server:
+            host, port = server.address
+            client = NavigationClient(host, port, timeout=10.0)
+            stopped = 0
+            live = next(
+                f"live-{i}" for i in range(32) if shard_for(f"live-{i}", 2) != stopped
+            )
+            client.create_session(live)
+            pid = server._shards[stopped].handle.process.pid
+            health: dict = {}
+
+            def probe():
+                probe_client = NavigationClient(host, port, timeout=30.0)
+                health["result"] = probe_client.healthz()
+
+            os.kill(pid, signal.SIGSTOP)
+            prober = threading.Thread(target=probe)
+            try:
+                prober.start()
+                time.sleep(0.2)  # the router is now waiting on the stopped worker
+                started = time.monotonic()
+                result = client.apply(live, {"c": "Search", "text": "alpha"})
+                elapsed = time.monotonic() - started
+            finally:
+                os.kill(pid, signal.SIGCONT)
+                prober.join(timeout=30.0)
+            assert "state" in result
+            assert elapsed < 1.0
+            assert health["result"]["shards"][1 - stopped]["alive"] is True
 
 
 class TestSpawnFallback:

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.net import NavigationClient, NavigationServer, ServerConfig
 from repro.net.loadgen import run_load
 from repro.service.manager import SessionManager
@@ -38,3 +40,26 @@ class TestServeSmoke:
         manager = SessionManager(corpus.workspace)
         server = NavigationServer(manager, ServerConfig(workers=2)).start()
         assert _selftest(server) == 0
+
+    def test_sigint_right_after_the_banner_still_drains(self, monkeypatch):
+        # A SIGINT delivered the moment `repro serve` prints its banner
+        # must drain and exit 0, not escape as a traceback.
+        from repro.net import cli
+
+        printed = []
+
+        def interrupting_print(*args, **kwargs):
+            text = " ".join(str(arg) for arg in args)
+            printed.append(text)
+            if text.startswith("serving on"):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "print", interrupting_print, raising=False)
+        try:
+            code = cli.serve_main(
+                ["recipes", "--size", "60", "--port", "0", "--workers", "1"]
+            )
+        except KeyboardInterrupt:
+            pytest.fail("the SIGINT after the banner escaped serve_main")
+        assert code == 0
+        assert printed[-1].startswith("drained:")
