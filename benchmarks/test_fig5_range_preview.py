@@ -9,15 +9,18 @@ construction.
 import datetime as dt
 
 from repro.browser import Session, render_range_widget
+from repro.core.analysts.common import collection_profile
 from repro.core.suggestions import OpenRangeWidget
-from repro.query import RangePreview, collect_values
+from repro.query import RangePreview
 
 
 def test_fig5_range_preview(benchmark, record, inbox_corpus_full, inbox_workspace_full):
     corpus = inbox_corpus_full
     sent = corpus.extras["properties"]["sentDate"]
 
-    values = collect_values(corpus.graph, corpus.items, sent)
+    values = collection_profile(
+        corpus.graph, corpus.schema, corpus.items
+    ).sorted_readings(sent)
     assert len(values) == len(corpus.items)
 
     preview = benchmark(RangePreview, values)

@@ -10,6 +10,7 @@ repo root.
 """
 
 import json
+import math
 import os
 import pathlib
 import platform
@@ -255,10 +256,22 @@ def _legacy_facet_overview(workspace, items, max_values=8):
         ANNOTATION_PROPERTIES,
         is_facetable_value,
     )
-    from repro.query.preview import RangePreview, collect_values
+    from repro.query.preview import RangePreview
     from repro.rdf.terms import Literal
 
     graph, schema = workspace.graph, workspace.schema
+
+    def collect_values(prop):
+        values = []
+        for item in items:
+            for value in graph.objects(item, prop):
+                if not isinstance(value, Literal):
+                    continue
+                number = value.as_number()
+                if number is not None and math.isfinite(number):
+                    values.append(number)
+        values.sort()
+        return values
 
     def coverage(prop):
         return sum(1 for item in items if prop in graph.properties_of(item))
@@ -300,7 +313,7 @@ def _legacy_facet_overview(workspace, items, max_values=8):
         if schema.is_continuous(prop) or (total and numeric / total >= 0.9)
     )
     for prop in continuous:
-        readings = collect_values(graph, items, prop)
+        readings = collect_values(prop)
         if len(set(readings)) < 2:
             continue
         facets.append(

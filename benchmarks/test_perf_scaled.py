@@ -1,27 +1,38 @@
-"""Scaled-corpus (64k items) regression for the facet-postings profile.
+"""Scaled-corpus (64k items) regressions for the facet postings and
+the range index.
 
 The paper's corpora top out at 6,444 items; the ROADMAP targets
-interactive navigation at 10–100× that.  This module pins the facet
-overview's headline claim on the shared 64k synthetic corpus
-(:mod:`repro.datasets.scaled`): a cold profile replayed from the
-precomputed facet postings is ≥5× faster than the single-sweep graph
-profile, bit-identically.
+interactive navigation at 10–100× that.  This module pins two claims on
+the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
 
-The timing lands as the ``compiled_facet_overview`` row in
-``BENCH_perf_core.json``.  The test is marked ``slow`` and excluded from
-tier-1; CI's perf job runs it with ``-m slow``.
+* a cold profile replayed from the precomputed facet postings is ≥5×
+  faster than the single-sweep graph profile, bit-identically
+  (``compiled_facet_overview`` row);
+* a cold ``Range`` extent read from the sorted range index is ≥20×
+  faster than the triple scan it replaced, bit-identically
+  (``range_leaf_miss`` row, also measured at 8,192 items).
+
+The timings land in ``BENCH_perf_core.json``.  The tests are marked
+``slow`` and excluded from tier-1; CI's perf job runs them with
+``-m slow``.
 """
 
 import gc
 import json
+import math
+import os
 import pathlib
+import platform
+import random
 import time
 
 import pytest
 
+from repro.check.reference import naive_extent
 from repro.core.analysts.common import collection_profile
 from repro.datasets import scaled
-from repro.query import QueryContext
+from repro.query import QueryContext, Range
+from repro.rdf.terms import Literal
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
 
@@ -112,4 +123,91 @@ def test_compiled_facet_overview_speedup(corpus):
     assert speedup >= FACET_SPEEDUP_FLOOR, (
         f"compiled facet overview only {speedup:.2f}x faster "
         f"(legacy {legacy_s * 1000:.0f}ms, compiled {compiled_s * 1000:.0f}ms)"
+    )
+
+
+#: The acceptance floor for a cold ``Range`` extent at 64k: the sorted
+#: range index against the per-property triple scan it replaced.
+RANGE_SPEEDUP_FLOOR = 20.0
+
+
+def _scan_range_bits(context, predicate):
+    """The pre-index ``Range`` extent, kept here as the baseline: scan
+    every triple of the property, parse each reading, intern the hits."""
+    found = set()
+    for subject, _p, value in context.graph.triples(None, predicate.prop, None):
+        if not isinstance(value, Literal):
+            continue
+        number = value.as_number()
+        if number is None or math.isnan(number):
+            continue
+        if predicate.low is not None and number < predicate.low:
+            continue
+        if predicate.high is not None and number > predicate.high:
+            continue
+        found.add(subject)
+    return context.bits_of(found)
+
+
+def _slider_ranges(corpus, count, seed):
+    """Distinct year/weight ranges, like the preview stream a slider makes."""
+    rng = random.Random(seed)
+    year, weight = corpus.extras["p_year"], corpus.extras["p_weight"]
+    ranges = []
+    for i in range(count):
+        if i % 2:
+            low = 1900 + rng.randrange(120)
+            ranges.append(Range(year, low=low, high=low + rng.randrange(1, 30)))
+        else:
+            low = rng.uniform(0.0, 900.0)
+            ranges.append(Range(weight, low=low, high=low + rng.uniform(1.0, 100.0)))
+    return ranges
+
+
+def _range_leaf_miss(corpus, count=20):
+    """Per-extent seconds (scan, index) and the one-time index build."""
+    context = QueryContext(corpus.graph, schema=corpus.schema)
+    ranges = _slider_ranges(corpus, count, seed=len(corpus.items))
+    start = time.perf_counter()
+    for prop in {predicate.prop for predicate in ranges}:
+        context.range_index(prop)
+    build_s = time.perf_counter() - start
+
+    scan_s, scanned = _best_of(
+        lambda: [_scan_range_bits(context, p) for p in ranges]
+    )
+    index_s, indexed = _best_of(lambda: [p.extent_bits(context) for p in ranges])
+    assert indexed == scanned
+    universe = context.universe
+    for predicate, bits in list(zip(ranges, indexed))[:4]:
+        want = naive_extent(predicate, universe, context)
+        assert context.nodes_of(bits) & universe == want
+    return scan_s / count, index_s / count, build_s
+
+
+def test_range_leaf_miss(corpus):
+    """A cold ``Range`` leaf: two bisections into the range index
+    instead of a triple scan per preview, extents identical."""
+    rows = {}
+    for size, sized in ((8_192, scaled.build_corpus(8_192)), (N_ITEMS, corpus)):
+        scan_s, index_s, build_s = _range_leaf_miss(sized)
+        rows[str(size)] = {
+            "before_ms": round(scan_s * 1000, 3),
+            "after_ms": round(index_s * 1000, 3),
+            "speedup": round(scan_s / index_s, 1),
+            "index_build_ms": round(build_s * 1000, 1),
+        }
+    speedup = rows[str(N_ITEMS)]["speedup"]
+    _record_bench(
+        N_ITEMS,
+        "range_leaf_miss",
+        {
+            "sizes": rows,
+            "floor": RANGE_SPEEDUP_FLOOR,
+            "host": f"{platform.machine()} x{os.cpu_count()}, "
+            f"CPython {platform.python_version()}",
+        },
+    )
+    assert speedup >= RANGE_SPEEDUP_FLOOR, (
+        f"range index only {speedup:.1f}x faster than the triple scan: {rows}"
     )

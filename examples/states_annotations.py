@@ -34,9 +34,9 @@ def main() -> None:
     corpus = states.build_corpus(annotated=True)
     workspace = Workspace(corpus.graph, schema=corpus.schema, items=corpus.items)
     area = corpus.extras["properties"]["area"]
-    from repro.query import Range, collect_values
+    from repro.query import Range
 
-    values = collect_values(corpus.graph, corpus.items, area)
+    values = workspace.facet_profile(corpus.items).sorted_readings(area)
     outliers = Range(area, low=400000).candidates(
         workspace.query_context
     )

@@ -17,7 +17,6 @@ __all__ = [
     "PropertyProfile",
     "CollectionProfile",
     "collection_profile",
-    "facet_counts",
     "composed_facet_counts",
     "value_idf",
     "is_facetable_value",
@@ -65,12 +64,11 @@ def is_facetable_value(value: Node, declared_type: str | None) -> bool:
 class PropertyProfile:
     """Everything one sweep learns about a single property.
 
-    ``counts`` holds facetable-value item counts (the legacy
-    :func:`facet_counts` payload), ``coverage`` the number of collection
-    items carrying the property, ``continuous_tally``/``value_tally``
-    the numeric-vs-total value occurrence split used for continuous
-    detection, and ``readings`` every value mapped onto the real line
-    (the legacy :func:`~repro.query.preview.collect_values` payload).
+    ``counts`` holds facetable-value item counts, ``coverage`` the
+    number of collection items carrying the property,
+    ``continuous_tally``/``value_tally`` the numeric-vs-total value
+    occurrence split used for continuous detection, and ``readings``
+    every value mapped onto the real line.
     """
 
     __slots__ = (
@@ -151,7 +149,12 @@ class CollectionProfile:
         self.item_count = item_count
 
     def facet_counts(self) -> dict[Resource, Counter]:
-        """The legacy {property: Counter} payload (same insertion order)."""
+        """{property: Counter({value: item count})} for every facetable
+        (property, value) pair, skipping annotation properties.
+
+        Counts are item counts: a multi-valued item contributes once per
+        distinct value.
+        """
         return {
             prop: profile.counts
             for prop, profile in self.properties.items()
@@ -251,19 +254,6 @@ def collection_profile(
             prop_profile.value_tally += len(values)
             prop_profile.continuous_tally += continuous_seen
     return profile
-
-
-def facet_counts(
-    graph: Graph, schema: Schema, items: Sequence[Node]
-) -> dict[Resource, Counter]:
-    """Per-property value counts over a collection.
-
-    Returns {property: Counter({value: item count})} for every facetable
-    (property, value) pair, skipping hidden and annotation properties.
-    Counts are item counts: a multi-valued item contributes once per
-    distinct value.
-    """
-    return collection_profile(graph, schema, items).facet_counts()
 
 
 def composed_facet_counts(

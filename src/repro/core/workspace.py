@@ -186,6 +186,9 @@ class Workspace:
         metrics.gauge_fn(
             "query.extent_cache.invalidations", lambda: cache.invalidations
         )
+        metrics.gauge_fn(
+            "query.extent_cache.evictions", lambda: cache.evictions
+        )
         metrics.gauge_fn("query.extent_cache.hit_rate", lambda: cache.hit_rate)
         memo = self.facet_profile_stats
         metrics.gauge_fn("facets.profile_memo.hits", lambda: memo.hits)

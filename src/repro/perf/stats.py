@@ -19,14 +19,15 @@ __all__ = ["CacheStats", "IndexMaintenanceStats"]
 
 
 class CacheStats:
-    """Hit/miss/invalidation counters for a versioned cache."""
+    """Hit/miss/invalidation/eviction counters for a versioned cache."""
 
-    __slots__ = ("hits", "misses", "invalidations", "_lock")
+    __slots__ = ("hits", "misses", "invalidations", "evictions", "_lock")
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        self.evictions = 0
         self._lock = threading.Lock()
 
     def record_hit(self) -> None:
@@ -44,11 +45,17 @@ class CacheStats:
         with self._lock:
             self.invalidations += 1
 
+    def record_eviction(self) -> None:
+        """Atomically count an entry dropped to stay within capacity."""
+        with self._lock:
+            self.evictions += 1
+
     def reset(self) -> None:
         with self._lock:
             self.hits = 0
             self.misses = 0
             self.invalidations = 0
+            self.evictions = 0
 
     @property
     def lookups(self) -> int:
@@ -64,12 +71,14 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
+            "evictions": self.evictions,
         }
 
     def __repr__(self) -> str:
         return (
             f"<CacheStats hits={self.hits} misses={self.misses} "
-            f"invalidations={self.invalidations}>"
+            f"invalidations={self.invalidations} "
+            f"evictions={self.evictions}>"
         )
 
 

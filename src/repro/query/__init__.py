@@ -19,7 +19,7 @@ from .ast import (
 )
 from .engine import QueryEngine
 from .parser import QueryParseError, QueryParser, split_path_spec
-from .preview import RangePreview, collect_values
+from .preview import RangePreview
 from .simplify import simplify
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "QueryParseError",
     "QueryParser",
     "RangePreview",
-    "collect_values",
     "simplify",
     "split_path_spec",
 ]

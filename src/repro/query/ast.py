@@ -12,7 +12,9 @@ Every predicate can
 * test one item (:meth:`Predicate.matches`),
 * optionally produce its full extent from an index
   (:meth:`Predicate.candidates`, returning None when only per-item
-  testing is available), and
+  testing is available; the engine asks through
+  :meth:`Predicate.extent_bits`, which ``Range`` answers from the
+  context's sorted :class:`RangeIndex`), and
 * describe itself for the constraint chips at the top of the navigation
   pane (:meth:`Predicate.describe`).
 """
@@ -21,11 +23,15 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..index.textindex import TextIndex
+from ..perf.bitset import bits_from_ids
 from ..perf.stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +43,9 @@ from ..rdf.vocab import RDF
 from ..vsm.composition import compose_values
 
 __all__ = [
+    "EXTENT_CACHE_CAP",
     "QueryContext",
+    "RangeIndex",
     "Predicate",
     "HasValue",
     "HasProperty",
@@ -58,6 +66,11 @@ __all__ = [
 #: Sentinel distinguishing "cache miss" from a cached None extent.
 _MISS = object()
 
+#: Most predicate extents one context keeps; past it the least recently
+#: used entry is evicted.  Range bounds follow a slider, so without a
+#: cap every distinct preview would stay cached for the context's life.
+EXTENT_CACHE_CAP = 1024
+
 
 class QueryContext:
     """Everything a predicate may consult during evaluation.
@@ -70,7 +83,12 @@ class QueryContext:
     changes complements and empty conjunctions — invalidates lazily:
     stale entries are simply recomputed on the next lookup, so repeated
     query previews over an unchanged corpus stop re-deriving the same
-    extents.
+    extents.  The cache is an LRU capped at :data:`EXTENT_CACHE_CAP`
+    entries.
+
+    ``Range`` leaves read a per-property :class:`RangeIndex`, built on
+    first use for that property and dropped when the graph version
+    moves (:meth:`range_index`).
     """
 
     def __init__(
@@ -84,10 +102,15 @@ class QueryContext:
         self.schema = schema if schema is not None else Schema(graph)
         self.text_index = text_index
         self._universe = universe
-        #: predicate -> ((graph version, universe size), bitmask | None)
-        self._extent_cache: dict[
+        #: predicate -> ((graph version, universe size), bitmask | None),
+        #: least recently used first.
+        self._extent_cache: OrderedDict[
             Predicate, tuple[tuple[int, int], int | None]
-        ] = {}
+        ] = OrderedDict()
+        self._extent_lock = threading.Lock()
+        #: (graph version, property -> RangeIndex)
+        self._range_indexes: tuple[int, dict[Resource, RangeIndex]] = (-1, {})
+        self._range_lock = threading.Lock()
         self._universe_bits: tuple[tuple[int, int], int] | None = None
         self.cache_stats = CacheStats()
         self._facet_postings: "FacetPostings | None" = None
@@ -148,7 +171,10 @@ class QueryContext:
     def cached_extent_bits(self, predicate: "Predicate"):
         """A cached extent bitmask, ``None`` (cached no-extent), or _MISS."""
         try:
-            entry = self._extent_cache.get(predicate)
+            with self._extent_lock:
+                entry = self._extent_cache.get(predicate)
+                if entry is not None:
+                    self._extent_cache.move_to_end(predicate)
         except (TypeError, NotImplementedError):
             # Unhashable custom predicate: evaluable, just not cacheable.
             return _MISS
@@ -162,17 +188,55 @@ class QueryContext:
 
     def store_extent_bits(self, predicate: "Predicate", bits: int | None) -> None:
         """Record a predicate's extent bitmask for the current key."""
+        entry = (self._cache_key(), bits)
+        cache = self._extent_cache
         try:
-            self._extent_cache[predicate] = (self._cache_key(), bits)
+            with self._extent_lock:
+                cache[predicate] = entry
+                cache.move_to_end(predicate)
+                evict = len(cache) > EXTENT_CACHE_CAP
+                if evict:
+                    cache.popitem(last=False)
         except (TypeError, NotImplementedError):
-            pass
+            return
+        if evict:
+            self.cache_stats.record_eviction()
 
     def clear_extent_cache(self) -> None:
         """Drop every cached extent (stats counters are kept)."""
-        self._extent_cache.clear()
+        with self._extent_lock:
+            self._extent_cache.clear()
         self._universe_bits = None
         self._facet_postings = None
         self._path_cache.clear()
+        with self._range_lock:
+            self._range_indexes = (-1, {})
+
+    def range_index(self, prop: Resource) -> "RangeIndex":
+        """The sorted numeric readings of ``prop``, built on first use.
+
+        Only properties a ``Range`` is evaluated on are indexed.  Every
+        index is keyed on the graph version: once it moves, all of them
+        are dropped together and each property is rebuilt by its next
+        ``Range``.  Builds run under a lock, so concurrent readers of a
+        frozen workspace build a property once.
+        """
+        version = self.graph.version
+        built_at, indexes = self._range_indexes
+        if built_at == version:
+            index = indexes.get(prop)
+            if index is not None:
+                return index
+        with self._range_lock:
+            built_at, indexes = self._range_indexes
+            if built_at != version:
+                indexes = {}
+                self._range_indexes = (version, indexes)
+            index = indexes.get(prop)
+            if index is None:
+                index = RangeIndex.build(self.graph, prop)
+                indexes[prop] = index
+        return index
 
     def path_extent(self, path: "Path") -> set[Node]:
         """The exact extent of a :class:`Path`, memoized per cache key.
@@ -269,6 +333,16 @@ class Predicate:
         re-checked).
         """
         return None
+
+    def extent_bits(self, context: QueryContext) -> Optional[int]:
+        """The extent as a bitmask over the intern table, or None.
+
+        The engine's leaf hook on an extent-cache miss.  By default it
+        interns :meth:`candidates`; a predicate with a cheaper way to a
+        bitmask overrides it.
+        """
+        extent = self.candidates(context)
+        return None if extent is None else context.bits_of(extent)
 
     def describe(self, context: QueryContext) -> str:
         """Human-readable rendering for the constraint chips (§3.2)."""
@@ -386,6 +460,76 @@ class TextMatch(Predicate):
         return f"contains: {self.text!r}"
 
 
+class RangeIndex:
+    """One property's numeric readings, sorted, beside their items.
+
+    ``values`` holds every reading in ascending order and ``ids[i]`` the
+    intern id of the item carrying ``values[i]``: 16 bytes per reading
+    in two flat arrays.  A ``Range`` extent is then two bisections and
+    one bitmask over an id slice.  Readings follow :meth:`Range.matches`
+    exactly (see :meth:`reading`); an item with several readings
+    appears once per reading.
+    """
+
+    __slots__ = ("values", "ids")
+
+    def __init__(self, values: array, ids: array):
+        self.values = values
+        self.ids = ids
+
+    @staticmethod
+    def reading(value: Node) -> float | None:
+        """A value's place on the real line, or None when it has none.
+
+        Literals only; unparseable and NaN readings are skipped (NaN is
+        unordered, so it would satisfy every range and break the sort);
+        ±inf is kept, since it compares like any other number.
+        """
+        if not isinstance(value, Literal):
+            return None
+        number = value.as_number()
+        if number is None or math.isnan(number):
+            return None
+        return number
+
+    @classmethod
+    def build(cls, graph: Graph, prop: Resource) -> "RangeIndex":
+        """Index ``prop``'s readings over the whole graph.
+
+        Each distinct value is read and sorted once; the per-reading
+        arrays are then filled in order, so no transient list of
+        (reading, item) pairs is ever held.
+        """
+        reading = cls.reading
+        numbered = []
+        for value in graph.objects(None, prop):
+            number = reading(value)
+            if number is not None:
+                numbered.append((number, value))
+        numbered.sort(key=itemgetter(0))
+        values = array("d")
+        ids = array("q")
+        intern = graph.interner.intern
+        for number, value in numbered:
+            for subject in graph.subjects(prop, value):
+                values.append(number)
+                ids.append(intern(subject))
+        return cls(values, ids)
+
+    def bits(self, low: float | None, high: float | None) -> int:
+        """Bitmask of the items with a reading in [low, high].
+
+        None leaves that side open.  A NaN bound compares False like in
+        :meth:`Range.matches`, so it too leaves its side open.
+        """
+        values = self.values
+        start = 0 if low is None else bisect_left(values, low)
+        end = len(values) if high is None else bisect_right(values, high)
+        if start >= end:
+            return 0
+        return bits_from_ids(self.ids[start:end])
+
+
 class Range(Predicate):
     """Numeric/temporal range comparison (§4.2, §5.4; Figure 5).
 
@@ -426,20 +570,11 @@ class Range(Predicate):
             return True
         return False
 
+    def extent_bits(self, context: QueryContext) -> int:
+        return context.range_index(self.prop).bits(self.low, self.high)
+
     def candidates(self, context: QueryContext) -> set[Node]:
-        found: set[Node] = set()
-        for subject, _p, value in context.graph.triples(None, self.prop, None):
-            if not isinstance(value, Literal):
-                continue
-            number = value.as_number()
-            if number is None or math.isnan(number):
-                continue
-            if self.low is not None and number < self.low:
-                continue
-            if self.high is not None and number > self.high:
-                continue
-            found.add(subject)
-        return found
+        return context.nodes_of(self.extent_bits(context))
 
     def describe(self, context: QueryContext) -> str:
         prop = context.schema.label(self.prop)

@@ -54,7 +54,7 @@ class QueryEngine:
         """Install an extension evaluator for a predicate type.
 
         The evaluator is consulted before the predicate's own
-        ``candidates``; returning None defers to the default strategy.
+        ``extent_bits``; returning None defers to the default strategy.
         """
         if not issubclass(predicate_type, Predicate):
             raise TypeError("extensions must target Predicate subclasses")
@@ -208,8 +208,7 @@ class QueryEngine:
                 else context.universe_bits() & ~part_bits
             )
         else:
-            extent = predicate.candidates(context)
-            bits = None if extent is None else context.bits_of(extent)
+            bits = predicate.extent_bits(context)
         return bits
 
     def __repr__(self) -> str:

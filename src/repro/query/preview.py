@@ -8,36 +8,10 @@ candidate [low, high] selection.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..rdf.graph import Graph
-from ..rdf.terms import Literal, Node, Resource
-
-__all__ = ["RangePreview", "collect_values"]
-
-
-def collect_values(
-    graph: Graph, items: Iterable[Node], prop: Resource
-) -> list[float]:
-    """All numeric readings of a property across a collection (sorted).
-
-    Items may contribute several values (multi-valued attributes);
-    non-numeric values are skipped — as are non-finite readings, since a
-    single NaN in a "sorted" list silently breaks the bisection that
-    :meth:`RangePreview.count_between` relies on.
-    """
-    values: list[float] = []
-    for item in items:
-        for value in graph.objects(item, prop):
-            if not isinstance(value, Literal):
-                continue
-            number = value.as_number()
-            if number is not None and math.isfinite(number):
-                values.append(number)
-    values.sort()
-    return values
+__all__ = ["RangePreview"]
 
 
 class RangePreview:

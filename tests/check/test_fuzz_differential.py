@@ -18,7 +18,7 @@ from repro.check import (
     fuzz,
     random_corpus,
 )
-from repro.query.ast import Range
+from repro.query.ast import RangeIndex
 from repro.rdf import Literal
 
 
@@ -59,27 +59,16 @@ class TestHarnessSensitivity:
     """Break the engine on purpose; the fuzzer must notice."""
 
     def test_catches_matches_vs_candidates_disagreement(self, monkeypatch):
-        # The historical NaN bug shape: Range.candidates keeping items
-        # whose reading is NaN while per-item matches excludes them —
-        # the bitset path and the naive oracle then disagree.
-        def buggy_candidates(self, context):
-            found = set()
-            for subject, _p, value in context.graph.triples(
-                None, self.prop, None
-            ):
-                if not isinstance(value, Literal):
-                    continue
-                number = value.as_number()
-                if number is None:  # the missing math.isnan guard
-                    continue
-                if self.low is not None and number < self.low:
-                    continue
-                if self.high is not None and number > self.high:
-                    continue
-                found.add(subject)
-            return found
+        # The historical NaN bug shape, moved to where Range extents now
+        # come from: the range index keeps NaN readings that per-item
+        # matches excludes, so the bitset path and the naive oracle
+        # disagree.
+        def buggy_reading(value):
+            if not isinstance(value, Literal):
+                return None
+            return value.as_number()  # the missing math.isnan guard
 
-        monkeypatch.setattr(Range, "candidates", buggy_candidates)
+        monkeypatch.setattr(RangeIndex, "reading", staticmethod(buggy_reading))
         report = fuzz(20260807, steps=2000, corpora=20, minimize_failures=False)
         assert not report.ok, "fuzzer missed a matches/candidates divergence"
         assert "extension differs" in report.failure.detail or (

@@ -2,16 +2,15 @@
 scans exactly — including dict/Counter insertion order, which decides
 ``most_common`` tie-breaks downstream."""
 
+import math
 from collections import Counter
 
 from repro.core.analysts.common import (
     ANNOTATION_PROPERTIES,
     collection_profile,
-    facet_counts,
     is_facetable_value,
 )
 from repro.core.workspace import Workspace
-from repro.query.preview import collect_values
 from repro.rdf import Graph, Literal, Namespace, RDF
 
 
@@ -31,6 +30,20 @@ def _legacy_facet_counts(graph, schema, items):
                 if is_facetable_value(value, declared):
                     bucket[value] += 1
     return {p: c for p, c in counts.items() if c}
+
+
+def _collect_values(graph, items, prop):
+    """Every finite numeric reading of a property, sorted: the naive loop."""
+    values = []
+    for item in items:
+        for value in graph.objects(item, prop):
+            if not isinstance(value, Literal):
+                continue
+            number = value.as_number()
+            if number is not None and math.isfinite(number):
+                values.append(number)
+    values.sort()
+    return values
 
 
 def _legacy_continuous(graph, schema, items, threshold=0.9):
@@ -61,7 +74,9 @@ class TestProfileEqualsLegacy:
         workspace = recipe_workspace
         for size in (1, 17, 80, len(workspace.items)):
             items = workspace.items[:size]
-            got = facet_counts(workspace.graph, workspace.schema, items)
+            got = collection_profile(
+                workspace.graph, workspace.schema, items
+            ).facet_counts()
             want = _legacy_facet_counts(workspace.graph, workspace.schema, items)
             assert got == want
             assert list(got) == list(want)
@@ -91,7 +106,7 @@ class TestProfileEqualsLegacy:
         items = workspace.items[:90]
         profile = collection_profile(workspace.graph, workspace.schema, items)
         for prop in profile.continuous_properties(workspace.schema):
-            assert profile.sorted_readings(prop) == collect_values(
+            assert profile.sorted_readings(prop) == _collect_values(
                 workspace.graph, items, prop
             )
 

@@ -83,11 +83,11 @@ def test_within_property_refines_overall(corpus, word):
 @given(corpora())
 @settings(max_examples=40)
 def test_facet_counts_match_brute_force(corpus):
-    from repro.core.analysts.common import facet_counts
+    from repro.core.analysts.common import collection_profile
 
     g, items, _index = build_index(corpus)
     schema = Schema(g)
-    counts = facet_counts(g, schema, items)
+    counts = collection_profile(g, schema, items).facet_counts()
     for prop, values in counts.items():
         for value, count in values.items():
             expected = sum(

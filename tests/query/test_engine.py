@@ -11,6 +11,7 @@ from repro.query import (
     Predicate,
     QueryContext,
     QueryEngine,
+    Range,
     TextMatch,
 )
 from repro.rdf import Graph, Literal, Namespace, RDF
@@ -101,3 +102,25 @@ class TestExtensions:
     def test_non_predicate_type_rejected(self, engine):
         with pytest.raises(TypeError):
             engine.register_extension(int, lambda p, c: set())
+
+
+class TestExtentCacheBound:
+    def test_distinct_ranges_stay_within_the_cap(self, engine):
+        # Slider previews mint a fresh Range per stop; the cache must
+        # evict the least recently used extents instead of growing, and
+        # a leaf that keeps being asked for must stay cached.
+        from repro.query.ast import EXTENT_CACHE_CAP
+
+        context = engine.context
+        stats = context.cache_stats
+        even = HasValue(EX.parity, EX.even)
+        assert len(engine.evaluate(even)) == 5
+        for step in range(10_000):
+            engine.count(Range(EX.value, low=step / 1000.0))
+            if step % 100 == 99:
+                misses = stats.misses
+                assert len(engine.evaluate(even)) == 5
+                assert stats.misses == misses, "value leaf was evicted"
+            assert len(context._extent_cache) <= EXTENT_CACHE_CAP
+        assert stats.evictions == 10_001 - EXTENT_CACHE_CAP
+        assert len(context._extent_cache) == EXTENT_CACHE_CAP

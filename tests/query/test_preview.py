@@ -2,41 +2,7 @@
 
 import pytest
 
-from repro.query import RangePreview, collect_values
-from repro.rdf import Graph, Literal, Namespace
-
-EX = Namespace("http://pv.example/")
-
-
-class TestCollectValues:
-    def test_collects_numeric_readings(self):
-        g = Graph()
-        g.add(EX.a, EX.size, Literal(3))
-        g.add(EX.b, EX.size, Literal(1))
-        g.add(EX.b, EX.size, Literal(2))  # multi-valued
-        g.add(EX.c, EX.size, Literal("not numeric text"))
-        g.add(EX.c, EX.other, Literal(9))
-        values = collect_values(g, [EX.a, EX.b, EX.c], EX.size)
-        assert values == [1.0, 2.0, 3.0]
-
-    def test_resource_values_skipped(self):
-        g = Graph()
-        g.add(EX.a, EX.size, EX.big)
-        assert collect_values(g, [EX.a], EX.size) == []
-
-    def test_non_finite_readings_skipped(self):
-        # Regression: a single NaN in the "sorted" value list silently
-        # breaks the bisection count_between relies on (NaN is
-        # unordered, so sort() leaves it wherever it happened to be).
-        g = Graph()
-        g.add(EX.a, EX.size, Literal("nan"))
-        g.add(EX.a, EX.size, Literal("inf"))
-        g.add(EX.b, EX.size, Literal(2))
-        g.add(EX.c, EX.size, Literal(1))
-        values = collect_values(g, [EX.a, EX.b, EX.c], EX.size)
-        assert values == [1.0, 2.0]
-        preview = RangePreview(values)
-        assert preview.count_between(0.0, 10.0) == 2
+from repro.query import RangePreview
 
 
 class TestRangePreview:
