@@ -1,16 +1,20 @@
-"""Scaled-corpus (64k items) regressions for the facet postings and
-the range index.
+"""Scaled-corpus (64k items) regressions for the facet postings, the
+range index and the state encoder.
 
 The paper's corpora top out at 6,444 items; the ROADMAP targets
-interactive navigation at 10–100× that.  This module pins two claims on
-the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
+interactive navigation at 10–100× that.  This module pins three claims
+on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
 
 * a cold profile replayed from the precomputed facet postings is ≥5×
   faster than the single-sweep graph profile, bit-identically
-  (``compiled_facet_overview`` row);
+  (``facet_overview_postings`` row);
 * a cold ``Range`` extent read from the sorted range index is ≥20×
   faster than the triple scan it replaced, bit-identically
-  (``range_leaf_miss`` row, also measured at 8,192 items).
+  (``range_leaf_miss`` row, also measured at 8,192 items);
+* an ``apply`` or create-session body spliced from memoized term
+  fragments is ≥3× faster to encode than ``json.dumps`` of the state's
+  dict form, byte-identically (``apply_encode`` row, also measured at
+  8,192 items).
 
 The timings land in ``BENCH_perf_core.json``.  The tests are marked
 ``slow`` and excluded from tier-1; CI's perf job runs them with
@@ -30,9 +34,18 @@ import pytest
 
 from repro.check.reference import naive_extent
 from repro.core.analysts.common import collection_profile
+from repro.core.workspace import Workspace
 from repro.datasets import scaled
-from repro.query import QueryContext, Range
+from repro.net.protocol import (
+    canonical_json,
+    ok_envelope,
+    session_payload,
+    transition_payload,
+)
+from repro.query import HasValue, QueryContext, Range
 from repro.rdf.terms import Literal
+from repro.service import commands as cmd
+from repro.service.manager import SessionManager
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
 
@@ -68,6 +81,13 @@ def corpus():
     return scaled.build_corpus(N_ITEMS)
 
 
+def _host() -> str:
+    return (
+        f"{platform.machine()} x{os.cpu_count()}, "
+        f"CPython {platform.python_version()}"
+    )
+
+
 def _best_of(fn, rounds=3):
     # The module keeps several 64k corpora alive; collector pauses in a
     # timed region would be noise, not signal.
@@ -86,7 +106,7 @@ def _best_of(fn, rounds=3):
     return best, result
 
 
-def test_compiled_facet_overview_speedup(corpus):
+def test_facet_overview_postings_speedup(corpus):
     context = QueryContext(corpus.graph, schema=corpus.schema)
     items = corpus.items
     # Postings build is index construction — amortized across every
@@ -97,32 +117,33 @@ def test_compiled_facet_overview_speedup(corpus):
     legacy_s, legacy_profile = _best_of(
         lambda: collection_profile(corpus.graph, corpus.schema, items)
     )
-    compiled_s, compiled_profile = _best_of(lambda: postings.profile(items))
+    postings_s, postings_profile = _best_of(lambda: postings.profile(items))
 
     # The speed claim is only meaningful if the outputs are identical.
-    assert compiled_profile is not None
-    assert list(compiled_profile.properties.keys()) == list(
+    assert postings_profile is not None
+    assert list(postings_profile.properties.keys()) == list(
         legacy_profile.properties.keys()
     )
     for prop, expected in legacy_profile.properties.items():
-        actual = compiled_profile.properties[prop]
+        actual = postings_profile.properties[prop]
         assert actual.coverage == expected.coverage
         assert list(actual.counts.items()) == list(expected.counts.items())
 
-    speedup = legacy_s / compiled_s
+    speedup = legacy_s / postings_s
     _record_bench(
         N_ITEMS,
-        "compiled_facet_overview",
+        "facet_overview_postings",
         {
             "legacy_s": round(legacy_s, 4),
-            "compiled_s": round(compiled_s, 4),
+            "postings_s": round(postings_s, 4),
             "speedup": round(speedup, 2),
             "floor": FACET_SPEEDUP_FLOOR,
+            "host": _host(),
         },
     )
     assert speedup >= FACET_SPEEDUP_FLOOR, (
-        f"compiled facet overview only {speedup:.2f}x faster "
-        f"(legacy {legacy_s * 1000:.0f}ms, compiled {compiled_s * 1000:.0f}ms)"
+        f"postings facet overview only {speedup:.2f}x faster "
+        f"(legacy {legacy_s * 1000:.0f}ms, postings {postings_s * 1000:.0f}ms)"
     )
 
 
@@ -204,10 +225,99 @@ def test_range_leaf_miss(corpus):
         {
             "sizes": rows,
             "floor": RANGE_SPEEDUP_FLOOR,
-            "host": f"{platform.machine()} x{os.cpu_count()}, "
-            f"CPython {platform.python_version()}",
+            "host": _host(),
         },
     )
     assert speedup >= RANGE_SPEEDUP_FLOOR, (
         f"range index only {speedup:.1f}x faster than the triple scan: {rows}"
     )
+
+
+#: The acceptance floor for encoding an ``apply`` or create-session
+#: body at 64k: spliced term fragments against ``json.dumps`` of the
+#: state's dict form, which is what every response paid before.
+ENCODE_SPEEDUP_FLOOR = 3.0
+
+
+def _dict_body(result) -> bytes:
+    """The pre-splice encoding: the state as a dict, through json."""
+    return json.dumps(
+        ok_envelope(result), sort_keys=True, separators=(",", ":"),
+        ensure_ascii=True,
+    ).encode("ascii")
+
+
+def _clicks(corpus):
+    """A facets-style session: ranges and a category, then a negation
+    and a removal, so later bodies carry a back stack of full views."""
+    year, weight = corpus.extras["p_year"], corpus.extras["p_weight"]
+    return [
+        cmd.Refine(Range(year, low=1900, high=2010), "filter"),
+        cmd.Refine(Range(weight, low=50.0, high=950.0), "filter"),
+        cmd.NegateConstraint(1),
+        cmd.RemoveConstraint(1),
+        cmd.Refine(HasValue(corpus.extras["p_category"],
+                            corpus.extras["categories"][0]), "filter"),
+        cmd.RemoveConstraint(1),
+    ]
+
+
+def _median(values):
+    values = sorted(values)
+    return values[len(values) // 2]
+
+
+def _apply_encode(corpus):
+    """Median per-body seconds, (dict, spliced), for landings and applies."""
+    workspace = Workspace(
+        corpus.graph, schema=corpus.schema, items=corpus.items
+    ).freeze()
+    session = SessionManager(workspace).create("bench")
+    state = session.state
+    bodies = [(
+        lambda: _dict_body({"name": "bench", "state": state.to_dict()}),
+        lambda: canonical_json(ok_envelope(session_payload("bench", state))),
+    )]
+    for command in _clicks(corpus):
+        t = session.apply(command)
+        bodies.append((
+            lambda t=t: _dict_body({"state": t.state.to_dict(), "outcome": t.outcome}),
+            lambda t=t: canonical_json(ok_envelope(transition_payload(t))),
+        ))
+    rows = []
+    for before, after in bodies:
+        expected = before()
+        assert after() == expected  # also fills the term fragments once
+        rows.append((_best_of(before)[0], _best_of(after)[0], len(expected)))
+    return {"landing": _encode_row(rows[:1]), "apply": _encode_row(rows[1:])}
+
+
+def _encode_row(rows):
+    before = _median([row[0] for row in rows])
+    after = _median([row[1] for row in rows])
+    return {
+        "before_ms": round(before * 1000, 2),
+        "after_ms": round(after * 1000, 2),
+        "speedup": round(before / after, 1),
+        "body_bytes": _median([row[2] for row in rows]),
+        "bodies": len(rows),
+    }
+
+
+def test_apply_encode(corpus):
+    """Response bodies joined from memoized term fragments instead of
+    ``json.dumps`` over the dict form, bytes identical."""
+    rows = {
+        str(size): _apply_encode(sized)
+        for size, sized in ((8_192, scaled.build_corpus(8_192)), (N_ITEMS, corpus))
+    }
+    _record_bench(
+        N_ITEMS,
+        "apply_encode",
+        {"sizes": rows, "floor": ENCODE_SPEEDUP_FLOOR, "host": _host()},
+    )
+    at_scale = rows[str(N_ITEMS)]
+    for kind in ("apply", "landing"):
+        assert at_scale[kind]["speedup"] >= ENCODE_SPEEDUP_FLOOR, (
+            f"{kind} encoding only {at_scale[kind]['speedup']}x faster: {rows}"
+        )

@@ -5,8 +5,9 @@
 :class:`~repro.check.reference.ReferenceModel` with the same command
 stream and raises :class:`Divergence` the moment they disagree — on the
 view's extension, on which exception a bad command raises, on telemetry
-deltas, on suggestion determinism/preview counts, or on the JSON
-round-trip of the session state.
+deltas, on suggestion determinism/preview counts, on the JSON
+round-trip of the session state, or on its spliced wire bytes
+differing from the plain-dict encoding.
 
 ``fuzz`` wraps that in the seeded outer loop (many corpora, many
 steps), and ``minimize`` shrinks a failing sequence with a ddmin-style
@@ -38,6 +39,7 @@ from ..query.ast import (
 from ..rdf import RDF
 from ..service import commands as cmd
 from ..service.navigation import NavigationService
+from ..service.serialize import value_json
 from ..service.state import SessionState
 from .corpus import FuzzCorpus, random_corpus
 from .reference import ReferenceModel
@@ -75,7 +77,8 @@ class FuzzConfig:
 
     #: Run the (expensive) suggestion-cycle probe every N steps; 0 = off.
     suggest_every: int = 5
-    #: Round-trip the state through JSON every N steps; 0 = off.
+    #: Decode the state back from its JSON every N steps; 0 = off.  Its
+    #: bytes are compared with the dict encoding at every step.
     roundtrip_every: int = 7
     #: Cap on refinement suggestions preview-probed per suggest cycle.
     probe_suggestions: int = 4
@@ -180,8 +183,7 @@ class DifferentialRunner:
         self._check_telemetry(command, refinements_before)
         self._check_state(command)
         config = self.config
-        if config.roundtrip_every and self.steps % config.roundtrip_every == 0:
-            self._check_roundtrip(command)
+        self._check_roundtrip(command)
         if config.suggest_every and self.steps % config.suggest_every == 0:
             self._check_suggestions(command)
 
@@ -272,7 +274,17 @@ class DifferentialRunner:
             )
 
     def _check_roundtrip(self, command: cmd.Command) -> None:
-        wire = json.dumps(self.state.to_dict(), sort_keys=True)
+        # The served encoding is spliced from memoized term fragments;
+        # it must be byte for byte the plain-dict encoding, and decode
+        # back to the same state.
+        wire = self.state.json_bytes()
+        if wire != value_json(self.state.to_dict()):
+            self._fail(
+                command, "spliced state bytes differ from the dict encoding"
+            )
+        every = self.config.roundtrip_every
+        if not every or self.steps % every:
+            return
         restored = SessionState.from_dict(json.loads(wire))
         if restored != self.state:
             self._fail(

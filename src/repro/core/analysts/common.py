@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
+from ...query.ast import RangeIndex
 from ...rdf.graph import Graph
 from ...rdf.schema import Schema, ValueType
 from ...rdf.terms import Literal, Node, Resource
@@ -61,6 +62,26 @@ def is_facetable_value(value: Node, declared_type: str | None) -> bool:
     return len(value.lexical.split()) <= _MAX_FACET_LITERAL_TOKENS
 
 
+def classify_value(
+    value: Node, declared: str | None
+) -> tuple[bool, bool, float | None]:
+    """(facetable, counts-as-continuous, numeric reading) for one value.
+
+    The reading is :meth:`RangeIndex.reading`'s: NaN is dropped (it
+    has no place in a sorted range) and ±inf is kept.  The graph sweep
+    and :class:`~repro.perf.postings.FacetPostings` both classify
+    through here, so their profiles stay bit-identical.
+    """
+    continuous = isinstance(value, Literal) and (
+        value.is_numeric or value.is_temporal
+    )
+    return (
+        is_facetable_value(value, declared),
+        continuous,
+        RangeIndex.reading(value),
+    )
+
+
 class PropertyProfile:
     """Everything one sweep learns about a single property.
 
@@ -106,15 +127,7 @@ class PropertyProfile:
         """
         info = self._value_info.get(value)
         if info is None:
-            facetable = is_facetable_value(value, self.declared)
-            if isinstance(value, Literal):
-                continuous = value.is_numeric or value.is_temporal
-                number = value.as_number()
-            else:
-                continuous = False
-                number = None
-            info = (facetable, continuous, number)
-            self._value_info[value] = info
+            info = self._value_info[value] = classify_value(value, self.declared)
         return info
 
     def sorted_readings(self) -> list[float]:

@@ -11,8 +11,9 @@ widgets too, which yields Figure 6's "date on the body" control.
 
 from __future__ import annotations
 
+from ...query.ast import RangeIndex
 from ...query.preview import RangePreview
-from ...rdf.terms import Literal, Resource
+from ...rdf.terms import Resource
 from ...vsm.composition import compose_values
 from ..advisors import REFINE_COLLECTION
 from ..blackboard import Blackboard
@@ -65,10 +66,9 @@ class RangeAnalyst(Analyst):
             values: list[float] = []
             for item in view.items:
                 for value in compose_values(workspace.graph, item, chain):
-                    if isinstance(value, Literal):
-                        number = value.as_number()
-                        if number is not None:
-                            values.append(number)
+                    number = RangeIndex.reading(value)  # NaN skipped
+                    if number is not None:
+                        values.append(number)
             if len(set(values)) < self.min_distinct:
                 continue
             label = path_label(workspace.schema, chain)

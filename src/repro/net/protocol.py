@@ -17,6 +17,14 @@ Commands travel in the :mod:`repro.check.codec` tagged-dict format (the
 same format repro files use), so a recorded fuzz sequence IS a valid
 request stream.  Session state, terms, and predicates reuse the
 :mod:`repro.service.serialize` codecs.
+
+A session state is most of an ``apply`` or create response: every item
+of the current view and of every view on the back stack.  Those
+payloads carry the state as :class:`Spliced` bytes built by
+:meth:`SessionState.json_parts` from memoized term fragments, and
+:func:`canonical_json` splices them into the envelope verbatim.  The bytes
+are exactly those of encoding :meth:`SessionState.to_dict` — the dict
+form stays the oracle that the wire check and the fuzzer compare with.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ import json
 from typing import Any
 
 from ..service.navigation import Transition
+from ..service.serialize import Parts, array_parts, object_parts, value_json
+from ..service.state import SessionState
 
 __all__ = [
     "NetError",
@@ -37,12 +47,14 @@ __all__ = [
     "ServerDraining",
     "WorkerUnavailable",
     "ClientDisconnect",
+    "Spliced",
     "canonical_json",
     "ok_envelope",
     "error_envelope",
     "error_payload",
     "status_for",
     "transition_payload",
+    "session_payload",
     "suggestions_payload",
 ]
 
@@ -122,11 +134,56 @@ class ClientDisconnect(NetError):
 # ----------------------------------------------------------------------
 
 
+class Spliced:
+    """Canonical JSON bytes, in pieces, that :func:`canonical_json`
+    inserts verbatim."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Parts):
+        self.parts = parts
+
+
+class _HasSpliced(Exception):
+    pass
+
+
+def _refuse(value: Any) -> Any:
+    if isinstance(value, Spliced):
+        raise _HasSpliced
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+#: :func:`~repro.service.serialize.value_json`'s settings, stopping at
+#: the first spliced value.
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, default=_refuse
+).encode
+
+
 def canonical_json(payload: Any) -> bytes:
-    """The one true byte encoding of a wire payload."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
+    """The one true byte encoding of a wire payload.
+
+    A payload holding :class:`Spliced` values (inside string-keyed
+    dicts and lists) is encoded piecewise and joined once; anything
+    else is one ``json`` call.
+    """
+    try:
+        return _encode(payload).encode("ascii")
+    except _HasSpliced:
+        return b"".join(_parts(payload))
+
+
+def _parts(value: Any) -> Parts:
+    if isinstance(value, Spliced):
+        return value.parts
+    if isinstance(value, dict):
+        return object_parts({key: _parts(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return array_parts(_parts(item) for item in value)
+    return [value_json(value)]
 
 
 def ok_envelope(result: Any) -> dict[str, Any]:
@@ -174,16 +231,21 @@ def status_for(error: BaseException) -> int:
 def transition_payload(transition: Transition) -> dict[str, Any]:
     """What an ``apply`` responds with: the full new state + outcome.
 
-    The state dict is the lossless :meth:`SessionState.to_dict` wire
-    form, so a client holds everything needed to render the view (its
-    extension, description, and query), the chips, the trail, and the
-    back stack — and the parity check compares entire states, not
-    summaries.
+    The state is the lossless :meth:`SessionState.to_dict` wire form
+    (pre-encoded, see the module docstring), so a client holds
+    everything needed to render the view (its extension, description,
+    and query), the chips, the trail, and the back stack — and the
+    parity check compares entire states, not summaries.
     """
     outcome = transition.outcome
     if outcome is not None and not isinstance(outcome, (bool, int, float, str)):
         outcome = repr(outcome)
-    return {"state": transition.state.to_dict(), "outcome": outcome}
+    return {"state": Spliced(transition.state.json_parts()), "outcome": outcome}
+
+
+def session_payload(name: str, state: SessionState) -> dict[str, Any]:
+    """What creating a session responds with: its name and first state."""
+    return {"name": name, "state": Spliced(state.json_parts())}
 
 
 def suggestions_payload(result) -> dict[str, Any]:

@@ -46,6 +46,7 @@ from .protocol import (
     canonical_json,
     error_envelope,
     ok_envelope,
+    session_payload,
     status_for,
     suggestions_payload,
     transition_payload,
@@ -302,7 +303,7 @@ class NavigationServer:
         self.obs.metrics.counter("net.sessions_created").inc()
         if as_of is not None:
             self.obs.metrics.counter("net.sessions_as_of").inc()
-        return 200, ok_envelope({"name": name, "state": session.state.to_dict()})
+        return 200, ok_envelope(session_payload(name, session.state))
 
     def _delete_session(self, name: str) -> tuple[int, dict]:
         with self._manager_lock:

@@ -13,7 +13,10 @@ Because the server and the local side both build their payloads with
 :mod:`repro.net.protocol` over the same deterministic corpus, any
 difference — a float formatted differently, a key ordered differently,
 an exception translated differently, state drift from a lost update —
-shows up as the first unequal byte.
+shows up as the first unequal byte.  The one exception is the session
+state: the server splices it from memoized term fragments, and the
+local side encodes :meth:`SessionState.to_dict` as a plain dict, so
+the check also proves the spliced encoder writes the dict's bytes.
 
 At the end of each corpus the ``{session=wire}``-tagged telemetry of
 both workspaces is compared too: the served session must bump exactly
@@ -37,6 +40,7 @@ from ..check.corpus import random_corpus
 from ..check.fuzzer import CommandGenerator
 from ..service.manager import SessionManager
 from ..service.serialize import predicate_to_dict
+from ..service.state import SessionState
 from .client import NavigationClient
 from .protocol import (
     canonical_json,
@@ -214,8 +218,10 @@ def _check_corpus(
     try:
         host, port = server.address
         client = NavigationClient(host, port)
-        client.create_session(WIRE_SESSION)
         local = Session(local_corpus.workspace, session_id=WIRE_SESSION)
+        divergence = _check_create(corpus_seed, client, local.state, WIRE_SESSION)
+        if divergence is not None:
+            return divergence
         generator = CommandGenerator(random.Random(generator_seed), local_corpus)
         generator.bind(_ChipSource(local))
 
@@ -266,16 +272,13 @@ def _check_as_of(
     path: wire ``as_of`` option → manager → workspace historical view.
     """
     tx = local_corpus.workspace.graph.last_tx // 2
-    created = client.create_session(WIRE_ASOF_SESSION, as_of=tx)
     local_manager = SessionManager(local_corpus.workspace)
     local = local_manager.create(WIRE_ASOF_SESSION, as_of=tx)
-    if created["state"] != local.state.to_dict():
-        return WireDivergence(
-            corpus_seed,
-            0,
-            "<as-of create>",
-            f"created state differs at tx {tx}",
-        )
+    divergence = _check_create(
+        corpus_seed, client, local.state, WIRE_ASOF_SESSION, as_of=tx
+    )
+    if divergence is not None:
+        return divergence
     generator = CommandGenerator(
         random.Random(generator_seed ^ 0x5F5F), local_corpus
     )
@@ -300,6 +303,31 @@ def _check_as_of(
     )
 
 
+def _check_create(
+    corpus_seed: int,
+    client: NavigationClient,
+    state: SessionState,
+    session: str,
+    as_of: int | None = None,
+) -> WireDivergence | None:
+    """Create the served session; its body must encode ``state.to_dict()``."""
+    request: dict = {"name": session}
+    if as_of is not None:
+        request["as_of"] = as_of
+    wire_status, wire_body = client.request_raw("POST", "/sessions", request)
+    expected_body = canonical_json(
+        ok_envelope({"name": session, "state": state.to_dict()})
+    )
+    if wire_status != 200 or wire_body != expected_body:
+        return WireDivergence(
+            corpus_seed,
+            0,
+            f"<create {session} as_of={as_of}>",
+            f"status {wire_status}; " + _diff_detail(expected_body, wire_body),
+        )
+    return None
+
+
 def _check_step(
     corpus_seed: int,
     step: int,
@@ -320,7 +348,10 @@ def _check_step(
         expected_body = canonical_json(error_envelope(error))
     else:
         expected_status = 200
-        expected_body = canonical_json(ok_envelope(transition_payload(transition)))
+        # The state as a plain dict, not the server's spliced encoding.
+        payload = transition_payload(transition)
+        payload["state"] = transition.state.to_dict()
+        expected_body = canonical_json(ok_envelope(payload))
     if wire_status != expected_status:
         return WireDivergence(
             corpus_seed,

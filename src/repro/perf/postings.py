@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 _chain = _chain_mod.chain
 
-from ..rdf.terms import Literal, Node, Resource
+from ..rdf.terms import Node, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.analysts.common import CollectionProfile
@@ -89,10 +89,7 @@ class FacetPostings:
         order any later legacy sweep of the same graph version would
         see.
         """
-        from ..core.analysts.common import (
-            ANNOTATION_PROPERTIES,
-            is_facetable_value,
-        )
+        from ..core.analysts.common import ANNOTATION_PROPERTIES, classify_value
 
         postings = cls(graph, schema, graph.version)
         records = postings._records
@@ -155,10 +152,7 @@ class FacetPostings:
         self, item: Node, prop_meta: "dict[Resource, tuple | None]"
     ) -> tuple[_Entry, ...]:
         """Classify one item's values exactly as the legacy sweep would."""
-        from ..core.analysts.common import (
-            ANNOTATION_PROPERTIES,
-            is_facetable_value,
-        )
+        from ..core.analysts.common import ANNOTATION_PROPERTIES, classify_value
 
         graph = self.graph
         schema = self.schema
@@ -185,15 +179,7 @@ class FacetPostings:
             for value in values:
                 info = value_info.get(value)
                 if info is None:
-                    facetable = is_facetable_value(value, declared)
-                    if isinstance(value, Literal):
-                        continuous = value.is_numeric or value.is_temporal
-                        number = value.as_number()
-                    else:
-                        continuous = False
-                        number = None
-                    info = (facetable, continuous, number)
-                    value_info[value] = info
+                    info = value_info[value] = classify_value(value, declared)
                 facetable, continuous, number = info
                 if facetable:
                     facet_values.append(value)

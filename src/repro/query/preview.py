@@ -8,6 +8,7 @@ candidate [low, high] selection.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
@@ -19,13 +20,21 @@ class RangePreview:
 
     Mirrors Figure 5's control: two sliders select the boundary, hatch
     marks preview the document distribution.
+
+    Readings are kept sorted, so NaN (which has no place in an order)
+    is dropped.  ±inf readings are kept and counted, as ``Range`` does,
+    but the sliders and the histogram span the finite readings only.
     """
 
     def __init__(self, values: Sequence[float], buckets: int = 20):
         if buckets <= 0:
             raise ValueError("buckets must be positive")
-        self.values = sorted(values)
+        self.values = sorted(v for v in values if not math.isnan(v))
         self.buckets = buckets
+        self._finite = slice(
+            bisect_right(self.values, -math.inf),
+            bisect_left(self.values, math.inf),
+        )
 
     @property
     def is_empty(self) -> bool:
@@ -33,25 +42,28 @@ class RangePreview:
 
     @property
     def low(self) -> float:
-        return self.values[0] if self.values else 0.0
+        """The smallest finite reading (0.0 when there is none)."""
+        finite = self._finite
+        return self.values[finite.start] if finite.start < finite.stop else 0.0
 
     @property
     def high(self) -> float:
-        return self.values[-1] if self.values else 0.0
+        """The largest finite reading (0.0 when there is none)."""
+        finite = self._finite
+        return self.values[finite.stop - 1] if finite.start < finite.stop else 0.0
 
     def histogram(self) -> list[int]:
-        """Per-bucket document counts over [low, high]."""
+        """Per-bucket counts of the finite readings over [low, high]."""
         counts = [0] * self.buckets
-        if not self.values:
-            return counts
-        width = self.high - self.low
-        for value in self.values:
+        low = self.low
+        width = self.high - low
+        for value in self.values[self._finite]:
             if width == 0.0:
                 index = 0
             else:
                 index = min(
                     self.buckets - 1,
-                    int((value - self.low) / width * self.buckets),
+                    int((value - low) / width * self.buckets),
                 )
             counts[index] += 1
         return counts

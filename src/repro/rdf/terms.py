@@ -47,7 +47,11 @@ class Resource(Term):
     a person — as well as the properties connecting them.
     """
 
-    __slots__ = ("uri", "_hash")
+    # ``_json`` holds the term's canonical JSON bytes once a state
+    # that names it is encoded (``repro.service.serialize.node_json``);
+    # it stays unset until then, so building a term costs nothing extra.
+    __slots__ = ("uri", "_hash", "_json")
+    _json: bytes
 
     def __init__(self, uri: str):
         if not uri:
@@ -92,7 +96,8 @@ class Resource(Term):
 class BlankNode(Term):
     """An anonymous node, identified only within one graph."""
 
-    __slots__ = ("node_id", "_hash")
+    __slots__ = ("node_id", "_hash", "_json")
+    _json: bytes
 
     def __init__(self, node_id: str):
         if not node_id:
@@ -135,7 +140,8 @@ class Literal(Term):
     model's numeric encoding (§5.4) rely on.
     """
 
-    __slots__ = ("lexical", "datatype", "language", "_hash")
+    __slots__ = ("lexical", "datatype", "language", "_hash", "_json")
+    _json: bytes
 
     def __init__(self, lexical, datatype: str | None = None,
                  language: str | None = None):

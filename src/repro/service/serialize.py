@@ -12,11 +12,20 @@ The format is versioned dict-of-plain-values JSON: terms are tagged by
 kind (``uri``/``bnode``/``lit``), predicates by a short type tag.
 ``ValueIn``'s value set is emitted sorted by N-Triples form so the same
 predicate always serializes to the same bytes.
+
+:func:`value_json` is the one JSON byte encoding (sorted keys,
+minimal separators, ASCII).  :func:`node_json` memoizes a term's
+canonical bytes on the immutable term itself, so a session state that
+lists thousands of items (:meth:`SessionState.json_parts`) is
+assembled by joining fragments instead of re-encoding every term per
+response.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from operator import attrgetter
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..query.ast import (
     And,
@@ -41,6 +50,12 @@ __all__ = [
     "StateLoadError",
     "node_to_dict",
     "node_from_dict",
+    "value_json",
+    "node_json",
+    "nodes_json",
+    "Parts",
+    "object_parts",
+    "array_parts",
     "path_step_to_dict",
     "path_step_from_dict",
     "predicate_to_dict",
@@ -81,6 +96,80 @@ def node_to_dict(node: Node) -> dict[str, Any]:
             encoded["lang"] = node.language
         return encoded
     raise StateSerializationError(f"cannot serialize term {node!r}")
+
+
+_canonical_text = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+).encode
+
+
+def value_json(value: Any) -> bytes:
+    """The canonical JSON bytes of a JSON-safe value: sorted keys,
+    minimal separators, only ASCII (the wire encoding of
+    :mod:`repro.net.protocol`)."""
+    return _canonical_text(value).encode("ascii")
+
+
+#: Canonical JSON bytes as a list of pieces to be joined once.  A large
+#: payload is assembled this way so that each piece is copied only by
+#: the final join, not once per nesting level.
+Parts = list[bytes]
+
+_memoized = attrgetter("_json")
+
+
+def node_json(node: Node) -> bytes:
+    """The canonical bytes of ``node_to_dict(node)``, memoized on the term.
+
+    Terms are immutable, so the bytes are computed once per term object
+    (like its cached hash) and reused by every state that names it.
+    """
+    try:
+        return node._json
+    except AttributeError:
+        return _fragment_of(node)
+
+
+def nodes_json(nodes: Sequence[Node]) -> Parts:
+    """The canonical JSON array of ``node_to_dict`` of each node."""
+    try:
+        joined = b",".join(map(_memoized, nodes))
+    except AttributeError:
+        joined = b",".join(map(node_json, nodes))
+    return [b"[", joined, b"]"]
+
+
+def _fragment_of(node: Node) -> bytes:
+    data = value_json(node_to_dict(node))
+    object.__setattr__(node, "_json", data)
+    return data
+
+
+def object_parts(members: Mapping[str, bytes | Parts]) -> Parts:
+    """A JSON object from already-encoded member values, keys sorted."""
+    parts = [b"{"]
+    for key in sorted(members):
+        if len(parts) > 1:
+            parts.append(b",")
+        parts.append(value_json(key) + b":")
+        value = members[key]
+        if isinstance(value, bytes):
+            parts.append(value)
+        else:
+            parts += value
+    parts.append(b"}")
+    return parts
+
+
+def array_parts(elements: Iterable[Parts]) -> Parts:
+    """A JSON array from already-encoded elements."""
+    parts = [b"["]
+    for element in elements:
+        if len(parts) > 1:
+            parts.append(b",")
+        parts += element
+    parts.append(b"]")
+    return parts
 
 
 def node_from_dict(data: dict[str, Any]) -> Node:

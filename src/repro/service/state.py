@@ -13,6 +13,9 @@ predicates are value objects, so a state built against one workspace can
 be replayed against any workspace holding the same corpus.
 ``to_dict``/``from_dict`` give the JSON wire form used by session
 save/load and the :class:`~repro.service.manager.SessionManager`.
+``json_bytes`` is that form's canonical JSON, assembled from memoized
+term fragments; ``to_dict`` stays the oracle it must equal byte for
+byte.
 """
 
 from __future__ import annotations
@@ -23,11 +26,17 @@ from typing import Any, Iterable
 from ..query.ast import And, Predicate
 from ..rdf.terms import Node
 from .serialize import (
+    Parts,
     StateSerializationError,
+    array_parts,
     node_from_dict,
+    node_json,
     node_to_dict,
+    nodes_json,
+    object_parts,
     predicate_from_dict,
     predicate_to_dict,
+    value_json,
 )
 
 __all__ = ["ViewState", "SessionState", "STATE_FORMAT_VERSION"]
@@ -100,6 +109,18 @@ class ViewState:
             ),
             "description": self.description,
         }
+
+    def json_parts(self) -> Parts:
+        """The canonical JSON of :meth:`to_dict`, as pieces to be joined."""
+        return object_parts({
+            "kind": value_json(self.kind),
+            "item": b"null" if self.item is None else node_json(self.item),
+            "items": nodes_json(self.items),
+            "query": value_json(
+                predicate_to_dict(self.query) if self.query is not None else None
+            ),
+            "description": value_json(self.description),
+        })
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ViewState":
@@ -178,10 +199,43 @@ class SessionState:
 
     def to_dict(self) -> dict[str, Any]:
         """The JSON-safe wire form (lossless; see ``from_dict``)."""
+        data = self._small_fields()
+        data.update(
+            view=self.view.to_dict(),
+            visits=[node_to_dict(n) for n in self.visits],
+            back_stack=[view.to_dict() for view in self.back_stack],
+            bookmarks=[node_to_dict(n) for n in self.bookmarks],
+        )
+        return data
+
+    def json_bytes(self) -> bytes:
+        """The canonical JSON of :meth:`to_dict`, byte for byte."""
+        return b"".join(self.json_parts())
+
+    def json_parts(self) -> Parts:
+        """:meth:`json_bytes` as pieces, for splicing into a response.
+
+        The views, the visit log and the bookmarks are where a state's
+        size lies (every item of every view on the back stack); they are
+        joined from :func:`~repro.service.serialize.node_json` fragments.
+        Everything else is small and is encoded whole.
+        """
+        members: dict[str, bytes | Parts] = {
+            key: value_json(value) for key, value in self._small_fields().items()
+        }
+        members.update(
+            view=self.view.json_parts(),
+            visits=nodes_json(self.visits),
+            back_stack=array_parts(view.json_parts() for view in self.back_stack),
+            bookmarks=nodes_json(self.bookmarks),
+        )
+        return object_parts(members)
+
+    def _small_fields(self) -> dict[str, Any]:
+        """The wire form minus the views, visits and bookmarks."""
         data = {
             "format": STATE_FORMAT_VERSION,
             "session_id": self.session_id,
-            "view": self.view.to_dict(),
             "trail": [
                 [
                     predicate_to_dict(query) if query is not None else None,
@@ -189,9 +243,6 @@ class SessionState:
                 ]
                 for query, description in self.trail
             ],
-            "visits": [node_to_dict(n) for n in self.visits],
-            "back_stack": [view.to_dict() for view in self.back_stack],
-            "bookmarks": [node_to_dict(n) for n in self.bookmarks],
             "feedback": {
                 "active": self.feedback_active,
                 "seed": (

@@ -23,6 +23,7 @@ adds stay O(item size).
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -133,7 +134,7 @@ class VectorSpaceModel:
         self._ranges: dict[tuple[str, ...], NumericRange] = {}
         self._vector_cache: dict[Node, tuple[int, SparseVector]] = {}
         self._compositions: list[tuple[Resource, ...]] | None = None
-        self._listeners: list[Callable[[str, Node, tuple], None]] = []
+        self._listeners: list[weakref.WeakMethod] = []
 
     def add_listener(
         self, callback: Callable[[str, Node, tuple], None]
@@ -145,12 +146,19 @@ class VectorSpaceModel:
         ``coords`` the item's discrete coordinates at that moment.
         Derived structures (the vector store) use this to maintain
         themselves incrementally instead of diffing the model.
+
+        ``callback`` is a bound method, held weakly: the vector store
+        refers to its model, so a strong reference back would make the
+        pair a cycle that only the cyclic collector frees, and a retired
+        epoch's model, store and graph would stay resident until then.
         """
-        self._listeners.append(callback)
+        self._listeners.append(weakref.WeakMethod(callback))
 
     def _notify(self, op: str, item: Node, coords: tuple) -> None:
-        for callback in self._listeners:
-            callback(op, item, coords)
+        for listener in self._listeners:
+            callback = listener()
+            if callback is not None:
+                callback(op, item, coords)
 
     # ------------------------------------------------------------------
     # Indexing

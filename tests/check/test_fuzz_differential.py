@@ -18,6 +18,7 @@ from repro.check import (
     fuzz,
     random_corpus,
 )
+from repro.check.corpus import FUZZ
 from repro.query.ast import RangeIndex
 from repro.rdf import Literal
 
@@ -92,6 +93,31 @@ class TestHarnessSensitivity:
         report = fuzz(7, steps=400, corpora=4, minimize_failures=False)
         assert not report.ok
         assert "nondeterministic" in report.failure.detail
+
+    def test_catches_a_corrupted_term_fragment(self, monkeypatch):
+        # Served states are spliced from memoized term fragments; one
+        # wrong fragment must trip both the fuzzer's per-step byte check
+        # and the wire check, whose expected bodies encode to_dict().
+        from repro.net.wirecheck import run_wire_check
+        from repro.service import serialize
+
+        target = FUZZ["item3"]  # every corpus has at least 12 items
+        original = serialize._fragment_of
+
+        def corrupting(node):
+            data = original(node)
+            if node == target:
+                data = data.replace(b"item3", b"item33")
+                object.__setattr__(node, "_json", data)  # the memo is wrong
+            return data
+
+        monkeypatch.setattr(serialize, "_fragment_of", corrupting)
+        report = fuzz(7, steps=40, corpora=2, minimize_failures=False)
+        assert not report.ok, "fuzzer missed a corrupted term fragment"
+        assert "spliced state bytes" in report.failure.detail
+        wire = run_wire_check(1337, steps=10, corpora=1)
+        assert not wire.ok, "wire check missed a corrupted term fragment"
+        assert "differ" in wire.failure.detail
 
 
 def test_corpora_include_adversarial_literals():

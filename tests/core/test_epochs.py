@@ -1,7 +1,9 @@
 """Epoch lifecycle + the fold-vs-cold-build bit-identity contract."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -88,6 +90,29 @@ def test_refcounts_retire_old_epochs():
     manager.release(99)
     # The current epoch never retires, even at zero refs.
     assert manager.get(1) is manager.current
+
+
+def test_retired_epoch_is_freed_without_the_cyclic_collector():
+    # A retired epoch's index must go as soon as its last reference
+    # does: left to the cyclic collector, retired epochs stay resident
+    # for as long as the serving path allocates few containers.
+    manager = _manager()
+    manager.ingest([(OP_ASSERT, EX.it0, EX.color, EX.green)])
+    manager.publish()
+    folded = manager.current.workspace
+    parts = [weakref.ref(p) for p in (
+        folded, folded.graph, folded.model, folded.vector_store
+    )]
+    del folded
+    gc.collect()
+    gc.disable()
+    try:
+        manager.ingest([(OP_ASSERT, EX.it1, EX.color, EX.green)])
+        manager.publish()
+        assert manager.get(1) is None
+        assert [ref() for ref in parts] == [None] * len(parts)
+    finally:
+        gc.enable()
 
 
 def test_pinned_epoch_is_immutable_under_churn():

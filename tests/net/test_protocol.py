@@ -11,6 +11,7 @@ from repro.net.protocol import (
     NotFound,
     PayloadTooLarge,
     ServerOverloaded,
+    Spliced,
     canonical_json,
     error_envelope,
     error_payload,
@@ -33,6 +34,18 @@ class TestCanonicalJson:
         left = canonical_json({"x": 1.5, "y": None, "z": True})
         right = canonical_json(json.loads(left))
         assert left == right
+
+    def test_spliced_parts_go_in_verbatim(self):
+        payload = {"z": [Spliced([b'{"a"', b":1}"]), {}], "b": "\u00e9", "m": {}}
+        plain = {"z": [{"a": 1}, {}], "b": "\u00e9", "m": {}}
+        assert canonical_json(payload) == canonical_json(plain)
+        assert canonical_json(payload) == b'{"b":"\\u00e9","m":{},"z":[{"a":1},{}]}'
+
+    def test_unserializable_values_still_raise_type_error(self):
+        with pytest.raises(TypeError):
+            canonical_json({"a": object()})
+        with pytest.raises(TypeError):
+            canonical_json({"a": Spliced([b"1"]), "b": object()})
 
 
 class TestEnvelopes:

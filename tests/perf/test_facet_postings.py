@@ -4,7 +4,8 @@
 instead of walking the graph; its :class:`CollectionProfile` must be
 identical to :func:`collection_profile`'s — including dict and Counter
 insertion order, which ``most_common`` tie-breaking leaks into
-suggestion ranking, and NaN/inf numeric readings.
+suggestion ranking, and the handling of non-finite numeric readings
+(NaN dropped, ±inf kept).
 """
 
 import math
@@ -78,8 +79,9 @@ class TestFacetProfileBitIdentity:
         replayed = context.facet_postings().profile(items)
         _assert_profiles_identical(swept, replayed)
         readings = replayed.properties[EX.score]._readings
-        assert any(math.isnan(r) for r in readings)
-        assert any(math.isinf(r) for r in readings)
+        # NaN is dropped on both sides; +inf and -inf are kept.
+        assert not any(math.isnan(r) for r in readings)
+        assert math.inf in readings and -math.inf in readings
 
     def test_subset_order_controls_profile_order(self, nan_context):
         context = nan_context
