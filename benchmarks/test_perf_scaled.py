@@ -1,8 +1,8 @@
 """Scaled-corpus (64k items) regressions for the facet postings, the
-range index and the state encoder.
+range index, the state encoder and vector search.
 
 The paper's corpora top out at 6,444 items; the ROADMAP targets
-interactive navigation at 10–100× that.  This module pins three claims
+interactive navigation at 10–100× that.  This module pins four claims
 on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
 
 * a cold profile replayed from the precomputed facet postings is ≥5×
@@ -14,7 +14,10 @@ on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
 * an ``apply`` or create-session body spliced from memoized term
   fragments is ≥3× faster to encode than ``json.dumps`` of the state's
   dict form, byte-identically (``apply_encode`` row, also measured at
-  8,192 items).
+  8,192 items);
+* a Similar-by-Content search accumulating over interned doc ids is
+  ≥2× faster than accumulating over ``Node`` keys, hits identical
+  (``vector_search`` row, also measured at 8,192 items).
 
 The timings land in ``BENCH_perf_core.json``.  The tests are marked
 ``slow`` and excluded from tier-1; CI's perf job runs them with
@@ -22,6 +25,7 @@ The timings land in ``BENCH_perf_core.json``.  The tests are marked
 """
 
 import gc
+import heapq
 import json
 import math
 import os
@@ -36,6 +40,8 @@ from repro.check.reference import naive_extent
 from repro.core.analysts.common import collection_profile
 from repro.core.workspace import Workspace
 from repro.datasets import scaled
+from repro.index import Hit, VectorStore
+from repro.index.search import _MaxStr
 from repro.net.protocol import (
     canonical_json,
     ok_envelope,
@@ -46,6 +52,7 @@ from repro.query import HasValue, QueryContext, Range
 from repro.rdf.terms import Literal
 from repro.service import commands as cmd
 from repro.service.manager import SessionManager
+from repro.vsm import SparseVector, VectorSpaceModel
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
 
@@ -321,3 +328,111 @@ def test_apply_encode(corpus):
         assert at_scale[kind]["speedup"] >= ENCODE_SPEEDUP_FLOOR, (
             f"{kind} encoding only {at_scale[kind]['speedup']}x faster: {rows}"
         )
+
+
+#: The acceptance floor for Similar-by-Content at 64k: scores
+#: accumulated over interned doc ids against ``Node``-keyed postings.
+VECTOR_SPEEDUP_FLOOR = 2.0
+
+
+def _node_keyed_search(postings, query, k, exclude):
+    """The pre-interning search, kept here as the baseline and the
+    oracle: accumulate into a ``Node``-keyed dict, then heap-select
+    (score desc, repr asc) behind a predicate exclusion."""
+    scores = {}
+    for coord, q_weight in query.items():
+        for item, d_weight in postings.get(coord, {}).items():
+            scores[item] = scores.get(item, 0.0) + q_weight * d_weight
+    ranked = []
+    for item, score in scores.items():
+        if exclude(item):
+            continue
+        if len(ranked) < k:
+            heapq.heappush(ranked, (score, _MaxStr(repr(item)), item))
+        elif score > ranked[0][0] or (
+            score == ranked[0][0] and repr(item) < ranked[0][1].value
+        ):
+            heapq.heapreplace(ranked, (score, _MaxStr(repr(item)), item))
+    ranked.sort(key=lambda entry: (-entry[0], entry[1].value))
+    return [Hit(item, score) for score, _marker, item in ranked]
+
+
+def _folded_centroid(vectors):
+    """The pre-one-pass centroid: ``total = total + vec`` per member."""
+    total = SparseVector()
+    for vector in vectors:
+        total = total + vector
+    return total.normalized()
+
+
+def _vector_search(corpus, k=10):
+    """Per-kind seconds (before, after) for collection and item queries."""
+    model = VectorSpaceModel(corpus.graph, schema=corpus.schema)
+    model.index_items(corpus.items)
+    store = VectorStore(model)
+    index = store.index  # the one-time build, outside the timed region
+    postings = {coord: index.postings(coord) for coord in index.coordinates()}
+    rng = random.Random(len(corpus.items))
+    kinds = {
+        f"collection_{size}": [
+            rng.sample(corpus.items, size) for _ in range(5)
+        ]
+        for size in (20, 200, 1_000)
+    }
+    kinds["item"] = [[item] for item in rng.sample(corpus.items, 20)]
+
+    def before(views, members):
+        out = []
+        for view in views:
+            if members:
+                excluded = set(view)
+                query = _folded_centroid(model.vector(item) for item in view)
+                exclude = lambda item, excluded=excluded: item in excluded  # noqa: E731
+            else:
+                query = model.vector(view[0])
+                exclude = lambda item, one=view[0]: item == one  # noqa: E731
+            out.append(_node_keyed_search(postings, query, k, exclude))
+        return out
+
+    def after(views, members):
+        if members:
+            return [store.similar_to_collection(view, k) for view in views]
+        return [store.similar_to_item(view[0], k) for view in views]
+
+    rows = {}
+    for kind, views in kinds.items():
+        members = kind != "item"
+        before_s, expected = _best_of(lambda: before(views, members))
+        after_s, actual = _best_of(lambda: after(views, members))
+        assert actual == expected  # items and exact scores
+        rows[kind] = {
+            "before_ms": round(before_s / len(views) * 1000, 3),
+            "after_ms": round(after_s / len(views) * 1000, 3),
+            "queries": len(views),
+        }
+    before_ms = sum(row["before_ms"] * row["queries"] for row in rows.values())
+    after_ms = sum(row["after_ms"] * row["queries"] for row in rows.values())
+    return {
+        "queries": rows,
+        "postings": sum(len(bucket) for bucket in postings.values()),
+        "speedup": round(before_ms / after_ms, 2),
+    }
+
+
+def test_vector_search(corpus):
+    """Similar-by-Content over interned doc ids, with set exclusion and
+    a one-pass centroid, against the ``Node``-keyed search it replaced;
+    hits identical."""
+    rows = {
+        str(size): _vector_search(sized)
+        for size, sized in ((8_192, scaled.build_corpus(8_192)), (N_ITEMS, corpus))
+    }
+    _record_bench(
+        N_ITEMS,
+        "vector_search",
+        {"sizes": rows, "floor": VECTOR_SPEEDUP_FLOOR, "host": _host()},
+    )
+    speedup = rows[str(N_ITEMS)]["speedup"]
+    assert speedup >= VECTOR_SPEEDUP_FLOOR, (
+        f"id-keyed vector search only {speedup}x faster: {rows}"
+    )

@@ -2,9 +2,16 @@
 
 This is the storage core of the "Lucene" substitute (§5.2 stores item
 vectors "in a vector-space database (the Lucene text search engine is
-used for this purpose)").  Postings map an item to its weight on the
+used for this purpose)").  Postings map a document to its weight on the
 coordinate, so a dot-product top-k search only touches documents sharing
 at least one coordinate with the query.
+
+Documents are interned to small integer ids, and postings are keyed by
+id: accumulating a score then hashes an int in C instead of calling an
+item's Python ``__hash__`` once per posting.  Ids never leave
+:mod:`repro.index` — every public method takes and returns items — and
+an id freed by :meth:`InvertedIndex.remove` is reused by the next
+insertion, so churn does not grow the id tables.
 """
 
 from __future__ import annotations
@@ -15,17 +22,26 @@ __all__ = ["InvertedIndex"]
 
 
 class InvertedIndex:
-    """Maps coordinates to {item: weight} postings."""
+    """Maps coordinates to postings of interned document ids."""
 
     def __init__(self):
-        self._postings: dict[Hashable, dict[Hashable, float]] = {}
-        self._doc_coords: dict[Hashable, list[Hashable]] = {}
+        #: coord -> {doc id: weight}
+        self._postings: dict[Hashable, dict[int, float]] = {}
+        #: item -> doc id, in insertion order (re-adding moves to the end)
+        self._ids: dict[Hashable, int] = {}
+        #: doc id -> item; a freed slot holds None until reused
+        self._items: list[Hashable] = []
+        #: doc id -> the coordinates its postings sit on (shared, never
+        #: mutated, so copies may share them)
+        self._coords: list[tuple[Hashable, ...] | None] = []
+        #: freed doc ids, reused last-freed first
+        self._free: list[int] = []
         #: postings entries examined by retrieval (bumped by ``top_k``);
         #: survives :meth:`clear` so rebuilds don't erase the telemetry.
         self.postings_touched = 0
 
     def copy(self) -> "InvertedIndex":
-        """An independent copy (postings and coord lists are duplicated).
+        """An independent copy: postings, id tables and free list.
 
         Seeds the next epoch's index so incremental maintenance can
         proceed without touching the published one.  The telemetry
@@ -36,38 +52,43 @@ class InvertedIndex:
         clone._postings = {
             coord: dict(postings) for coord, postings in self._postings.items()
         }
-        clone._doc_coords = {
-            item: list(coords) for item, coords in self._doc_coords.items()
-        }
+        clone._ids = dict(self._ids)
+        clone._items = list(self._items)
+        clone._coords = list(self._coords)
+        clone._free = list(self._free)
         return clone
+
+    def _intern(self, item: Hashable) -> int:
+        """A doc id for a new document: a freed one if any."""
+        if self._free:
+            doc = self._free.pop()
+            self._items[doc] = item
+        else:
+            doc = len(self._items)
+            self._items.append(item)
+            self._coords.append(None)
+        self._ids[item] = doc
+        return doc
 
     def add(self, item: Hashable, entries: Iterable[tuple[Hashable, float]]) -> None:
         """Insert a document's (coordinate, weight) pairs."""
-        if item in self._doc_coords:
-            self.remove(item)
-        coords = []
-        for coord, weight in entries:
-            if not weight:
-                continue
-            self._postings.setdefault(coord, {})[item] = weight
-            coords.append(coord)
-        self._doc_coords[item] = coords
+        self.bulk_load(((item, entries),))
 
     def bulk_load(
         self, documents: Iterable[tuple[Hashable, Iterable[tuple[Hashable, float]]]]
     ) -> int:
         """Insert many documents at once; returns the count loaded.
 
-        The fast path for full rebuilds: inlines :meth:`add` without the
-        per-item prior-state check (callers clear or start empty), which
-        matters when reloading thousands of documents.
+        A document already present is replaced, as by :meth:`add`.
         """
         postings = self._postings
-        doc_coords = self._doc_coords
+        ids = self._ids
+        doc_coords = self._coords
         count = 0
         for item, entries in documents:
-            if item in doc_coords:
+            if item in ids:
                 self.remove(item)
+            doc = self._intern(item)
             coords = []
             for coord, weight in entries:
                 if not weight:
@@ -75,29 +96,36 @@ class InvertedIndex:
                 bucket = postings.get(coord)
                 if bucket is None:
                     bucket = postings[coord] = {}
-                bucket[item] = weight
+                bucket[doc] = weight
                 coords.append(coord)
-            doc_coords[item] = coords
+            doc_coords[doc] = tuple(coords)
             count += 1
         return count
 
     def remove(self, item: Hashable) -> bool:
         """Drop a document from every postings list it appears in."""
-        coords = self._doc_coords.pop(item, None)
-        if coords is None:
+        doc = self._ids.pop(item, None)
+        if doc is None:
             return False
-        for coord in coords:
+        for coord in self._coords[doc]:
             postings = self._postings.get(coord)
             if postings is None:
                 continue
-            postings.pop(item, None)
+            postings.pop(doc, None)
             if not postings:
                 del self._postings[coord]
+        self._items[doc] = None
+        self._coords[doc] = None
+        self._free.append(doc)
         return True
 
     def postings(self, coord: Hashable) -> dict[Hashable, float]:
-        """The {item: weight} postings of a coordinate (live view)."""
-        return self._postings.get(coord, {})
+        """The {item: weight} postings of a coordinate (a fresh dict)."""
+        items = self._items
+        return {
+            items[doc]: weight
+            for doc, weight in self._postings.get(coord, {}).items()
+        }
 
     def document_frequency(self, coord: Hashable) -> int:
         return len(self._postings.get(coord, ()))
@@ -106,24 +134,27 @@ class InvertedIndex:
         return iter(self._postings)
 
     def documents(self) -> Iterator[Hashable]:
-        return iter(self._doc_coords)
+        return iter(self._ids)
 
     def __contains__(self, item: Hashable) -> bool:
-        return item in self._doc_coords
+        return item in self._ids
 
     def __len__(self) -> int:
         """Number of indexed documents."""
-        return len(self._doc_coords)
+        return len(self._ids)
 
     def vocabulary_size(self) -> int:
         return len(self._postings)
 
     def clear(self) -> None:
         self._postings.clear()
-        self._doc_coords.clear()
+        self._ids.clear()
+        self._items.clear()
+        self._coords.clear()
+        self._free.clear()
 
     def __repr__(self) -> str:
         return (
-            f"<InvertedIndex docs={len(self._doc_coords)} "
+            f"<InvertedIndex docs={len(self._ids)} "
             f"vocab={len(self._postings)}>"
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Collection, Sequence
 
 from ..obs import NULL_OBS, Observability
 from ..perf.stats import IndexMaintenanceStats
@@ -252,9 +252,10 @@ class VectorStore:
         self,
         query: SparseVector,
         k: int = 10,
-        exclude: Callable[[Node], bool] | None = None,
+        exclude: Collection[Node] = (),
     ) -> list[Hit]:
-        """Top-k items by dot product against an arbitrary query vector."""
+        """Top-k items by dot product against an arbitrary query vector,
+        never returning an item of ``exclude``."""
         index = self.index
         before = index.postings_touched
         with self.obs.tracer.span("store.search", k=k) as span:
@@ -274,7 +275,7 @@ class VectorStore:
         (object) and textual (word) coordinates at once.
         """
         query = self.model.vector(item)
-        return self.search(query, k, exclude=lambda other: other == item)
+        return self.search(query, k, exclude=(item,))
 
     def similar_to_collection(
         self, items: Sequence[Node], k: int = 10, include_members: bool = False
@@ -285,18 +286,17 @@ class VectorStore:
         "more items similar to the items in the collection".  By default
         current members are excluded so the advisor suggests *new* items;
         when they cover every indexed item nothing is left to suggest,
-        and the centroid is never computed.
+        and neither the index is refreshed nor the centroid computed.
+        Coverage is decided on the model, whose items are the index's
+        documents after any refresh.
         """
+        if include_members:
+            return self.search(self.model.centroid(items), k)
         member_set = set(items)
-        if not include_members:
-            index = self.index
-            if len(member_set) >= len(index) and member_set.issuperset(
-                index.documents()
-            ):
-                return []
-        query = self.model.centroid(items)
-        exclude = None if include_members else (lambda item: item in member_set)
-        return self.search(query, k, exclude=exclude)
+        model = self.model
+        if len(member_set) >= len(model) and member_set.issuperset(model.items):
+            return []
+        return self.search(model.centroid(items), k, exclude=member_set)
 
     def search_text(self, text: str, k: int = 10) -> list[Hit]:
         """Fuzzy ranked keyword search via the model's text vector."""

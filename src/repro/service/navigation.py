@@ -471,9 +471,8 @@ class NavigationService:
         if not state.feedback_relevant and not state.feedback_non_relevant:
             raise RuntimeError("no relevance judgments yet")
         feedback = self.feedback_session(workspace, state)
-        judged = feedback.judged()
         hits = workspace.vector_store.search(
-            feedback.query_vector(), command.k, exclude=lambda item: item in judged
+            feedback.query_vector(), command.k, exclude=feedback.judged()
         )
         return self._go_collection(
             workspace,

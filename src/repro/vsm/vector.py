@@ -178,11 +178,25 @@ class SparseVector:
 
     @staticmethod
     def centroid(vectors: Iterable["SparseVector"]) -> "SparseVector":
-        """The normalized sum — §5.3's "average member" of a collection."""
+        """The normalized sum — §5.3's "average member" of a collection.
+
+        Sums into one dict with :meth:`increment`'s semantics — a
+        running sum that reaches exactly ``0.0`` is deleted, and a later
+        addend re-inserts it at the end — so the result, key order
+        included, equals folding ``total = total + vec``; that order is
+        the summation order of a search against the centroid.
+        """
         total = SparseVector()
+        entries = total._entries
+        get = entries.get
         count = 0
         for vec in vectors:
-            total = total + vec
+            for key, weight in vec._entries.items():
+                value = get(key, 0.0) + weight
+                if value:
+                    entries[key] = value
+                elif key in entries:
+                    del entries[key]
             count += 1
         if count == 0:
             return total

@@ -45,9 +45,7 @@ class TestTopK:
         assert [h.item for h in hits] == ["d3"]
 
     def test_exclude_filter(self, index):
-        hits = top_k(
-            index, SparseVector({"a": 1.0}), 10, exclude=lambda d: d == "d1"
-        )
+        hits = top_k(index, SparseVector({"a": 1.0}), 10, exclude={"d1"})
         assert [h.item for h in hits] == ["d2"]
 
     def test_tie_break_deterministic(self):
@@ -58,7 +56,7 @@ class TestTopK:
         assert [h.item for h in hits] == ["x", "y"]
 
 
-def _brute_force(index, query, k, exclude=None):
+def _brute_force(index, query, k, exclude=()):
     """Score every document in query order, then sort (score, repr)."""
     scores = {}
     for coord, q_weight in query.items():
@@ -68,7 +66,7 @@ def _brute_force(index, query, k, exclude=None):
         (
             (item, score)
             for item, score in scores.items()
-            if exclude is None or not exclude(item)
+            if item not in exclude
         ),
         key=lambda pair: (-pair[1], repr(pair[0])),
     )
@@ -126,10 +124,10 @@ class TestTopKSelection:
         rng = random.Random(23)
         idx = _random_index(rng, 40, 6)
         query = SparseVector({f"c{c}": 1.0 for c in range(6)})
-        exclude = lambda item: item.endswith(("0", "5"))  # noqa: E731
+        exclude = {d for d in idx.documents() if d.endswith(("0", "5"))}
         hits = top_k(idx, query, 8, exclude=exclude)
         assert len(hits) == 8
-        assert not any(exclude(h.item) for h in hits)
+        assert not any(h.item in exclude for h in hits)
         assert _pairs(hits) == _brute_force(idx, query, 8, exclude)
 
     def test_negative_weights_rank_exactly(self):
@@ -161,3 +159,116 @@ class TestTopKSelection:
             {f"c{c}": rng.uniform(0.0, 2.0) for c in range(rng.randint(1, 8))}
         )
         assert _pairs(top_k(idx, query, k)) == _brute_force(idx, query, k)
+
+
+def _id_tables(idx):
+    """The index's private id state, deep-copied for later comparison."""
+    return (
+        {coord: dict(bucket) for coord, bucket in idx._postings.items()},
+        dict(idx._ids),
+        list(idx._items),
+        list(idx._free),
+    )
+
+
+class TestIdKeyedChurn:
+    """Seeded add / re-add / remove / copy sequences against a plain
+    ``{item: {coord: weight}}`` oracle: retrieval, postings and the
+    interned-id tables stay consistent at every step."""
+
+    N_COORDS = 8
+
+    def _entries(self, rng):
+        coords = rng.sample(range(self.N_COORDS), rng.randint(1, 5))
+        # Some zero weights: skipped by the index, absent from the oracle.
+        return [(f"c{c}", rng.choice([0.0, rng.uniform(-0.5, 2.0)])) for c in coords]
+
+    def _check(self, idx, oracle, rng):
+        assert len(idx) == len(oracle)
+        assert list(idx.documents()) == list(oracle)
+        for c in range(self.N_COORDS):
+            coord = f"c{c}"
+            want = {
+                item: vec[coord] for item, vec in oracle.items() if coord in vec
+            }
+            assert idx.postings(coord) == want
+            assert idx.document_frequency(coord) == len(want)
+        # Every id is either live or free, exactly once.
+        live = list(idx._ids.values())
+        assert sorted(live + idx._free) == list(range(len(idx._items)))
+        assert all(idx._items[doc] == item for item, doc in idx._ids.items())
+        query = SparseVector(
+            {f"c{c}": rng.uniform(-1.0, 2.0) for c in rng.sample(range(self.N_COORDS), 3)}
+        )
+        exclude = set(rng.sample(sorted(oracle), min(len(oracle), 3)))
+        exclude.add("never-indexed")
+        for k in (1, 4, 50):
+            assert _pairs(top_k(idx, query, k)) == _brute_force(idx, query, k)
+            assert _pairs(top_k(idx, query, k, exclude=exclude)) == _brute_force(
+                idx, query, k, exclude
+            )
+
+    def _step(self, idx, oracle, rng, serial):
+        roll = rng.random()
+        if roll < 0.45 or not oracle:
+            item = f"d{serial:04d}"
+            entries = self._entries(rng)
+        elif roll < 0.7:
+            item = rng.choice(sorted(oracle))
+            entries = self._entries(rng)
+        else:
+            item = rng.choice(sorted(oracle) + ["ghost"])
+            assert idx.remove(item) is (item in oracle)
+            oracle.pop(item, None)
+            return
+        idx.add(item, entries)
+        oracle.pop(item, None)  # a re-added document moves to the end
+        oracle[item] = {coord: weight for coord, weight in entries if weight}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_churn_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        idx, oracle = InvertedIndex(), {}
+        for serial in range(120):
+            if rng.random() < 0.1:
+                before = _id_tables(idx)
+                clone = idx.copy()
+                clone_oracle = {item: dict(vec) for item, vec in oracle.items()}
+                # Mutating either side never shows through on the other.
+                for extra in range(5):
+                    self._step(clone, clone_oracle, rng, 10_000 + serial * 10 + extra)
+                assert _id_tables(idx) == before
+                self._check(clone, clone_oracle, rng)
+                clone_before = _id_tables(clone)
+                for extra in range(5):
+                    self._step(idx, oracle, rng, 20_000 + serial * 10 + extra)
+                assert _id_tables(clone) == clone_before
+            self._step(idx, oracle, rng, serial)
+            self._check(idx, oracle, rng)
+
+    def test_removed_ids_are_reused(self):
+        idx = InvertedIndex()
+        for d in range(4):
+            idx.add(f"d{d}", [("a", 1.0)])
+        freed = idx._ids["d1"]
+        idx.remove("d1")
+        idx.add("fresh", [("a", 0.5)])
+        assert idx._ids["fresh"] == freed
+        assert len(idx._items) == 4 and not idx._free
+        # A re-add keeps the table size too.
+        idx.add("d2", [("b", 1.0)])
+        assert len(idx._items) == 4
+        assert idx.postings("a") == {"d0": 1.0, "d3": 1.0, "fresh": 0.5}
+        assert _pairs(top_k(idx, SparseVector({"a": 1.0}), 10)) == [
+            ("d0", 1.0), ("d3", 1.0), ("fresh", 0.5),
+        ]
+
+    def test_clear_resets_ids(self):
+        idx = InvertedIndex()
+        idx.add("d0", [("a", 1.0)])
+        idx.remove("d0")
+        idx.add("d1", [("a", 1.0)])
+        idx.clear()
+        assert _id_tables(idx) == ({}, {}, [], [])
+        idx.add("d2", [("a", 1.0)])
+        assert idx._ids == {"d2": 0}

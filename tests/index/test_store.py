@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.workspace import Workspace
 from repro.index import VectorStore
 from repro.rdf import Graph, Literal, Namespace, RDF
 from repro.vsm import VectorSpaceModel
@@ -63,6 +64,17 @@ class TestSimilarity:
             [EX.r1, EX.r2], 10, include_members=True
         )
         assert EX.r1 in [h.item for h in hits]
+
+    def test_whole_corpus_collection_skips_the_index(self, store):
+        """A view covering every item has nothing to suggest; deciding
+        that must not refresh (bulk-load) the vector index first."""
+        workspace = Workspace(store.model.graph)
+        vector_store = workspace.vector_store
+        assert vector_store.similar_to_collection(workspace.items, 10) == []
+        assert vector_store.maintenance.full_rebuilds == 0
+        # A partial view still searches, refreshing the index once.
+        assert vector_store.similar_to_collection(workspace.items[:1], 10)
+        assert vector_store.maintenance.full_rebuilds == 1
 
     def test_search_text_ranked(self, store):
         hits = store.search_text("apple", 10)

@@ -83,3 +83,40 @@ def test_centroid_norm_at_most_one(vs):
 @given(vectors)
 def test_no_zero_entries_stored(v):
     assert all(w != 0.0 for _k, w in v.items())
+
+
+def _folded_centroid(vs):
+    """The reference: fold ``total + vec`` (a full copy per member)."""
+    total = SparseVector()
+    for v in vs:
+        total = total + v
+    return total.normalized() if vs else total
+
+
+# Few distinct weights and keys, so running sums cancel to exactly 0.0.
+cancelling = st.dictionaries(
+    st.sampled_from("abcde"),
+    st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 3.0]),
+    max_size=5,
+).map(SparseVector)
+
+
+@given(st.lists(st.one_of(vectors, cancelling), max_size=8))
+@settings(max_examples=300)
+def test_centroid_matches_fold_bit_for_bit(vs):
+    got = SparseVector.centroid(vs)
+    want = _folded_centroid(vs)
+    # Key order too: it is the summation order of a search.
+    assert list(got.items()) == list(want.items())
+
+
+def test_centroid_reinserts_a_cancelled_key_at_the_end():
+    vs = [
+        SparseVector({"a": 1.0, "b": 1.0}),
+        SparseVector({"a": -1.0}),
+        SparseVector({"a": 2.0}),
+    ]
+    assert list(SparseVector.centroid(vs).keys()) == ["b", "a"]
+    assert list(SparseVector.centroid(vs).items()) == list(
+        _folded_centroid(vs).items()
+    )
