@@ -1,5 +1,5 @@
 """Scaled-corpus (64k items) regressions for the facet postings, the
-range index, the state encoder and vector search.
+range index, the state encoder, vector search and the analysis memo.
 
 The paper's corpora top out at 6,444 items; the ROADMAP targets
 interactive navigation at 10–100× that.  This module pins four claims
@@ -17,7 +17,11 @@ on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
   8,192 items);
 * a Similar-by-Content search accumulating over interned doc ids is
   ≥2× faster than accumulating over ``Node`` keys, hits identical
-  (``vector_search`` row, also measured at 8,192 items).
+  (``vector_search`` row, also measured at 8,192 items);
+* a second session's landing, its view-pure analysts served from the
+  workspace's analysis memo, is ≥3× faster than the same landing with
+  every analyst run on warm workspace caches, bytes identical
+  (``landing_repeat`` row, also measured at 16,384 items).
 
 The timings land in ``BENCH_perf_core.json``.  The tests are marked
 ``slow`` and excluded from tier-1; CI's perf job runs them with
@@ -46,6 +50,7 @@ from repro.net.protocol import (
     canonical_json,
     ok_envelope,
     session_payload,
+    suggestions_payload,
     transition_payload,
 )
 from repro.query import HasValue, QueryContext, Range
@@ -435,4 +440,71 @@ def test_vector_search(corpus):
     speedup = rows[str(N_ITEMS)]["speedup"]
     assert speedup >= VECTOR_SPEEDUP_FLOOR, (
         f"id-keyed vector search only {speedup}x faster: {rows}"
+    )
+
+
+#: The acceptance floor for a repeated landing at 64k: a second
+#: session's create + suggest, view-pure analysts served from the
+#: analysis memo, against the same landing with every analyst run.
+LANDING_REPEAT_FLOOR = 3.0
+
+
+def _land(manager, name):
+    """One landing as served: create a session, then suggest; both bodies."""
+    session = manager.create(name)
+    created = canonical_json(ok_envelope(session_payload(name, session.state)))
+    pane = canonical_json(ok_envelope(suggestions_payload(session.suggestions())))
+    return created, pane
+
+
+def _landing_repeat(corpus):
+    """First, warm-miss and memo-served landing seconds on one workspace.
+
+    The first session pays every cold build (records, facet profile,
+    vector index).  A warm miss lands through a fresh ``SessionManager``:
+    a new engine, whose analysts miss the memo, over warm caches.  The
+    repeat lands a new session through the first manager, so every
+    view-pure analyst is a memo hit.
+    """
+    workspace = Workspace(
+        corpus.graph, schema=corpus.schema, items=corpus.items
+    ).freeze()
+    manager = SessionManager(workspace)
+    start = time.perf_counter()
+    first = _land(manager, "first")
+    first_s = time.perf_counter() - start
+    names = iter(range(10**6))
+    miss_s, miss = _best_of(
+        lambda: _land(SessionManager(workspace), "miss")
+    )
+    hit_s, hit = _best_of(lambda: _land(manager, f"repeat{next(names)}"))
+    assert miss[1] == hit[1] == first[1]  # the panes, byte for byte
+    return {
+        "first_ms": round(first_s * 1000, 1),
+        "warm_miss_ms": round(miss_s * 1000, 2),
+        "repeat_ms": round(hit_s * 1000, 2),
+        "speedup": round(miss_s / hit_s, 1),
+        "pane_bytes": len(first[1]),
+        "memo": workspace.analysis_memo.stats.as_dict(),
+    }
+
+
+def test_landing_repeat(corpus):
+    """A repeated landing served from the analysis memo against a warm
+    landing that runs every analyst; panes byte-identical."""
+    rows = {
+        str(size): _landing_repeat(sized)
+        for size, sized in (
+            (16_384, scaled.build_corpus(16_384)),
+            (N_ITEMS, corpus),
+        )
+    }
+    _record_bench(
+        N_ITEMS,
+        "landing_repeat",
+        {"sizes": rows, "floor": LANDING_REPEAT_FLOOR, "host": _host()},
+    )
+    speedup = rows[str(N_ITEMS)]["speedup"]
+    assert speedup >= LANDING_REPEAT_FLOOR, (
+        f"memo-served landing only {speedup}x faster: {rows}"
     )

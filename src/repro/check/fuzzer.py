@@ -16,11 +16,13 @@ pass so the repro file a CI run uploads is short enough to read.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..core.engine import NavigationEngine
 from ..core.suggestions import Refine as RefineAction, RefineMode
 from ..query.ast import (
     And,
@@ -132,6 +134,7 @@ class DifferentialRunner:
         self.config = config if config is not None else FuzzConfig()
         self.service = service if service is not None else NavigationService()
         self.state: SessionState = self.service.initial_state(self.workspace)
+        self._landing = self.state.view
         self.model = ReferenceModel(
             self.workspace, back_limit=self.state.back_limit
         )
@@ -291,14 +294,37 @@ class DifferentialRunner:
                 command, "state does not survive a JSON round-trip"
             )
 
-    def _check_suggestions(self, command: cmd.Command) -> None:
-        first = self.service.suggest(self.workspace, self.state)
-        second = self.service.suggest(self.workspace, self.state)
+    def _against_cold(self, command: cmd.Command, state: SessionState, what: str):
+        """The service's pane for ``state``, checked against a cold one.
+
+        A repeated view is served from the workspace's analysis memo, so
+        asking the same engine twice could only agree.  The second cycle
+        runs on a fresh engine whose analysts are copies: new objects,
+        which miss the memo.
+        """
+        first = self.service.suggest(self.workspace, state)
+        engine = self.service.engine
+        cold = NavigationEngine(
+            [copy.copy(analyst) for analyst in engine.analysts], engine.advisors
+        )
+        second = NavigationService(cold).suggest(self.workspace, state)
         key = lambda result: [
             (s.advisor, s.title, s.group) for s in result.all_suggestions()
         ]
         if key(first) != key(second):
-            self._fail(command, "suggestion cycle is nondeterministic")
+            self._fail(command, f"{what} is nondeterministic")
+        return first
+
+    def _check_suggestions(self, command: cmd.Command) -> None:
+        first = self._against_cold(command, self.state, "suggestion cycle")
+        # Views rarely repeat in a random stream, but the landing view
+        # does: from the second probe on it is memo-served, each time
+        # under this state's own, newer history.
+        self._against_cold(
+            command,
+            replace(self.state, view=self._landing),
+            "landing suggestion cycle",
+        )
         if not self.state.view.is_collection:
             return
         items = set(self.model.view.items)

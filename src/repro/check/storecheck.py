@@ -67,19 +67,21 @@ def _index_snapshot(graph: Graph):
     )
 
 
-def workspace_fingerprint(workspace):
+def workspace_fingerprint(workspace, engine=None):
     """The canonical suggestions payload for one (frozen) workspace.
 
     Built through a real session so the whole stack — workspace
     substrates, engine, advisors — is between the input and the
     comparison.  The epoch oracle (``repro check --ingest``) compares
     this fingerprint between a published epoch and a cold build at the
-    epoch's watermark transaction.
+    epoch's watermark transaction.  A fresh engine runs every analyst;
+    passing an engine that already landed on the workspace serves the
+    view-pure analysts from the workspace's analysis memo.
     """
     from ..browser.session import Session
     from ..net.protocol import canonical_json, suggestions_payload
 
-    session = Session(workspace, session_id="storecheck")
+    session = Session(workspace, engine=engine, session_id="storecheck")
     return canonical_json(suggestions_payload(session.suggestions()))
 
 

@@ -11,6 +11,11 @@ query, etc.)".  Subclasses implement:
 
 Analysts triggered "by results from other analysts" instead override
 :meth:`Analyst.on_posted` and return True from :meth:`is_reactive`.
+
+An analyst whose postings depend only on the view's kind, item, items
+and query plus the workspace declares :attr:`Analyst.view_pure`; the
+engine may then serve a repeated view from the workspace's analysis
+memo instead of running it (:mod:`..analysis_memo`).
 """
 
 from __future__ import annotations
@@ -27,6 +32,12 @@ class Analyst:
 
     #: Stable identifier, used to tag suggestions for debugging/studies.
     name = "analyst"
+
+    #: A contract, not a setting: True only when :meth:`analyze` reads
+    #: nothing but the view's kind, item, items and query and the
+    #: workspace (never its history), so equal views post equal
+    #: suggestions while the workspace's data is unchanged.
+    view_pure = False
 
     def triggers_on(self, view: View) -> bool:
         """True when this analyst should run for the given view."""

@@ -27,6 +27,7 @@ class RelatedCollectionsAnalyst(Analyst):
     """Posts "browse the <property> values" hops for collection views."""
 
     name = "related-collections"
+    view_pure = True
 
     def __init__(self, min_values: int = 2, max_values: int = 500):
         self.min_values = min_values

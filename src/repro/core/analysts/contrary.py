@@ -23,6 +23,7 @@ class ContraryAnalyst(Analyst):
     """Posts one inverted-constraint query per current constraint chip."""
 
     name = "contrary-constraints"
+    view_pure = True
 
     def __init__(self, weight: float = 0.6):
         self.weight = weight

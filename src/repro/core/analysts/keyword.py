@@ -32,6 +32,7 @@ class TextRefinementAnalyst(Analyst):
     """
 
     name = "refine-by-text"
+    view_pure = True
 
     def __init__(self, max_words_per_property: int = 10, min_items: int = 2):
         self.max_words_per_property = max_words_per_property
@@ -121,6 +122,7 @@ class KeywordSearchAnalyst(Analyst):
     """
 
     name = "keyword-search-within"
+    view_pure = True
 
     def __init__(self, weight: float = 0.25):
         self.weight = weight

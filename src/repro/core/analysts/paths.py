@@ -35,6 +35,7 @@ class PathAnalyst(Analyst):
     """Posts two-hop ``p1/p2 : value`` refinements for collection views."""
 
     name = "refine-by-path"
+    view_pure = True
 
     def __init__(self, max_chips: int = 12):
         self.max_chips = max_chips

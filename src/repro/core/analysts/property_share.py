@@ -23,6 +23,7 @@ class SharingPropertyAnalyst(Analyst):
     """Posts "sharing <property>: <value>" hops for item views."""
 
     name = "sharing-a-property"
+    view_pure = True
 
     def __init__(self, max_collection: int = 200):
         self.max_collection = max_collection

@@ -29,6 +29,7 @@ class RangeAnalyst(Analyst):
     """Posts range-widget suggestions for continuous attributes."""
 
     name = "refine-by-range"
+    view_pure = True
 
     def __init__(self, min_items: int = 2, min_distinct: int = 2,
                  detection_support: float = 0.9):

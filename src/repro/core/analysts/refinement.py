@@ -29,6 +29,7 @@ class RefinementAnalyst(Analyst):
     """Posts facet-value refinements for collection views."""
 
     name = "refine-by-property-value"
+    view_pure = True
 
     def __init__(self, max_values_per_property: int = 24):
         self.max_values_per_property = max_values_per_property

@@ -24,6 +24,7 @@ class SimilarToItemAnalyst(Analyst):
     """For item views: other items with similar overall content."""
 
     name = "similar-by-content-item"
+    view_pure = True
 
     def __init__(self, k: int = 10, min_score: float = 1e-9):
         self.k = k
@@ -63,6 +64,7 @@ class SimilarToCollectionAnalyst(Analyst):
     """
 
     name = "similar-by-content-collection"
+    view_pure = True
 
     def __init__(self, k: int = 10, min_score: float = 1e-9):
         self.k = k

@@ -5,7 +5,9 @@
 1. a fresh :class:`Blackboard` is created;
 2. reactive analysts register as post listeners (the "triggered by
    results from other analysts" mechanism);
-3. every analyst whose :meth:`triggers_on` accepts the view runs;
+3. every analyst whose :meth:`triggers_on` accepts the view runs —
+   or, for a ``view_pure`` analyst whose postings for an equal view are
+   in the workspace's analysis memo, fresh copies of them are posted;
 4. each advisor selects and orders its suggestions.
 
 The result — advisor id → presented suggestions — is what the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from ..obs import NULL_OBS
 from .advisors import Advisor, standard_advisors
+from .analysis_memo import ViewSignature
 from .analysts import Analyst, standard_analysts
 from .blackboard import Blackboard
 from .suggestions import Suggestion
@@ -96,28 +99,49 @@ class NavigationEngine:
         tagged with how many suggestions its turn put on the blackboard
         (including reactive postings it provoked), and the same count
         feeds the ``nav.analyst_suggestions`` histogram — the per-stage
-        cost accounting of the blackboard dispatch.
+        cost accounting of the blackboard dispatch.  A memo hit posts
+        and accounts exactly as a live run would.  The memo is consulted
+        only when no reactive analyst listens to the blackboard.
         """
-        obs = getattr(view.workspace, "obs", None) or NULL_OBS
+        workspace = view.workspace
+        obs = getattr(workspace, "obs", None) or NULL_OBS
         tracer = obs.tracer
         per_analyst = obs.metrics.histogram(
             "nav.analyst_suggestions", _SUGGESTION_BUCKETS
         )
         blackboard = Blackboard()
+        reactive = False
         for analyst in self.analysts:
             if analyst.is_reactive():
+                reactive = True
                 blackboard.add_listener(
                     lambda board, suggestion, analyst=analyst: analyst.on_posted(
                         view, board, suggestion
                     )
                 )
+        memo = None if reactive else getattr(workspace, "analysis_memo", None)
+        signature = None
+        if memo is not None:
+            try:
+                signature = ViewSignature(view)
+            except (TypeError, NotImplementedError):
+                pass  # an unhashable custom query: every analyst runs
         with tracer.span("nav.suggest", view=view.kind) as cycle:
             for analyst in self.analysts:
                 if analyst.is_reactive() or not analyst.triggers_on(view):
                     continue
+                memoized = signature is not None and analyst.view_pure
                 before = len(blackboard)
                 with tracer.span("nav.analyst", name=analyst.name) as span:
-                    analyst.analyze(view, blackboard)
+                    postings = memo.get(analyst, signature) if memoized else None
+                    if postings is not None:
+                        blackboard.post_all(postings)
+                    else:
+                        analyst.analyze(view, blackboard)
+                        if memoized:
+                            memo.put(
+                                analyst, signature, blackboard.entries[before:]
+                            )
                     posted = len(blackboard) - before
                     span.set_tag("suggestions", posted)
                 per_analyst.observe(posted)

@@ -157,6 +157,17 @@ class Suggestion:
         self.group = group
         self.analyst = analyst
 
+    def copy(self) -> "Suggestion":
+        """A fresh suggestion with the same fields; the action is shared."""
+        return Suggestion(
+            self.advisor,
+            self.title,
+            self.action,
+            weight=self.weight,
+            group=self.group,
+            analyst=self.analyst,
+        )
+
     def __repr__(self) -> str:
         return (
             f"Suggestion({self.advisor!r}, {self.title!r}, "

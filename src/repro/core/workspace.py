@@ -10,8 +10,9 @@ For concurrent serving the workspace is treated as a shared,
 read-mostly artifact: :meth:`Workspace.freeze` seals it (mutation
 raises :class:`FrozenWorkspaceError`), after which any number of
 sessions may read it from multiple threads — the extent cache, the
-facet-profile memo, and the intern table keep exact counters under
-that load.  Unfrozen mutation is serialized by an internal lock.
+facet-profile memo, the analysis memo, and the intern table keep exact
+counters under that load.  Unfrozen mutation is serialized by an
+internal lock.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rdf.terms import Node
 from ..rdf.vocab import RDF
+from .analysis_memo import AnalysisMemo
 
 __all__ = ["Workspace", "FrozenWorkspaceError", "HistoricalWorkspaceError"]
 
@@ -119,6 +121,9 @@ class Workspace:
         #: Per-item analyst records of one graph version, built lazily.
         self._analyst_records = None
         self._records_lock = threading.Lock()
+        #: Postings of view-pure analysts per (analyst, view), valid for
+        #: one (graph version, stats version).
+        self.analysis_memo = AnalysisMemo()
         self._wire_metrics()
 
     @classmethod
@@ -167,6 +172,7 @@ class Workspace:
         ws._profile_lock = threading.Lock()
         ws._analyst_records = None
         ws._records_lock = threading.Lock()
+        ws.analysis_memo = AnalysisMemo()
         if facet_postings is not None:
             ws.query_context.adopt_facet_postings(facet_postings)
         ws._wire_metrics()
@@ -193,6 +199,12 @@ class Workspace:
         memo = self.facet_profile_stats
         metrics.gauge_fn("facets.profile_memo.hits", lambda: memo.hits)
         metrics.gauge_fn("facets.profile_memo.misses", lambda: memo.misses)
+        analysis = self.analysis_memo.stats
+        metrics.gauge_fn("nav.analysis_memo.hits", lambda: analysis.hits)
+        metrics.gauge_fn("nav.analysis_memo.misses", lambda: analysis.misses)
+        metrics.gauge_fn(
+            "nav.analysis_memo.evictions", lambda: analysis.evictions
+        )
         maintenance = self.vector_store.maintenance
         metrics.gauge_fn(
             "store.full_rebuilds", lambda: maintenance.full_rebuilds

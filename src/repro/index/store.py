@@ -21,6 +21,7 @@ behavior exactly.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from typing import Collection, Sequence
 
@@ -80,6 +81,10 @@ class VectorStore:
         #: refresh gate therefore bounds the total: measured + baked.
         self._stale_drift = 0.0
         self.maintenance = IndexMaintenanceStats()
+        #: Serializes refresh: sessions on serving threads may run their
+        #: first search at once, and two concurrent rebuilds of one
+        #: index corrupt it.
+        self._refresh_lock = threading.Lock()
         model.add_listener(self._on_model_change)
 
     @classmethod
@@ -111,6 +116,7 @@ class VectorStore:
         store._pending = {}
         store._stale_drift = 0.0
         store.maintenance = IndexMaintenanceStats()
+        store._refresh_lock = threading.Lock()
         model.add_listener(store._on_model_change)
         return store
 
@@ -166,8 +172,14 @@ class VectorStore:
 
         Chooses between a delta update (only items whose membership
         changed are touched) and an exact full rebuild, based on how far
-        idf values have drifted since the last exact build.
+        idf values have drifted since the last exact build.  Holds the
+        refresh lock, so a concurrent caller waits for the work and then
+        finds the index current.
         """
+        with self._refresh_lock:
+            return self._refresh()
+
+    def _refresh(self) -> bool:
         if self._built_version == self.model.stats.version and not self._pending:
             return False
         drift = self._idf_drift() if self._pending else math.inf
@@ -195,7 +207,8 @@ class VectorStore:
 
     def rebuild(self) -> None:
         """Force an exact rebuild at current corpus statistics."""
-        self._rebuild()
+        with self._refresh_lock:
+            self._rebuild()
 
     def _apply_pending(self, drift: float = 0.0) -> None:
         model = self.model

@@ -94,6 +94,17 @@ class TestHarnessSensitivity:
         assert not report.ok
         assert "nondeterministic" in report.failure.detail
 
+    def test_catches_a_memoized_history_analyst(self, monkeypatch):
+        # The refinement trail is per session, so declaring its analyst
+        # view-pure serves one history's "Back to" chips to another:
+        # the memo-served pane must then differ from a cold engine's.
+        from repro.core.analysts.history import RefinementTrailAnalyst
+
+        monkeypatch.setattr(RefinementTrailAnalyst, "view_pure", True)
+        report = fuzz(7, steps=100, corpora=2, minimize_failures=False)
+        assert not report.ok, "fuzzer missed a memoized history analyst"
+        assert "nondeterministic" in report.failure.detail
+
     def test_catches_a_corrupted_term_fragment(self, monkeypatch):
         # Served states are spliced from memoized term fragments; one
         # wrong fragment must trip both the fuzzer's per-step byte check

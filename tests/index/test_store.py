@@ -1,5 +1,7 @@
 """Tests for the vector store (Lucene substitute)."""
 
+import threading
+
 import pytest
 
 from repro.core.workspace import Workspace
@@ -75,6 +77,44 @@ class TestSimilarity:
         # A partial view still searches, refreshing the index once.
         assert vector_store.similar_to_collection(workspace.items[:1], 10)
         assert vector_store.maintenance.full_rebuilds == 1
+
+    def test_concurrent_first_searches_rebuild_once(self, store, monkeypatch):
+        """Two sessions' first searches on serving threads overlap; the
+        second must wait for the first refresh, not rebuild again."""
+        expected = VectorStore(store.model).similar_to_collection([EX.r1], 10)
+        original = store._rebuild
+        first_in, second_in, release = (threading.Event() for _ in range(3))
+
+        def blocking_rebuild():
+            if first_in.is_set():
+                second_in.set()
+            else:
+                first_in.set()
+                release.wait(timeout=10)
+            original()
+
+        monkeypatch.setattr(store, "_rebuild", blocking_rebuild)
+        hits, errors = {}, []
+
+        def search(name):
+            try:
+                hits[name] = store.similar_to_collection([EX.r1], 10)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        a = threading.Thread(target=search, args=("a",))
+        a.start()
+        assert first_in.wait(timeout=10)
+        b = threading.Thread(target=search, args=("b",))
+        b.start()
+        # Unlocked, b reaches _rebuild at once; locked, it waits on a.
+        second_in.wait(timeout=0.3)
+        release.set()
+        a.join(timeout=10)
+        b.join(timeout=10)
+        assert not errors
+        assert store.maintenance.full_rebuilds == 1
+        assert hits["a"] == hits["b"] == expected
 
     def test_search_text_ranked(self, store):
         hits = store.search_text("apple", 10)

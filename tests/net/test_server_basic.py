@@ -94,6 +94,17 @@ class TestMetrics:
         assert counters["net.commands{command=Back}"] == 1
         assert counters["net.responses{status=200}"] >= 3
 
+    def test_analysis_memo_gauges_after_two_landings(self, client):
+        client.create_session("m1")
+        first = client.suggest("m1")
+        client.create_session("m2")
+        assert client.suggest("m2") == first
+        gauges = client.metrics()["gauges"]
+        # The second landing is served from the memo, analyst for analyst.
+        assert gauges["nav.analysis_memo.hits"] > 0
+        assert gauges["nav.analysis_memo.hits"] == gauges["nav.analysis_memo.misses"]
+        assert gauges["nav.analysis_memo.evictions"] == 0
+
     def test_latency_histogram_fills(self, client):
         client.healthz()
         snapshot = client.metrics()

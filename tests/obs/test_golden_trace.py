@@ -75,6 +75,9 @@ class TestGoldenTinyFlow:
                 "facets.profile_memo.misses": 0,
                 "graph.version": workspace.graph.version,
                 "index.postings_touched": 0,
+                "nav.analysis_memo.evictions": 0,
+                "nav.analysis_memo.hits": 0,
+                "nav.analysis_memo.misses": 0,
                 "query.extent_cache.evictions": 0,
                 "query.extent_cache.hit_rate": 0.5,
                 "query.extent_cache.hits": 1,

@@ -7,11 +7,12 @@ intern table — with *exact* counts (no lost updates).  The cache is
 warmed first so every threaded lookup is a deterministic hit.
 """
 
+import sys
 import threading
 
 import pytest
 
-from repro.core import Workspace
+from repro.core import NavigationEngine, View, Workspace
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.intern import InternTable
 from repro.perf.stats import CacheStats
@@ -154,6 +155,67 @@ class TestConcurrentSessions:
         _run_threads(THREADS, probe)
         assert memo.hits == THREADS * per_thread
         assert memo.misses == 0
+
+    def test_analysis_memo_under_threads(self, frozen_workspace):
+        """Cold: racing misses all compute and store equal postings.
+        Warm: every lookup is an exact hit.  Lost counter updates, a
+        torn entry or a racing vector-index build would break one."""
+
+        def views(workspace):
+            items = workspace.items
+            return [
+                View.of_collection(workspace, items),
+                View.of_collection(workspace, items[:20]),
+                View.of_collection(
+                    workspace, items[1::2], query=HasValue(EX.color, EX.red)
+                ),
+                View.of_item(workspace, items[3]),
+            ]
+
+        def panes(engine, workspace):
+            return [
+                [
+                    (s.advisor, s.title, s.group, s.weight)
+                    for s in engine.suggest(view).all_suggestions()
+                ]
+                for view in views(workspace)
+            ]
+
+        reference_ws = Workspace(
+            frozen_workspace.graph, items=frozen_workspace.items
+        ).freeze()
+        reference = panes(NavigationEngine(), reference_ws)
+        lookups = reference_ws.analysis_memo.stats.lookups
+        assert lookups > 0
+
+        engine = NavigationEngine()
+        stats = frozen_workspace.analysis_memo.stats
+        results = [None] * THREADS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(
+                THREADS,
+                lambda i: results.__setitem__(
+                    i, panes(engine, frozen_workspace)
+                ),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == reference for result in results)
+        assert stats.lookups == THREADS * lookups
+        assert frozen_workspace.vector_store.maintenance.full_rebuilds == 1
+
+        misses = stats.misses
+        stats.reset()
+        _run_threads(
+            THREADS,
+            lambda i: results.__setitem__(i, panes(engine, frozen_workspace)),
+        )
+        assert all(result == reference for result in results)
+        assert stats.hits == THREADS * lookups
+        assert stats.misses == 0
+        assert len(frozen_workspace.analysis_memo) <= misses
 
 
 class TestAnalyzerStemCache:
