@@ -23,6 +23,10 @@ on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
   every analyst run on warm workspace caches, bytes identical
   (``landing_repeat`` row, also measured at 16,384 items).
 
+One row records a cost and has no floor: ``epoch_fold``, the time to
+publish two new items at 8,192 and 16,384 items now that every publish
+rebuilds the vector index.
+
 The timings land in ``BENCH_perf_core.json``.  The tests are marked
 ``slow`` and excluded from tier-1; CI's perf job runs them with
 ``-m slow``.
@@ -36,12 +40,14 @@ import os
 import pathlib
 import platform
 import random
+import statistics
 import time
 
 import pytest
 
 from repro.check.reference import naive_extent
 from repro.core.analysts.common import collection_profile
+from repro.core.epochs import EpochManager
 from repro.core.workspace import Workspace
 from repro.datasets import scaled
 from repro.index import Hit, VectorStore
@@ -57,6 +63,7 @@ from repro.query import HasValue, QueryContext, Range
 from repro.rdf.terms import Literal
 from repro.service import commands as cmd
 from repro.service.manager import SessionManager
+from repro.store.datom import OP_ASSERT
 from repro.vsm import SparseVector, VectorSpaceModel
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
@@ -507,4 +514,66 @@ def test_landing_repeat(corpus):
     speedup = rows[str(N_ITEMS)]["speedup"]
     assert speedup >= LANDING_REPEAT_FLOOR, (
         f"memo-served landing only {speedup}x faster: {rows}"
+    )
+
+
+#: This row's fold at the commit before every publish rebuilt the vector
+#: index, when a publish under 0.01 idf drift reindexed only the changed
+#: items; ``incremental`` counts the publishes that did.  Medians of
+#: three runs on a 2-core x86_64 host under CPython 3.11.7.
+EPOCH_FOLD_BEFORE = {
+    "8192": {"p50_ms": 447.5, "mean_ms": 488.1, "incremental": 3},
+    "16384": {"p50_ms": 1225.8, "mean_ms": 1404.4, "incremental": 1},
+}
+
+EPOCH_FOLD_PUBLISHES = 10
+EPOCH_FOLD_ITEMS_PER_PUBLISH = 2
+
+
+def _epoch_fold(n_items):
+    """Fold p50 and mean over ``EPOCH_FOLD_PUBLISHES`` publishes of
+    ``EPOCH_FOLD_ITEMS_PER_PUBLISH`` new items each.
+
+    The arrivals are the next items of the same generator: the corpus
+    built that many items larger holds the base corpus as its prefix.
+    """
+    arriving = EPOCH_FOLD_PUBLISHES * EPOCH_FOLD_ITEMS_PER_PUBLISH
+    base = scaled.build_corpus(n_items)
+    grown = scaled.build_corpus(n_items + arriving, freeze=False)
+    workspace = Workspace(
+        base.graph, schema=base.schema, items=base.items
+    ).freeze()
+    workspace.vector_store.refresh()
+    manager = EpochManager(workspace)
+    arrivals = grown.items[n_items:]
+    folds = []
+    for start in range(0, arriving, EPOCH_FOLD_ITEMS_PER_PUBLISH):
+        manager.ingest(
+            (OP_ASSERT, s, p, o)
+            for item in arrivals[start:start + EPOCH_FOLD_ITEMS_PER_PUBLISH]
+            for s, p, o in grown.graph.triples(item, None, None)
+        )
+        began = time.perf_counter()
+        epoch = manager.publish()
+        folds.append(time.perf_counter() - began)
+    assert len(epoch.workspace.items) == n_items + arriving
+    return {
+        "publishes": len(folds),
+        "p50_ms": round(statistics.median(folds) * 1000, 1),
+        "mean_ms": round(statistics.fmean(folds) * 1000, 1),
+    }
+
+
+def test_epoch_fold():
+    """What an exact vector index costs a publish; recorded, not gated."""
+    rows = {str(size): _epoch_fold(size) for size in (8_192, 16_384)}
+    _record_bench(
+        16_384,
+        "epoch_fold",
+        {
+            "sizes": rows,
+            "items_per_publish": EPOCH_FOLD_ITEMS_PER_PUBLISH,
+            "before": EPOCH_FOLD_BEFORE,
+            "host": _host(),
+        },
     )

@@ -12,7 +12,8 @@ at each watermark:
 
 * **fingerprint parity** — the canonical suggestions payload of the
   published epoch, landed on twice (the second time served from the
-  epoch's analysis memo), equals that of
+  epoch's analysis memo), plus the Similar Items hits and scores of its
+  first and last item, equals that of
   :meth:`~repro.core.epochs.EpochManager.cold_workspace` at the same
   watermark (``as_of`` is the ground truth);
 * **navigation parity** — a :class:`DifferentialRunner` drives random
@@ -67,7 +68,7 @@ class _DeltaSoup:
 
     Every op kind maps to a fold code path: fresh items (adds), facet
     churn (leaf replay + postings sweep), untypings (universe removal),
-    out-of-span numerics (range move → store rebuild), title edits
+    out-of-span numerics (range move → unit-circle weights), title edits
     (text-index reindex), and rare schema annotations (cold fallback).
     Targets are picked from the *published* epoch, so a retract can race
     a concurrent head change and land ineffective — which the datom log
@@ -141,7 +142,8 @@ class _DeltaSoup:
                 for _s, _p, o in graph.triples(item, prop, None)
             ]
             # One draw in three lands outside the corpus span and moves
-            # the recorded range — the fold must rebuild the store.
+            # the recorded range, which every numeric posting is encoded
+            # against.
             value = rng.uniform(-50.0, 150.0)
             ops.append((OP_ASSERT, item, prop, Literal(round(value, 1))))
             return ops

@@ -68,21 +68,40 @@ def _index_snapshot(graph: Graph):
 
 
 def workspace_fingerprint(workspace, engine=None):
-    """The canonical suggestions payload for one (frozen) workspace.
+    """The canonical landing suggestions and Similar Items of one
+    (frozen) workspace.
 
-    Built through a real session so the whole stack — workspace
-    substrates, engine, advisors — is between the input and the
-    comparison.  The epoch oracle (``repro check --ingest``) compares
+    The suggestions are built through a real session so the whole stack
+    — workspace substrates, engine, advisors — is between the input and
+    the comparison.  The epoch oracle (``repro check --ingest``) compares
     this fingerprint between a published epoch and a cold build at the
     epoch's watermark transaction.  A fresh engine runs every analyst;
     passing an engine that already landed on the workspace serves the
     view-pure analysts from the workspace's analysis memo.
+
+    A whole-corpus landing ranks no item by vector score, so the
+    fingerprint also carries the top-10 ``similar_to_item`` hits, items
+    and scores, of two fixed item views: the first and the last item.
     """
     from ..browser.session import Session
     from ..net.protocol import canonical_json, suggestions_payload
+    from ..service.serialize import node_to_dict
 
     session = Session(workspace, engine=engine, session_id="storecheck")
-    return canonical_json(suggestions_payload(session.suggestions()))
+    payload = suggestions_payload(session.suggestions())
+    items = workspace.items
+    store = workspace.vector_store
+    payload["similar"] = [
+        {
+            "item": node_to_dict(item),
+            "hits": [
+                [node_to_dict(hit.item), hit.score]
+                for hit in store.similar_to_item(item, 10)
+            ],
+        }
+        for item in dict.fromkeys(items[:1] + items[-1:])
+    ]
+    return canonical_json(payload)
 
 
 def _suggestions_fingerprint(graph: Graph):

@@ -12,9 +12,9 @@ giving up a single read guarantee:
 * A **reindexer** (the background thread, or an explicit
   :meth:`EpochManager.publish`) folds the accumulated delta into the
   next epoch: the previous epoch's graph is forked copy-on-write, the
-  delta is replayed onto it, and every derived substrate — vector
-  model, vector store, text index, facet postings, facet-profile memo —
-  is advanced incrementally rather than rebuilt.
+  delta is replayed onto it, and the derived substrates are advanced:
+  the vector model, text index, facet postings and facet-profile memo
+  incrementally, the vector store by one build at the new statistics.
 * **Readers** pin an immutable epoch per session.  Publishing an epoch
   is an atomic pointer swap; an old epoch is retired once its last
   session releases it.
@@ -31,10 +31,11 @@ parity rests on three mechanisms:
   or composition inputs changed, then restores the profile-table order
   and recomputes numeric ranges (removals keep incremental ranges
   conservative; a cold build's are tight);
-* the vector store runs in ``exact`` mode — incremental application only
-  at provably-zero idf drift, a full re-weigh otherwise — and is rebuilt
-  outright whenever a numeric range moved (range bounds feed the
-  unit-circle encoding of every carried posting).
+* every publish rebuilds the vector store from the advanced model at
+  current statistics, after the numeric ranges are recomputed.  Any
+  membership change moves num-docs, hence every idf and every document
+  norm, and range bounds feed the unit-circle encoding, so no posting
+  of the prior epoch's index is reused.
 
 Schema-annotation deltas (``magnet:valueType`` / ``compose`` / ``hidden``
 / ``importantProperty``) change classification rules globally, so those
@@ -49,6 +50,7 @@ from typing import Iterable, Sequence
 
 from ..index.store import VectorStore
 from ..obs import Observability
+from ..perf.postings import FacetPostings, sweep_order
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rdf.terms import Node
@@ -371,30 +373,17 @@ class EpochManager:
 
         # -- vector model + store -------------------------------------
         model = prev.model.clone_for(graph, schema)
-        store = VectorStore.advance_from(prev.vector_store, model, self.obs)
         for item in sorted(removed, key=_n3_key):
             model.remove_item(item)
         for item in sorted(reindex, key=_n3_key):
             model.add_item(item)
         model.reorder_items(items)
-        prior_bounds = {
-            path: (r.low, r.high)
-            for path, r in prev.model._ranges.items()
-        }
         model.recompute_ranges()
-        bounds = {
-            path: (r.low, r.high) for path, r in model._ranges.items()
-        }
-        if any(
-            bounds[path] != prior_bounds[path]
-            for path in bounds.keys() & prior_bounds.keys()
-        ):
-            # A numeric range moved: every carried posting's unit-circle
-            # coordinates were encoded against the old bounds.  Re-weigh
-            # everything (profiles are kept; only the float work reruns).
-            store.rebuild()
-        else:
-            store.refresh()
+        # Built after the ranges settle (they feed the unit-circle
+        # weights) and eagerly, so the first search on the new epoch
+        # finds the index ready.
+        store = VectorStore(model, obs=self.obs)
+        store.refresh()
 
         # -- text index -----------------------------------------------
         text_index = prev.text_index.clone_for(graph)
@@ -407,14 +396,11 @@ class EpochManager:
         facet_postings = None
         prior_postings = prev.query_context.facet_postings_if_built()
         if prior_postings is not None:
-            from ..perf.postings import FacetPostings
-
-            universe_order = _ordered_universe(graph, items_set)
             facet_postings = FacetPostings.advance(
                 prior_postings,
                 graph,
                 schema,
-                universe_order,
+                sweep_order(graph, items_set),
                 dirty,
             )
         # Sessions still suggesting on ``prev`` insert into its memo
@@ -523,11 +509,3 @@ class EpochManager:
             f"<EpochManager epoch={self._current.number} "
             f"watermark={self._current.watermark} lag={self.lag}>"
         )
-
-
-def _ordered_universe(graph: Graph, universe: set[Node]) -> list[Node]:
-    """Universe items in the facet-sweep order QueryContext uses."""
-    ordered = [s for s in graph.subjects() if s in universe]
-    if len(ordered) != len(universe):
-        ordered.extend(universe.difference(ordered))
-    return ordered

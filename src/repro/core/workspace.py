@@ -142,9 +142,10 @@ class Workspace:
     ) -> "Workspace":
         """Assemble a workspace around pre-built substrates.
 
-        The epoch reindexer advances the previous epoch's model, vector
-        store, text index, and facet postings incrementally, then wires
-        them into a fresh workspace here — skipping the cold
+        The epoch reindexer advances the previous epoch's model, text
+        index and facet postings incrementally, builds a vector store
+        over the advanced model, then wires them into a fresh workspace
+        here — skipping the cold
         ``index_items`` pass entirely.  ``carried_profiles`` seeds the
         facet-profile memo (already re-keyed to the new graph version).
         """
@@ -208,10 +209,6 @@ class Workspace:
         maintenance = self.vector_store.maintenance
         metrics.gauge_fn(
             "store.full_rebuilds", lambda: maintenance.full_rebuilds
-        )
-        metrics.gauge_fn(
-            "store.incremental_updates",
-            lambda: maintenance.incremental_updates,
         )
         metrics.gauge_fn(
             "store.items_reindexed", lambda: maintenance.items_reindexed

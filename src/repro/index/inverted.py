@@ -31,32 +31,13 @@ class InvertedIndex:
         self._ids: dict[Hashable, int] = {}
         #: doc id -> item; a freed slot holds None until reused
         self._items: list[Hashable] = []
-        #: doc id -> the coordinates its postings sit on (shared, never
-        #: mutated, so copies may share them)
+        #: doc id -> the coordinates its postings sit on
         self._coords: list[tuple[Hashable, ...] | None] = []
         #: freed doc ids, reused last-freed first
         self._free: list[int] = []
         #: postings entries examined by retrieval (bumped by ``top_k``);
         #: survives :meth:`clear` so rebuilds don't erase the telemetry.
         self.postings_touched = 0
-
-    def copy(self) -> "InvertedIndex":
-        """An independent copy: postings, id tables and free list.
-
-        Seeds the next epoch's index so incremental maintenance can
-        proceed without touching the published one.  The telemetry
-        counter starts at zero — it belongs to the instance, not the
-        data.
-        """
-        clone = InvertedIndex()
-        clone._postings = {
-            coord: dict(postings) for coord, postings in self._postings.items()
-        }
-        clone._ids = dict(self._ids)
-        clone._items = list(self._items)
-        clone._coords = list(self._coords)
-        clone._free = list(self._free)
-        return clone
 
     def _intern(self, item: Hashable) -> int:
         """A doc id for a new document: a freed one if any."""

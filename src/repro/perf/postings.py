@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rdf.graph import Graph
     from ..rdf.schema import Schema
 
-__all__ = ["FacetPostings"]
+__all__ = ["FacetPostings", "sweep_order"]
 
 
 #: One record entry per (item, property):
@@ -43,6 +43,20 @@ __all__ = ["FacetPostings"]
 #: is_annotation) live once in ``_props`` — the int index keeps the
 #: profile hot loop free of Node hashing entirely.
 _Entry = tuple[int, tuple[Node, ...], int, int, tuple[float, ...]]
+
+
+def sweep_order(graph: "Graph", universe: "set[Node]") -> list[Node]:
+    """``universe`` in the order postings are built and advanced in.
+
+    Graph insertion order: ``profile()`` walks items in collection
+    order, which matches it, so the record sweep stays sequential
+    instead of pointer-chasing a set-ordered dict (~1.7x at 64k items).
+    Nodes of a custom universe that carry no triples go last.
+    """
+    ordered = [s for s in graph.subjects() if s in universe]
+    if len(ordered) != len(universe):
+        ordered.extend(universe.difference(ordered))
+    return ordered
 
 
 class FacetPostings:

@@ -85,28 +85,24 @@ class CacheStats:
 class IndexMaintenanceStats:
     """How a refreshable index has been kept up to date."""
 
-    __slots__ = ("full_rebuilds", "incremental_updates", "items_reindexed")
+    __slots__ = ("full_rebuilds", "items_reindexed")
 
     def __init__(self):
         self.full_rebuilds = 0
-        self.incremental_updates = 0
         self.items_reindexed = 0
 
     def reset(self) -> None:
         self.full_rebuilds = 0
-        self.incremental_updates = 0
         self.items_reindexed = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "full_rebuilds": self.full_rebuilds,
-            "incremental_updates": self.incremental_updates,
             "items_reindexed": self.items_reindexed,
         }
 
     def __repr__(self) -> str:
         return (
             f"<IndexMaintenanceStats full={self.full_rebuilds} "
-            f"incremental={self.incremental_updates} "
             f"reindexed={self.items_reindexed}>"
         )

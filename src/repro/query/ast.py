@@ -266,7 +266,7 @@ class QueryContext:
         (or the universe size, which ``Workspace.add_item`` grows in
         place) moves on.
         """
-        from ..perf.postings import FacetPostings
+        from ..perf.postings import FacetPostings, sweep_order
 
         universe = self.universe
         postings = self._facet_postings
@@ -284,25 +284,11 @@ class QueryContext:
                 and postings.n_items == len(universe)
             ):
                 return postings
-            # Build in graph-insertion order: profile() walks items in
-            # collection order, which matches it — keeping the record
-            # sweep sequential instead of pointer-chasing a set-ordered
-            # dict (measurably ~1.7x at 64k items).
-            ordered = [s for s in self.graph.subjects() if s in universe]
-            if len(ordered) != len(universe):
-                # a custom universe may hold nodes with no triples
-                ordered.extend(universe.difference(ordered))
-            postings = FacetPostings.build(self.graph, self.schema, ordered)
+            postings = FacetPostings.build(
+                self.graph, self.schema, sweep_order(self.graph, universe)
+            )
             self._facet_postings = postings
         return postings
-
-    def ordered_universe(self) -> list[Node]:
-        """The universe in facet-sweep order (graph insertion + strays)."""
-        universe = self.universe
-        ordered = [s for s in self.graph.subjects() if s in universe]
-        if len(ordered) != len(universe):
-            ordered.extend(universe.difference(ordered))
-        return ordered
 
     def facet_postings_if_built(self) -> "FacetPostings | None":
         """The current facet postings if already built, else None.

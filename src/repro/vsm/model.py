@@ -23,9 +23,8 @@ adds stay O(item size).
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema, ValueType
@@ -134,31 +133,6 @@ class VectorSpaceModel:
         self._ranges: dict[tuple[str, ...], NumericRange] = {}
         self._vector_cache: dict[Node, tuple[int, SparseVector]] = {}
         self._compositions: list[tuple[Resource, ...]] | None = None
-        self._listeners: list[weakref.WeakMethod] = []
-
-    def add_listener(
-        self, callback: Callable[[str, Node, tuple], None]
-    ) -> None:
-        """Register a membership-change observer.
-
-        ``callback(op, item, coords)`` fires after every effective
-        mutation, with ``op`` one of ``"add"``/``"remove"`` and
-        ``coords`` the item's discrete coordinates at that moment.
-        Derived structures (the vector store) use this to maintain
-        themselves incrementally instead of diffing the model.
-
-        ``callback`` is a bound method, held weakly: the vector store
-        refers to its model, so a strong reference back would make the
-        pair a cycle that only the cyclic collector frees, and a retired
-        epoch's model, store and graph would stay resident until then.
-        """
-        self._listeners.append(weakref.WeakMethod(callback))
-
-    def _notify(self, op: str, item: Node, coords: tuple) -> None:
-        for listener in self._listeners:
-            callback = listener()
-            if callback is not None:
-                callback(op, item, coords)
 
     # ------------------------------------------------------------------
     # Indexing
@@ -178,13 +152,11 @@ class VectorSpaceModel:
             self.remove_item(item)
         profile = self._extract(item)
         self._profiles[item] = profile
-        coords = tuple(profile.coordinates())
-        self.stats.add_document(coords)
+        self.stats.add_document(profile.coordinates())
         for path, values in profile.numerics.items():
             bucket = self._ranges.setdefault(path, NumericRange())
             for value in values:
                 bucket.observe(value)
-        self._notify("add", item, coords)
         return profile
 
     def remove_item(self, item: Node) -> bool:
@@ -192,10 +164,8 @@ class VectorSpaceModel:
         profile = self._profiles.pop(item, None)
         if profile is None:
             return False
-        coords = tuple(profile.coordinates())
-        self.stats.remove_document(coords)
+        self.stats.remove_document(profile.coordinates())
         self._vector_cache.pop(item, None)
-        self._notify("remove", item, coords)
         return True
 
     @property
@@ -211,8 +181,8 @@ class VectorSpaceModel:
         """A model over ``graph`` seeded with this model's state.
 
         Profiles are shared (they are write-once after extraction),
-        corpus stats and numeric ranges are copied, caches start empty
-        and no listeners carry over.  The epoch reindexer clones the
+        corpus stats and numeric ranges are copied and caches start
+        empty.  The epoch reindexer clones the
         previous epoch's model, then removes/re-adds only the items a
         delta touched.
         """
@@ -229,7 +199,6 @@ class VectorSpaceModel:
         clone._ranges = {path: r.copy() for path, r in self._ranges.items()}
         clone._vector_cache = {}
         clone._compositions = None
-        clone._listeners = []
         return clone
 
     def reorder_items(self, order: Sequence[Node]) -> None:

@@ -1,11 +1,11 @@
 """The live-ingestion oracle: clean folds pass, planted staleness fails.
 
 The second half is the harness-sensitivity contract: an oracle that
-cannot detect a deliberately planted stale-memo bug is decoration, not
-a check.  We corrupt each published epoch's facet-profile memo after
-the fold (exactly the bug the fold's carry logic could introduce if it
-carried a profile across a dirty delta) and require the run to report
-a violation.
+cannot detect a deliberately planted bug is decoration, not a check.
+We corrupt each published epoch's facet-profile memo after the fold
+(exactly the bug the fold's carry logic could introduce if it carried
+a profile across a dirty delta), or nudge one posting weight of its
+vector index, and require the run to report a violation.
 """
 
 from repro.check.ingestcheck import run_ingest_check
@@ -39,6 +39,34 @@ def test_planted_stale_memo_demands_divergence():
     report = run_ingest_check(
         1234, corpora=1, epochs=2, nav_steps=2,
         mutate_epoch=_plant_stale_memo,
+    )
+    assert not report.ok
+    assert any("diverge" in violation for violation in report.violations)
+
+
+def _nudge_one_posting(epoch):
+    """Scale by (1 + 1e-9) one posting weight that the first item's
+    Similar Items search reads: its top hit's weight on a shared
+    coordinate."""
+    workspace = epoch.workspace
+    store = workspace.vector_store
+    item = workspace.items[0]
+    index = store.index
+    top = index._ids[store.similar_to_item(item, 10)[0].item]
+    for coord, _weight in store.model.vector(item).items():
+        postings = index._postings.get(coord, {})
+        if top in postings:
+            postings[top] *= 1 + 1e-9
+            return
+    raise AssertionError("the top hit shares no coordinate")
+
+
+def test_nudged_vector_score_demands_divergence():
+    """A landing pane ranks no item by vector score; the fingerprint's
+    Similar Items views must still see a 1e-9 drift in one posting."""
+    report = run_ingest_check(
+        1234, corpora=1, epochs=2, nav_steps=2,
+        mutate_epoch=_nudge_one_posting,
     )
     assert not report.ok
     assert any("diverge" in violation for violation in report.violations)

@@ -1,6 +1,7 @@
 """Epoch lifecycle + the fold-vs-cold-build bit-identity contract."""
 
 import gc
+import random
 import threading
 import time
 import weakref
@@ -136,6 +137,34 @@ def test_numeric_range_move_matches_cold_build():
     # every carried posting against the new range bounds.
     manager.ingest([(OP_ASSERT, EX.it2, EX.weight, Literal(250.0))])
     _assert_parity(manager, manager.publish())
+
+
+def test_small_idf_drift_publish_serves_cold_similar_items_scores():
+    # One doc of 2,000 moves between two categories of 1,000: every idf
+    # moves by about 0.001, and every published Similar Items score must
+    # still equal a cold build's exactly.
+    rng = random.Random(2000)
+    words = [f"word{w}" for w in range(40)]
+    graph = Graph()
+    docs = []
+    for i in range(2000):
+        doc = EX[f"doc{i:04d}"]
+        docs.append(doc)
+        graph.add(doc, RDF.type, EX.Doc)
+        graph.add(doc, EX.category, EX.B if i % 2 else EX.A)
+        graph.add(doc, EX.tag, EX[f"tag{rng.randrange(20)}"])
+        graph.add(doc, EX.title, Literal(" ".join(rng.sample(words, 3))))
+    manager = EpochManager(Workspace(graph).freeze())
+    manager.ingest([
+        (OP_RETRACT, docs[0], EX.category, EX.A),
+        (OP_ASSERT, docs[0], EX.category, EX.B),
+    ])
+    epoch = manager.publish()
+    published = epoch.workspace.vector_store
+    cold = manager.cold_workspace(epoch.watermark).vector_store
+    for doc in docs[::20]:
+        assert published.similar_to_item(doc, 10) == \
+            cold.similar_to_item(doc, 10)
 
 
 def test_item_removal_matches_cold_build():

@@ -162,7 +162,7 @@ class TestTopKSelection:
 
 
 def _id_tables(idx):
-    """The index's private id state, deep-copied for later comparison."""
+    """The index's private id state as plain structures."""
     return (
         {coord: dict(bucket) for coord, bucket in idx._postings.items()},
         dict(idx._ids),
@@ -172,7 +172,7 @@ def _id_tables(idx):
 
 
 class TestIdKeyedChurn:
-    """Seeded add / re-add / remove / copy sequences against a plain
+    """Seeded add / re-add / remove sequences against a plain
     ``{item: {coord: weight}}`` oracle: retrieval, postings and the
     interned-id tables stay consistent at every step."""
 
@@ -230,19 +230,6 @@ class TestIdKeyedChurn:
         rng = random.Random(seed)
         idx, oracle = InvertedIndex(), {}
         for serial in range(120):
-            if rng.random() < 0.1:
-                before = _id_tables(idx)
-                clone = idx.copy()
-                clone_oracle = {item: dict(vec) for item, vec in oracle.items()}
-                # Mutating either side never shows through on the other.
-                for extra in range(5):
-                    self._step(clone, clone_oracle, rng, 10_000 + serial * 10 + extra)
-                assert _id_tables(idx) == before
-                self._check(clone, clone_oracle, rng)
-                clone_before = _id_tables(clone)
-                for extra in range(5):
-                    self._step(idx, oracle, rng, 20_000 + serial * 10 + extra)
-                assert _id_tables(clone) == clone_before
             self._step(idx, oracle, rng, serial)
             self._check(idx, oracle, rng)
 

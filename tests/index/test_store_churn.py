@@ -1,16 +1,14 @@
-"""Remove-then-re-add churn must leave exact stores bit-identical.
+"""Churn must leave the vector store bit-identical to a fresh build.
 
-The epoch fold advances ``exact=True`` vector stores: incremental
-application is allowed only at provably-zero idf drift, anything else
-re-weighs in full.  Churn is the adversarial case — a retract followed
-by a re-assert nets the document frequencies back to zero drift, and
-the store must recognize that *without* letting the ``_built_version``
-gate or the stale-drift accounting skip a rebuild that is actually
-needed.  "Bit-identical" here is literal: posting weights compare with
-``==``, not approx.
+A refresh after any change to the model rebuilds the whole index at
+current statistics.  Churn is the adversarial case: a retract followed
+by a re-assert nets the document frequencies back to where they were,
+and the ``_built_version`` gate must still see that the model moved.
+"Bit-identical" here is literal: posting weights compare with ``==``,
+not approx.
 """
 
-import math
+import random
 
 from repro.check.storecheck import workspace_fingerprint
 from repro.core.epochs import EpochManager
@@ -47,58 +45,67 @@ def _postings_map(store: VectorStore) -> dict:
 
 
 def _fresh(model: VectorSpaceModel) -> VectorStore:
-    store = VectorStore(model, drift_threshold=0.0)
+    store = VectorStore(model)
     store.refresh()
     return store
 
 
 def test_exact_store_survives_retract_assert_loop():
     model = _build_model()
-    store = VectorStore(model, exact=True)
+    store = VectorStore(model)
     store.refresh()
     for _ in range(3):
         model.remove_item(EX.r0)
-        store.refresh()  # drift != 0: must re-weigh in full
+        store.refresh()
         model.add_item(EX.r0)
         store.refresh()
     assert _postings_map(store) == _postings_map(_fresh(model))
 
 
 def test_zero_net_churn_may_go_incremental_but_stays_exact():
+    """Remove and re-add before refreshing: document frequencies net
+    back to where they were, but the model moved, so the refresh still
+    rebuilds, and the reindexed item carries exact weights."""
     model = _build_model()
-    store = VectorStore(model, exact=True)
+    store = VectorStore(model)
     store.refresh()
-    # Remove and re-add before refreshing: document frequencies net
-    # back to zero drift, so the incremental path is legal — and must
-    # still produce exact weights for the reindexed item.
     model.remove_item(EX.r1)
     model.add_item(EX.r1)
-    store.refresh()
-    assert not store._pending and not store._df_delta
-    assert store._stale_drift == 0.0
+    assert store.refresh() is True
+    assert store.maintenance.full_rebuilds == 2
     assert _postings_map(store) == _postings_map(_fresh(model))
 
 
-def test_inexact_store_accumulates_stale_drift_across_refreshes():
-    """Small per-refresh drifts must add up, not reset — otherwise a
-    long run of under-threshold updates walks the index arbitrarily far
-    from exact without ever tripping a rebuild."""
-    model = _build_model(n_items=40)
-    store = VectorStore(model, drift_threshold=math.inf)
+def test_seeded_churn_leaves_the_postings_of_a_fresh_store():
+    """Adds, removes and re-adds in random order, refreshing between
+    some of them: every refresh after a change rebuilds, one without a
+    change does nothing, and the store ends with a fresh build's
+    documents and postings."""
+    rng = random.Random(19)
+    model = _build_model(n_items=30)
+    graph = model.graph
+    store = VectorStore(model)
     store.refresh()
-    drifts = []
-    for i in range(4):
-        item = EX[f"extra{i}"]
-        graph = model.graph
-        graph.add(item, RDF.type, EX.Recipe)
-        graph.add(item, EX.ingredient, EX.apple)
-        graph.add(item, EX.title, Literal(f"extra dish {i}"))
-        model.add_item(item)
-        store.refresh()
-        drifts.append(store._stale_drift)
-    assert store.maintenance.incremental_updates == 4
-    assert all(b >= a for a, b in zip(drifts, drifts[1:]))
-    assert drifts[-1] > drifts[0] > 0.0
+    builds = 1
+    for serial in range(100):
+        roll = rng.random()
+        if roll < 0.35:
+            item = EX[f"new{serial}"]
+            graph.add(item, RDF.type, EX.Recipe)
+            graph.add(item, EX.ingredient, rng.choice([EX.apple, EX.beef]))
+            graph.add(item, EX.title, Literal(f"new dish {serial % 7}"))
+            model.add_item(item)
+        elif roll < 0.7:
+            model.remove_item(rng.choice(model.items))
+        else:
+            model.add_item(rng.choice(list(graph.subjects(RDF.type, EX.Recipe))))
+        if rng.random() < 0.5:
+            assert store.refresh()
+            assert not store.refresh()
+            builds += 1
+    assert store.maintenance.full_rebuilds == builds
+    assert set(store.index.documents()) == set(model.items)
+    assert _postings_map(store) == _postings_map(_fresh(model))
 
 
 def test_epoch_churn_scores_bit_identical_to_cold_build():

@@ -1,15 +1,10 @@
-"""Incremental maintenance of the vector store.
+"""Refresh of the vector store after the model changes.
 
-The store applies delta updates when corpus idf values have drifted
-less than ``drift_threshold`` since its last exact build, and rebuilds
-exactly otherwise.  ``drift_threshold=0`` recovers the historical
-rebuild-on-every-change behavior; ``math.inf`` forces the incremental
-path so its bookkeeping can be observed directly.
+The store keeps one exact build: a refresh after any change to the
+model's items rebuilds the whole index at current statistics, at every
+corpus size.  The class names come from the drift-threshold modes the
+store once had; each now checks that one rule.
 """
-
-import math
-
-import pytest
 
 from repro.index import VectorStore
 from repro.rdf import Graph, Literal, Namespace, RDF
@@ -43,43 +38,35 @@ def _arrive(model: VectorSpaceModel, name: str) -> None:
     model.add_item(item)
 
 
+def _postings_map(store: VectorStore) -> dict:
+    return {
+        coord: dict(store.index.postings(coord))
+        for coord in store.index.coordinates()
+    }
+
+
+def _fresh(model: VectorSpaceModel) -> VectorStore:
+    store = VectorStore(model)
+    store.refresh()
+    return store
+
+
 class TestThresholdZero:
     def test_every_refresh_is_exact(self):
         model = _build_model()
-        store = VectorStore(model, drift_threshold=0.0)
-        store.refresh()
+        store = VectorStore(model)
+        assert store.refresh() is True
         _arrive(model, "new0")
-        store.refresh()
+        assert store.refresh() is True
         assert store.maintenance.full_rebuilds == 2
-        assert store.maintenance.incremental_updates == 0
+        assert store.maintenance.items_reindexed == 6 + 7
+        assert _postings_map(store) == _postings_map(_fresh(model))
 
 
 class TestThresholdInf:
-    def test_additions_apply_incrementally(self):
-        model = _build_model()
-        store = VectorStore(model, drift_threshold=math.inf)
-        store.refresh()  # first build is always full (no baseline yet)
-        assert store.maintenance.full_rebuilds == 1
-        _arrive(model, "new0")
-        _arrive(model, "new1")
-        assert store.refresh() is True
-        assert store.maintenance.incremental_updates == 1
-        # 6 items at the full build, then just the 2 arrivals
-        assert store.maintenance.items_reindexed == 6 + 2
-        assert EX.new0 in store.index and EX.new1 in store.index
-
-    def test_removal_applies_incrementally(self):
-        model = _build_model()
-        store = VectorStore(model, drift_threshold=math.inf)
-        store.refresh()
-        model.remove_item(EX.r0)
-        store.refresh()
-        assert store.maintenance.incremental_updates == 1
-        assert EX.r0 not in store.index
-
     def test_documents_track_model_membership(self):
         model = _build_model()
-        store = VectorStore(model, drift_threshold=math.inf)
+        store = VectorStore(model)
         store.refresh()
         _arrive(model, "new0")
         model.remove_item(EX.r1)
@@ -89,56 +76,35 @@ class TestThresholdInf:
         assert set(store.index.documents()) == set(model.items)
 
     def test_rebuild_restores_exact_weights(self):
+        """Items already indexed are re-weighed at the new statistics,
+        not kept at the weights of the earlier build."""
         model = _build_model()
-        store = VectorStore(model, drift_threshold=math.inf)
+        store = VectorStore(model)
         store.refresh()
+        coord = next(iter(dict(model.vector(EX.r0).items())))
+        before = store.index.postings(coord)[EX.r0]
         _arrive(model, "new0")
-        store.refresh()  # incremental: old items keep build-time weights
-        store.rebuild()
-        fresh = VectorStore(model, drift_threshold=0.0)
-        fresh.refresh()
+        store.refresh()
         for item in model.items:
             expected = dict(model.vector(item).items())
             got = {
                 coord: store.index.postings(coord)[item]
                 for coord in expected
             }
-            assert got == pytest.approx(expected)
-        assert set(store.index.coordinates()) == set(fresh.index.coordinates())
+            assert got == expected
+        assert store.index.postings(coord)[EX.r0] != before
+        assert _postings_map(store) == _postings_map(_fresh(model))
 
 
 class TestDefaultThreshold:
     def test_small_corpus_always_rebuilds_exactly(self):
-        """One arrival among a handful of items shifts idf far past the
-        default threshold, so small corpora keep the historical exact
-        behavior (what keeps every legacy ranking test bit-identical)."""
+        """One arrival among a handful of items rebuilds the index,
+        which keeps every ranking test bit-identical to a cold build."""
         model = _build_model()
         store = VectorStore(model)
         store.refresh()
         _arrive(model, "new0")
         store.refresh()
         assert store.maintenance.full_rebuilds == 2
-        assert store.maintenance.incremental_updates == 0
-
-    def test_large_corpus_goes_incremental(self):
-        model = _build_model(n_items=300)
-        store = VectorStore(model)
-        store.refresh()
-        _arrive(model, "new0")
-        store.refresh()
-        assert store.maintenance.incremental_updates == 1
-        assert EX.new0 in store.index
-
-    def test_incremental_search_stays_close_to_exact(self):
-        """Approximation error on unchanged items is bounded by the idf
-        drift, so top-k rankings agree with an exact store in practice."""
-        model = _build_model(n_items=300)
-        store = VectorStore(model)
-        store.refresh()
-        _arrive(model, "new0")
-        hits = store.similar_to_item(EX.new0, 5)
-        exact = VectorStore(model, drift_threshold=0.0)
-        exact_hits = exact.similar_to_item(EX.new0, 5)
-        assert [h.item for h in hits] == [h.item for h in exact_hits]
-        for got, want in zip(hits, exact_hits):
-            assert got.score == pytest.approx(want.score, abs=0.05)
+        assert store.similar_to_item(EX.new0, 5) == \
+            _fresh(model).similar_to_item(EX.new0, 5)

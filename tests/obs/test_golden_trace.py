@@ -84,7 +84,6 @@ class TestGoldenTinyFlow:
                 "query.extent_cache.invalidations": 0,
                 "query.extent_cache.misses": 1,
                 "store.full_rebuilds": 0,
-                "store.incremental_updates": 0,
                 "store.items_reindexed": 0,
             },
             "histograms": {},
