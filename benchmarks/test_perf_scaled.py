@@ -1,13 +1,13 @@
-"""Scaled-corpus (64k items) regressions for the facet postings, the
+"""Scaled-corpus (64k items) regressions for the facet entries, the
 range index, the state encoder, vector search and the analysis memo.
 
 The paper's corpora top out at 6,444 items; the ROADMAP targets
 interactive navigation at 10–100× that.  This module pins four claims
 on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
 
-* a cold profile replayed from the precomputed facet postings is ≥5×
-  faster than the single-sweep graph profile, bit-identically
-  (``facet_overview_postings`` row);
+* a cold profile replayed from the per-item facet entries of the
+  analyst records table is ≥5× faster than the single-sweep graph
+  profile, bit-identically (``facet_overview_postings`` row);
 * a cold ``Range`` extent read from the sorted range index is ≥20×
   faster than the triple scan it replaced, bit-identically
   (``range_leaf_miss`` row, also measured at 8,192 items);
@@ -47,6 +47,7 @@ import pytest
 
 from repro.check.reference import naive_extent
 from repro.core.analysts.common import collection_profile
+from repro.core.analysts.records import AnalystRecords
 from repro.core.epochs import EpochManager
 from repro.core.workspace import Workspace
 from repro.datasets import scaled
@@ -65,6 +66,7 @@ from repro.service import commands as cmd
 from repro.service.manager import SessionManager
 from repro.store.datom import OP_ASSERT
 from repro.vsm import SparseVector, VectorSpaceModel
+from repro.vsm.tokenizer import Analyzer
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
 
@@ -89,7 +91,7 @@ def _record_bench(corpus_size: int, op: str, payload: dict) -> None:
 
 N_ITEMS = 65_536
 
-#: The acceptance floor for the postings facet overview at 64k.
+#: The acceptance floor for the facet-entry overview at 64k.
 FACET_SPEEDUP_FLOOR = 5.0
 
 pytestmark = pytest.mark.slow
@@ -126,20 +128,19 @@ def _best_of(fn, rounds=3):
 
 
 def test_facet_overview_postings_speedup(corpus):
-    context = QueryContext(corpus.graph, schema=corpus.schema)
+    records = AnalystRecords(corpus.graph, corpus.schema, Analyzer())
     items = corpus.items
-    # Postings build is index construction — amortized across every
-    # profile of the same graph version — so it warms outside the
-    # timed region, like the vector store's refresh().
-    postings = context.facet_postings()
+    # Building the facet entries is index construction — amortized
+    # across every profile of the same graph version — so it warms
+    # outside the timed region, like the vector store's refresh().
+    records.profile(items)
 
     legacy_s, legacy_profile = _best_of(
         lambda: collection_profile(corpus.graph, corpus.schema, items)
     )
-    postings_s, postings_profile = _best_of(lambda: postings.profile(items))
+    postings_s, postings_profile = _best_of(lambda: records.profile(items))
 
     # The speed claim is only meaningful if the outputs are identical.
-    assert postings_profile is not None
     assert list(postings_profile.properties.keys()) == list(
         legacy_profile.properties.keys()
     )
@@ -161,8 +162,8 @@ def test_facet_overview_postings_speedup(corpus):
         },
     )
     assert speedup >= FACET_SPEEDUP_FLOOR, (
-        f"postings facet overview only {speedup:.2f}x faster "
-        f"(legacy {legacy_s * 1000:.0f}ms, postings {postings_s * 1000:.0f}ms)"
+        f"facet-entry overview only {speedup:.2f}x faster "
+        f"(legacy {legacy_s * 1000:.0f}ms, entries {postings_s * 1000:.0f}ms)"
     )
 
 

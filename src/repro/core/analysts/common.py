@@ -69,7 +69,8 @@ def classify_value(
 
     The reading is :meth:`RangeIndex.reading`'s: NaN is dropped (it
     has no place in a sorted range) and ±inf is kept.  The graph sweep
-    and :class:`~repro.perf.postings.FacetPostings` both classify
+    and the facet entries of
+    :class:`~repro.core.analysts.records.AnalystRecords` both classify
     through here, so their profiles stay bit-identical.
     """
     continuous = isinstance(value, Literal) and (

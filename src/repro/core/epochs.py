@@ -13,8 +13,9 @@ giving up a single read guarantee:
   :meth:`EpochManager.publish`) folds the accumulated delta into the
   next epoch: the previous epoch's graph is forked copy-on-write, the
   delta is replayed onto it, and the derived substrates are advanced:
-  the vector model, text index, facet postings and facet-profile memo
-  incrementally, the vector store by one build at the new statistics.
+  the vector model, text index, per-item facet entries and
+  facet-profile memo incrementally, the vector store by one build at
+  the new statistics.
 * **Readers** pin an immutable epoch per session.  Publishing an epoch
   is an atomic pointer swap; an old epoch is retired once its last
   session releases it.
@@ -50,12 +51,12 @@ from typing import Iterable, Sequence
 
 from ..index.store import VectorStore
 from ..obs import Observability
-from ..perf.postings import FacetPostings, sweep_order
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rdf.terms import Node
 from ..rdf.vocab import MAGNET, RDF
 from ..store.datom import OP_ASSERT, OP_RETRACT
+from .analysts.records import AnalystRecords
 from .workspace import Workspace
 
 __all__ = ["Epoch", "EpochManager", "EpochPinError"]
@@ -117,11 +118,6 @@ class EpochManager:
         obs: Observability | None = None,
         store=None,
     ):
-        if not workspace.graph.log.keeps_history:
-            raise ValueError(
-                "epochs require datom history: the workspace graph was "
-                "built with track_history=False"
-            )
         workspace.freeze()
         self.obs = obs if obs is not None else workspace.obs
         #: Optional LogStore; every ingested transaction is sealed into
@@ -369,7 +365,9 @@ class EpochManager:
         touched |= self._composition_dirty(prev, graph, delta)
         removed = prev_items_set - items_set
         reindex = (touched & items_set) | (items_set - prev_items_set)
-        dirty = (touched | removed) & (items_set | prev_items_set)
+        # Not clipped to the items: facet entries and profiles exist for
+        # any node a collection named.
+        dirty = touched | removed
 
         # -- vector model + store -------------------------------------
         model = prev.model.clone_for(graph, schema)
@@ -392,17 +390,10 @@ class EpochManager:
         for item in sorted(reindex, key=_n3_key):
             text_index.index_item(item)
 
-        # -- facet postings + profile memo ----------------------------
-        facet_postings = None
-        prior_postings = prev.query_context.facet_postings_if_built()
-        if prior_postings is not None:
-            facet_postings = FacetPostings.advance(
-                prior_postings,
-                graph,
-                schema,
-                sweep_order(graph, items_set),
-                dirty,
-            )
+        # -- facet entries + profile memo ----------------------------
+        records = AnalystRecords.advance(
+            prev.analyst_records(), graph, schema, dirty
+        )
         # Sessions still suggesting on ``prev`` insert into its memo
         # concurrently; iterate a snapshot taken under the memo's lock.
         with prev._profile_lock:
@@ -423,7 +414,7 @@ class EpochManager:
             store,
             text_index,
             obs=self.obs,
-            facet_postings=facet_postings,
+            analyst_records=records,
             carried_profiles=carried_profiles,
         )
         ws.freeze()

@@ -77,11 +77,8 @@ class Workspace:
     ):
         from ..vsm.model import VectorSpaceModel
 
-        #: Shared tracing + metrics context; tracing is off by default
-        #: (no-op tracer), telemetry gauges are wired regardless.
-        self.obs = obs if obs is not None else Observability(tracing=False)
-        self.graph = graph
-        self.schema = schema if schema is not None else Schema(graph)
+        obs = obs if obs is not None else Observability(tracing=False)
+        schema = schema if schema is not None else Schema(graph)
         if items is None:
             item_list = sorted(
                 {s for s, _p, _o in graph.triples(None, RDF.type, None)},
@@ -89,42 +86,16 @@ class Workspace:
             )
         else:
             item_list = list(items)
-        self.items: list[Node] = item_list
-        self.model = VectorSpaceModel(
-            graph, schema=self.schema, use_compositions=use_compositions
+        model = VectorSpaceModel(
+            graph, schema=schema, use_compositions=use_compositions
         )
-        self.model.index_items(self.items)
-        self.vector_store = VectorStore(self.model, obs=self.obs)
-        self.text_index = TextIndex(graph)
-        self.text_index.index_items(self.items)
-        self.query_context = QueryContext(
-            graph,
-            schema=self.schema,
-            text_index=self.text_index,
-            universe=set(self.items),
+        model.index_items(item_list)
+        vector_store = VectorStore(model, obs=obs)
+        text_index = TextIndex(graph)
+        text_index.index_items(item_list)
+        self._assemble(
+            graph, schema, item_list, model, vector_store, text_index, obs
         )
-        self.query_engine = QueryEngine(self.query_context, obs=self.obs)
-        #: (graph version, collection) -> CollectionProfile, small FIFO
-        self._facet_profiles: dict = {}
-        self.facet_profile_stats = CacheStats()
-        self._frozen = False
-        #: Set on views produced by :meth:`as_of`: the pinned tx.
-        self._historical_tx: int | None = None
-        #: tx -> historical Workspace view, small FIFO (time-travel
-        #: sessions tend to cluster on a few interesting txs).
-        self._as_of_views: dict[int, "Workspace"] = {}
-        #: Serializes the unfrozen mutation path (add_item).
-        self._mutation_lock = threading.RLock()
-        #: Held across the facet-memo check/compute/store so the memo's
-        #: hit/miss counters stay exact under concurrent readers.
-        self._profile_lock = threading.Lock()
-        #: Per-item analyst records of one graph version, built lazily.
-        self._analyst_records = None
-        self._records_lock = threading.Lock()
-        #: Postings of view-pure analysts per (analyst, view), valid for
-        #: one (graph version, stats version).
-        self.analysis_memo = AnalysisMemo()
-        self._wire_metrics()
 
     @classmethod
     def from_substrates(
@@ -137,47 +108,88 @@ class Workspace:
         text_index: TextIndex,
         *,
         obs: Observability | None = None,
-        facet_postings=None,
+        analyst_records=None,
         carried_profiles: dict | None = None,
     ) -> "Workspace":
         """Assemble a workspace around pre-built substrates.
 
         The epoch reindexer advances the previous epoch's model, text
-        index and facet postings incrementally, builds a vector store
+        index and analyst records incrementally, builds a vector store
         over the advanced model, then wires them into a fresh workspace
         here — skipping the cold
         ``index_items`` pass entirely.  ``carried_profiles`` seeds the
         facet-profile memo (already re-keyed to the new graph version).
         """
         ws = cls.__new__(cls)
-        ws.obs = obs if obs is not None else Observability(tracing=False)
-        ws.graph = graph
-        ws.schema = schema
-        ws.items = list(items)
-        ws.model = model
-        ws.vector_store = vector_store
-        ws.text_index = text_index
-        ws.query_context = QueryContext(
+        ws._assemble(
+            graph,
+            schema,
+            list(items),
+            model,
+            vector_store,
+            text_index,
+            obs if obs is not None else Observability(tracing=False),
+            analyst_records=analyst_records,
+            carried_profiles=carried_profiles,
+        )
+        return ws
+
+    def _assemble(
+        self,
+        graph: Graph,
+        schema: Schema,
+        items: list[Node],
+        model,
+        vector_store: VectorStore,
+        text_index: TextIndex,
+        obs: Observability,
+        *,
+        analyst_records=None,
+        carried_profiles: dict | None = None,
+    ) -> None:
+        """Wire the substrates, the query layer and every derived cache.
+
+        The one place a workspace's caches are set up, so a cold build
+        and an epoch fold cannot drift apart on which ones exist.
+        """
+        #: Shared tracing + metrics context; tracing is off by default
+        #: (no-op tracer), telemetry gauges are wired regardless.
+        self.obs = obs
+        self.graph = graph
+        self.schema = schema
+        self.items: list[Node] = items
+        self.model = model
+        self.vector_store = vector_store
+        self.text_index = text_index
+        self.query_context = QueryContext(
             graph,
             schema=schema,
             text_index=text_index,
-            universe=set(ws.items),
+            universe=set(items),
         )
-        ws.query_engine = QueryEngine(ws.query_context, obs=ws.obs)
-        ws._facet_profiles = dict(carried_profiles or {})
-        ws.facet_profile_stats = CacheStats()
-        ws._frozen = False
-        ws._historical_tx = None
-        ws._as_of_views = {}
-        ws._mutation_lock = threading.RLock()
-        ws._profile_lock = threading.Lock()
-        ws._analyst_records = None
-        ws._records_lock = threading.Lock()
-        ws.analysis_memo = AnalysisMemo()
-        if facet_postings is not None:
-            ws.query_context.adopt_facet_postings(facet_postings)
-        ws._wire_metrics()
-        return ws
+        self.query_engine = QueryEngine(self.query_context, obs=obs)
+        #: (graph version, collection) -> CollectionProfile, small FIFO
+        self._facet_profiles: dict = dict(carried_profiles or {})
+        self.facet_profile_stats = CacheStats()
+        self._frozen = False
+        #: Set on views produced by :meth:`as_of`: the pinned tx.
+        self._historical_tx: int | None = None
+        #: tx -> historical Workspace view, small FIFO (time-travel
+        #: sessions tend to cluster on a few interesting txs).
+        self._as_of_views: dict[int, "Workspace"] = {}
+        #: Serializes the unfrozen mutation path (add_item).
+        self._mutation_lock = threading.RLock()
+        #: Held across the facet-memo check/compute/store so the memo's
+        #: hit/miss counters stay exact under concurrent readers.
+        self._profile_lock = threading.Lock()
+        #: Per-item facet entries and analyst records of one graph
+        #: version, built lazily.
+        self._analyst_records = analyst_records
+        self._records_lock = threading.Lock()
+        #: Postings of view-pure analysts per (analyst, view), valid for
+        #: one (graph version, stats version).
+        self.analysis_memo = AnalysisMemo()
+        self._wire_metrics()
 
     def _wire_metrics(self) -> None:
         """Expose the substrate counters as lazy snapshot-time gauges.
@@ -322,12 +334,10 @@ class Workspace:
 
         Facet overviews, refinement analysts, and range analysts all
         consult the same profile for a given (collection, graph version)
-        pair, so arriving at a view computes the sweep once however many
+        pair, so arriving at a view computes it once however many
         consumers render it.  Keyed on the graph's mutation version, the
         memo self-invalidates on any repository change.
         """
-        from .analysts.common import collection_profile
-
         key = (self.graph.version, tuple(items))
         with self._profile_lock:
             profile = self._facet_profiles.get(key)
@@ -336,26 +346,22 @@ class Workspace:
                 return profile
             self.facet_profile_stats.misses += 1
             with self.obs.tracer.span("facets.profile", items=len(items)):
-                # Single pass over precomputed facet records; bails to
-                # the graph sweep (None) for any item outside the
-                # postings' build population.
-                profile = self.query_context.facet_postings().profile(items)
-                if profile is None:
-                    profile = collection_profile(
-                        self.graph, self.schema, items
-                    )
+                profile = self.analyst_records().profile(items)
             self._facet_profiles[key] = profile
             while len(self._facet_profiles) > 8:
                 self._facet_profiles.pop(next(iter(self._facet_profiles)))
             return profile
 
     def analyst_records(self):
-        """The per-item analyst records of the current graph version.
+        """The per-item facet entries and analyst records of the current
+        graph version.
 
-        Collection analysts aggregate these instead of walking the graph
-        on every view.  The table starts empty and fills as views touch
-        items; it is replaced when the graph version moves, so a cycle
-        after any graph change on an unfrozen workspace sees the change.
+        Facet profiles and the collection analysts aggregate these
+        instead of walking the graph on every view.  The table starts
+        empty (or, on an epoch, with the facet entries the fold carried)
+        and fills as views touch items; it is replaced when the graph
+        version moves, so a profile or cycle after any graph change on
+        an unfrozen workspace sees the change.
         """
         from .analysts.records import AnalystRecords
 

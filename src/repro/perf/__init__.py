@@ -11,9 +11,11 @@ package supplies the shared low-level pieces:
   :func:`popcount`) — AND/OR/NOT over whole collections become single
   bitwise operations;
 * :class:`CacheStats` / :class:`IndexMaintenanceStats` — counters that
-  make cache behaviour observable in tests and benchmarks;
-* :class:`FacetPostings` — precomputed per-item facet records feeding
-  the single-pass facet profile.
+  make cache behaviour observable in tests and benchmarks.
+
+The per-item facet entries behind single-pass facet profiles live with
+the other per-item analyst state in
+:class:`repro.core.analysts.records.AnalystRecords`.
 
 Everything here is pure bookkeeping: no component changes any query,
 facet, or ranking *output*, only the time taken to produce it.
@@ -21,14 +23,12 @@ facet, or ranking *output*, only the time taken to produce it.
 
 from .bitset import bits_from_ids, bits_from_nodes, iter_ids, popcount
 from .intern import InternTable
-from .postings import FacetPostings
 from .stats import CacheStats, IndexMaintenanceStats
 
 __all__ = [
     "InternTable",
     "CacheStats",
     "IndexMaintenanceStats",
-    "FacetPostings",
     "bits_from_ids",
     "bits_from_nodes",
     "iter_ids",

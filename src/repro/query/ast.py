@@ -10,11 +10,13 @@ range comparison for continuous attributes.
 Every predicate can
 
 * test one item (:meth:`Predicate.matches`),
-* optionally produce its full extent from an index
+* as a leaf, optionally produce its full extent from an index
   (:meth:`Predicate.candidates`, returning None when only per-item
   testing is available; the engine asks through
   :meth:`Predicate.extent_bits`, which ``Range`` answers from the
-  context's sorted :class:`RangeIndex`), and
+  context's sorted :class:`RangeIndex`) — the compounds ``And``, ``Or``
+  and ``Not`` have no extent of their own: the engine combines their
+  parts' bitmasks, and
 * describe itself for the constraint chips at the top of the navigation
   pane (:meth:`Predicate.describe`).
 """
@@ -28,14 +30,11 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..index.textindex import TextIndex
 from ..perf.bitset import bits_from_ids
 from ..perf.stats import CacheStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..perf.postings import FacetPostings
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rdf.terms import Literal, Node, Resource
@@ -113,8 +112,6 @@ class QueryContext:
         self._range_lock = threading.Lock()
         self._universe_bits: tuple[tuple[int, int], int] | None = None
         self.cache_stats = CacheStats()
-        self._facet_postings: "FacetPostings | None" = None
-        self._postings_lock = threading.Lock()
         #: Path predicate -> ((graph version, universe size), frozen
         #: extent).  Path extents are the product of a whole reachability
         #: walk, so they get their own memo beneath the extent cache.
@@ -207,7 +204,6 @@ class QueryContext:
         with self._extent_lock:
             self._extent_cache.clear()
         self._universe_bits = None
-        self._facet_postings = None
         self._path_cache.clear()
         with self._range_lock:
             self._range_indexes = (-1, {})
@@ -258,51 +254,6 @@ class QueryContext:
         extent = path._compute_extent(self)
         self._path_cache[path] = (key, frozenset(extent))
         return extent
-
-    def facet_postings(self) -> "FacetPostings":
-        """Version-pinned facet postings over the current universe.
-
-        Built lazily on first use and rebuilt whenever the graph version
-        (or the universe size, which ``Workspace.add_item`` grows in
-        place) moves on.
-        """
-        from ..perf.postings import FacetPostings, sweep_order
-
-        universe = self.universe
-        postings = self._facet_postings
-        if (
-            postings is not None
-            and postings.version == self.graph.version
-            and postings.n_items == len(universe)
-        ):
-            return postings
-        with self._postings_lock:
-            postings = self._facet_postings
-            if (
-                postings is not None
-                and postings.version == self.graph.version
-                and postings.n_items == len(universe)
-            ):
-                return postings
-            postings = FacetPostings.build(
-                self.graph, self.schema, sweep_order(self.graph, universe)
-            )
-            self._facet_postings = postings
-        return postings
-
-    def facet_postings_if_built(self) -> "FacetPostings | None":
-        """The current facet postings if already built, else None.
-
-        Epoch folds consult this to advance the prior epoch's postings
-        instead of rebuilding; a never-warmed context stays lazy.
-        """
-        with self._postings_lock:
-            return self._facet_postings
-
-    def adopt_facet_postings(self, postings: "FacetPostings") -> None:
-        """Install pre-built postings (an epoch fold carries them over)."""
-        with self._postings_lock:
-            self._facet_postings = postings
 
 
 class Predicate:
@@ -844,21 +795,6 @@ class And(Predicate):
     def matches(self, item: Node, context: QueryContext) -> bool:
         return all(part.matches(item, context) for part in self.parts)
 
-    def candidates(self, context: QueryContext) -> Optional[set[Node]]:
-        known = [part.candidates(context) for part in self.parts]
-        exact = [c for c in known if c is not None]
-        if len(exact) != len(known):
-            # Some parts can't enumerate; the engine must filter.
-            return None
-        if not exact:
-            return set(context.universe)
-        result = set(min(exact, key=len))
-        for extent in exact:
-            result &= extent
-            if not result:
-                break
-        return result
-
     def describe(self, context: QueryContext) -> str:
         if not self.parts:
             return "everything"
@@ -878,15 +814,6 @@ class Or(Predicate):
 
     def matches(self, item: Node, context: QueryContext) -> bool:
         return any(part.matches(item, context) for part in self.parts)
-
-    def candidates(self, context: QueryContext) -> Optional[set[Node]]:
-        result: set[Node] = set()
-        for part in self.parts:
-            extent = part.candidates(context)
-            if extent is None:
-                return None
-            result |= extent
-        return result
 
     def describe(self, context: QueryContext) -> str:
         if not self.parts:
@@ -908,12 +835,6 @@ class Not(Predicate):
 
     def matches(self, item: Node, context: QueryContext) -> bool:
         return not self.part.matches(item, context)
-
-    def candidates(self, context: QueryContext) -> Optional[set[Node]]:
-        extent = self.part.candidates(context)
-        if extent is None:
-            return None
-        return context.universe - extent
 
     def describe(self, context: QueryContext) -> str:
         return f"NOT {_parenthesize(self.part, context)}"

@@ -66,20 +66,7 @@ class Graph:
     their kind).
     """
 
-    def __init__(
-        self,
-        triples: Iterable[Triple] | None = None,
-        track_history: bool = True,
-    ):
-        """``track_history=False`` drops datom bodies from the log.
-
-        The graph then costs no extra memory per mutation — the log
-        still mints monotonic tx ids and counts datoms — but it cannot
-        be persisted to a :class:`~repro.store.segments.LogStore` or
-        time-travelled: :meth:`as_of` and log reads raise
-        :class:`~repro.store.log.HistoryDisabledError`.  For build or
-        ingest pipelines that only need the final indexes.
-        """
+    def __init__(self, triples: Iterable[Triple] | None = None):
         # index[s][p] -> set of o, and the two rotations.
         self._spo: dict[Node, dict[Node, set[Node]]] = defaultdict(
             lambda: defaultdict(set)
@@ -102,7 +89,7 @@ class Graph:
         self._owned_osp: tuple[set, set] | None = None
         self._interner = InternTable()
         self._blank_counter = itertools.count(1)
-        self._log = DatomLog(keep_datoms=track_history)
+        self._log = DatomLog()
         if triples:
             for s, p, o in triples:
                 self.add(s, p, o)
@@ -502,7 +489,7 @@ class Graph:
         assert per triple); use :meth:`as_of`/:meth:`from_datoms` to
         preserve history.
         """
-        clone = Graph(track_history=self._log.keeps_history)
+        clone = Graph()
         for s, p, o in self.triples():
             clone.add(s, p, o)
         return clone
@@ -576,50 +563,48 @@ class Graph:
         own log — including the prune-and-remint on emptying that
         ``_apply_retract``/``defaultdict`` perform — which reproduces
         the cold layout exactly.  Untouched leaves stay shared with the
-        parent.  ``datoms`` must be a sequence (it is iterated thrice).
+        parent.  ``datoms`` must be a sequence.
+
+        One walk of the log serves all three indexes, testing each
+        datom against the SPO, POS and OSP leaves the delta touches.
+        The walk is still O(history), whatever the delta's size.
         """
         if not self._cow:
             return
-        self._preown_index(
-            self._spo, self._owned_spo,
-            {(d.s, d.p) for d in datoms}, lambda d: (d.s, d.p, d.o),
-        )
-        self._preown_index(
-            self._pos, self._owned_pos,
-            {(d.p, d.o) for d in datoms}, lambda d: (d.p, d.o, d.s),
-        )
-        self._preown_index(
-            self._osp, self._owned_osp,
-            {(d.o, d.s) for d in datoms}, lambda d: (d.o, d.s, d.p),
-        )
-
-    def _preown_index(self, index, owned, touched, project) -> None:
-        mids, leaves = owned
-        rebuilt: dict[tuple, set] = {}
+        spo_touched = {(d.s, d.p) for d in datoms}
+        pos_touched = {(d.p, d.o) for d in datoms}
+        osp_touched = {(d.o, d.s) for d in datoms}
+        # Single-node prefilters: most datoms share no subject and no
+        # object with the delta, and a Node hashes cheaper than a pair.
+        subjects = {d.s for d in datoms}
+        objects = {d.o for d in datoms}
+        spo_leaves: dict[tuple, set] = {}
+        pos_leaves: dict[tuple, set] = {}
+        osp_leaves: dict[tuple, set] = {}
         for datom in self._log:
-            outer, inner, member = project(datom)
-            key = (outer, inner)
-            if key not in touched:
-                continue
-            leaf = rebuilt.get(key)
-            if datom.asserts:
-                if leaf is None:
-                    leaf = rebuilt[key] = set()
-                leaf.add(member)
-            elif leaf is not None:
-                leaf.discard(member)
-                if not leaf:
-                    # Mirror _prune: the next assert mints a fresh set.
-                    del rebuilt[key]
-        for outer, inner in touched:
-            if outer not in mids:
-                mids.add(outer)
-                mid = index.get(outer)
-                if mid is not None:
-                    index[outer] = defaultdict(set, mid)
-            leaves.add((outer, inner))
-        for (outer, inner), leaf in rebuilt.items():
-            index[outer][inner] = leaf
+            s, o = datom.s, datom.o
+            if s in subjects:
+                p = datom.p
+                if (s, p) in spo_touched:
+                    _replay_leaf_op(spo_leaves, (s, p), o, datom.asserts)
+                if (o, s) in osp_touched:
+                    _replay_leaf_op(osp_leaves, (o, s), p, datom.asserts)
+            if o in objects and (datom.p, o) in pos_touched:
+                _replay_leaf_op(pos_leaves, (datom.p, o), s, datom.asserts)
+        for index, (mids, leaves), touched, rebuilt in (
+            (self._spo, self._owned_spo, spo_touched, spo_leaves),
+            (self._pos, self._owned_pos, pos_touched, pos_leaves),
+            (self._osp, self._owned_osp, osp_touched, osp_leaves),
+        ):
+            for outer, inner in touched:
+                if outer not in mids:
+                    mids.add(outer)
+                    mid = index.get(outer)
+                    if mid is not None:
+                        index[outer] = defaultdict(set, mid)
+                leaves.add((outer, inner))
+            for (outer, inner), leaf in rebuilt.items():
+                index[outer][inner] = leaf
 
     # ------------------------------------------------------------------
     # Log replay and time travel
@@ -697,13 +682,6 @@ class Graph:
         the operation and the pinned tx).  ``as_of(0)`` is the empty
         graph; ``as_of(last_tx)`` equals the current graph.
         """
-        if not self._log.keeps_history:
-            from ..store.log import HistoryDisabledError
-
-            raise HistoryDisabledError(
-                "as_of requires history: this graph was built with "
-                "track_history=False and its log retains no datom bodies"
-            )
         if not isinstance(tx, int) or isinstance(tx, bool):
             raise ValueError(f"as_of tx must be an integer, got {tx!r}")
         if tx < 0 or tx > self._log.last_tx:
@@ -737,3 +715,18 @@ def _term_sort_key(term: Node):
     if isinstance(term, BlankNode):
         return (1, term.node_id)
     return (2, term.n3())
+
+
+def _replay_leaf_op(rebuilt: dict, key: tuple, member, asserts: bool) -> None:
+    """Apply one logged op to a leaf :meth:`Graph._preown_for_replay`
+    is rebuilding."""
+    leaf = rebuilt.get(key)
+    if asserts:
+        if leaf is None:
+            leaf = rebuilt[key] = set()
+        leaf.add(member)
+    elif leaf is not None:
+        leaf.discard(member)
+        if not leaf:
+            # Mirror _prune: the next assert mints a fresh set.
+            del rebuilt[key]

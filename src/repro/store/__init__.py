@@ -20,7 +20,7 @@ any recorded transaction.
 """
 
 from .datom import OP_ASSERT, OP_RETRACT, Datom, datom_from_dict, datom_to_dict
-from .log import DatomLog, HistoryDisabledError
+from .log import DatomLog
 from .segments import (
     MANIFEST_NAME,
     STORE_FORMAT_VERSION,
@@ -33,7 +33,6 @@ from .segments import (
 __all__ = [
     "Datom",
     "DatomLog",
-    "HistoryDisabledError",
     "LogStore",
     "MANIFEST_NAME",
     "OP_ASSERT",

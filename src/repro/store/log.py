@@ -10,13 +10,9 @@ present, or a ``remove`` of an absent one, records nothing — so a replay
 applies every datom unconditionally and a datom that turns out to be a
 no-op on replay is evidence of corruption, not a normal case.
 
-Retaining every datom costs memory proportional to the mutation count
-for the graph's lifetime.  Builds and long-lived mutating processes
-that need neither durability nor time travel can opt out with
-``DatomLog(keep_datoms=False)`` (see ``Graph(track_history=False)``):
-the log still mints monotonic tx ids and counts datoms, but drops their
-bodies — reading history back then raises :class:`HistoryDisabledError`
-instead of silently returning an empty stream.
+Every datom is retained for the graph's lifetime: memory grows with the
+mutation count, and in exchange any graph can be persisted, replayed
+and time-travelled.
 """
 
 from __future__ import annotations
@@ -25,23 +21,17 @@ from typing import Iterable, Iterator, Sequence
 
 from .datom import Datom
 
-__all__ = ["DatomLog", "HistoryDisabledError"]
-
-
-class HistoryDisabledError(RuntimeError):
-    """History was read from a log created with ``keep_datoms=False``."""
+__all__ = ["DatomLog"]
 
 
 class DatomLog:
     """Monotonic transactions over an append-only datom sequence."""
 
-    __slots__ = ("_datoms", "_last_tx", "_count", "_keep")
+    __slots__ = ("_datoms", "_last_tx")
 
-    def __init__(self, keep_datoms: bool = True) -> None:
+    def __init__(self) -> None:
         self._datoms: list[Datom] = []
         self._last_tx = 0
-        self._count = 0
-        self._keep = keep_datoms
 
     # -- writing -----------------------------------------------------------
 
@@ -64,9 +54,7 @@ class DatomLog:
                 raise ValueError(
                     f"datom tx {datom.tx} does not match transaction {tx}"
                 )
-        if self._keep:
-            self._datoms.extend(datoms)
-        self._count += len(datoms)
+        self._datoms.extend(datoms)
         self._last_tx = tx
         return tx
 
@@ -83,11 +71,9 @@ class DatomLog:
                     f"replayed datom tx {datom.tx} goes backwards "
                     f"(log is at tx {self._last_tx})"
                 )
-            if self._keep:
-                self._datoms.append(datom)
+            self._datoms.append(datom)
             self._last_tx = datom.tx
             count += 1
-        self._count += count
         return count
 
     def fork(self) -> "DatomLog":
@@ -98,25 +84,12 @@ class DatomLog:
         snapshots fork the log so each epoch's graph carries the full
         history through its watermark and keeps ``as_of`` working.
         """
-        clone = DatomLog(keep_datoms=self._keep)
+        clone = DatomLog()
         clone._datoms = list(self._datoms)
         clone._last_tx = self._last_tx
-        clone._count = self._count
         return clone
 
     # -- reading -----------------------------------------------------------
-
-    @property
-    def keeps_history(self) -> bool:
-        """False when datom bodies are dropped (``keep_datoms=False``)."""
-        return self._keep
-
-    def _check_history(self, operation: str) -> None:
-        if not self._keep:
-            raise HistoryDisabledError(
-                f"cannot {operation}: this log was created with "
-                f"keep_datoms=False and retains no datom bodies"
-            )
 
     @property
     def last_tx(self) -> int:
@@ -126,12 +99,10 @@ class DatomLog:
     @property
     def datoms(self) -> tuple[Datom, ...]:
         """Every datom, in log order (a fresh immutable snapshot)."""
-        self._check_history("snapshot datoms")
         return tuple(self._datoms)
 
     def datoms_through(self, tx: int) -> Iterator[Datom]:
         """Datoms of every transaction with id <= ``tx``, in order."""
-        self._check_history("read datoms_through")
 
         def generate() -> Iterator[Datom]:
             for datom in self._datoms:
@@ -149,7 +120,6 @@ class DatomLog:
         the (monotonic) tx ids so reading a small tail of a long log
         does not scan the whole list.
         """
-        self._check_history("read datoms_since")
         lo, hi = 0, len(self._datoms)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -160,12 +130,10 @@ class DatomLog:
         return iter(self._datoms[lo:])
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._datoms)
 
     def __iter__(self) -> Iterator[Datom]:
-        self._check_history("iterate the log")
         return iter(self._datoms)
 
     def __repr__(self) -> str:
-        mode = "" if self._keep else ", bodies dropped"
-        return f"<DatomLog {len(self)} datom(s) through tx {self._last_tx}{mode}>"
+        return f"<DatomLog {len(self)} datom(s) through tx {self._last_tx}>"

@@ -2,8 +2,9 @@
 
 Records are filled lazily by suggestion cycles and keyed on the graph
 version: graph changes must never leave a cycle reading stale records,
-new epochs and ``as_of`` views start empty, and the paths that never
-suggest (facet profiles, previews) must never build them.
+new epochs and ``as_of`` views start with none, and the paths that
+never suggest (facet profiles, previews) must never build them — they
+build facet entries only.
 """
 
 from repro.core.epochs import EpochManager
@@ -79,7 +80,13 @@ def test_epoch_fold_starts_with_empty_records():
     manager.ingest([(OP_ASSERT, donor, title, Literal("saffron risotto"))])
     epoch = manager.publish()
     assert epoch is not None
-    assert epoch.workspace._analyst_records is None
+    carried = epoch.workspace.analyst_records()
+    assert carried is not built
+    assert len(carried) == 0
+    # The landing's facet entries ride the fold; the touched item's not.
+    assert donor not in carried._facets
+    other = corpus.items[1]
+    assert carried._facets[other] is built._facets[other]
     assert prev.analyst_records() is built
     payload = _landing(epoch.workspace)
     assert payload == _landing(manager.cold_workspace(epoch.watermark))
@@ -103,4 +110,16 @@ def test_profiles_and_previews_never_build_records():
     service.preview_count(
         workspace, state, Range(extras["p_weight"], low=12.5)
     )
-    assert workspace._analyst_records is None
+    records = workspace.analyst_records()
+    assert len(records._facets) == len(workspace.items)
+    assert len(records) == 0
+    assert not records._chips and not records._words
+
+
+def test_item_records_build_no_facet_entries():
+    corpus = recipes.build_corpus(40, seed=3)
+    workspace = Workspace(corpus.graph, schema=corpus.schema, items=corpus.items)
+    records = workspace.analyst_records()
+    records.of(workspace.items)
+    assert len(records) == len(workspace.items)
+    assert not records._facets and not records._props

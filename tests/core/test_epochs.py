@@ -41,14 +41,6 @@ def _assert_parity(manager: EpochManager, epoch) -> None:
         workspace_fingerprint(cold)
 
 
-def test_requires_history():
-    bare = Graph(track_history=False)
-    for s, p, o in _corpus_graph().triples():
-        bare.add(s, p, o)
-    with pytest.raises(ValueError, match="history"):
-        EpochManager(Workspace(bare))
-
-
 def test_idle_publish_and_noop_ingest():
     manager = _manager()
     assert manager.publish() is None

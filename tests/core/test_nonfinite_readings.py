@@ -3,7 +3,7 @@
 The 2,048-item scaled corpus carries "nan", "inf" and "n/a" literals on
 ``year``.  NaN has no place in a sorted order: kept, it broke the
 bisection behind ``count_between`` and made ``histogram`` raise.  The
-profile now drops NaN (both the graph sweep and the facet postings) and
+profile now drops NaN (both the graph sweep and the facet entries) and
 keeps ±inf, as ``Range`` does; the histogram spans finite readings.
 """
 

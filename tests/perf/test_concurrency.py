@@ -309,3 +309,60 @@ class TestPrimitives:
             expected = table.id_of(node)
             assert all(ids[i][node] == expected for i in range(THREADS))
             assert table.node_at(expected) == node
+
+
+class TestAnalystRecordsUnderThreads:
+    def test_racing_profiles_and_records_share_one_table(self):
+        """Threads profile overlapping subsets straight off one cold
+        table while others build item records and advance it.  Every
+        profile must equal the graph sweep, and every entry must be
+        built once: a profile that sized its buckets before another
+        thread added a property, or a torn snapshot, would break one."""
+        from repro.core.analysts.common import collection_profile
+        from repro.core.analysts.records import AnalystRecords
+
+        g = Graph()
+        for i in range(96):
+            item = EX[f"d{i}"]
+            g.add(item, RDF.type, EX.Doc)
+            g.add(item, EX.color, EX.red if i % 2 else EX.blue)
+            # Most items bring a property no other item has.
+            g.add(item, EX[f"p{i % 48}"], Literal(i))
+            g.add(item, EX.title, Literal(f"doc number {i} corn salad"))
+        workspace = Workspace(g).freeze()
+        items = workspace.items
+        subsets = [items[i::THREADS] + items[:i] for i in range(THREADS)]
+        expected = [
+            collection_profile(workspace.graph, workspace.schema, subset)
+            for subset in subsets
+        ]
+        records = workspace.analyst_records()
+        results = [None] * THREADS
+
+        def work(i):
+            if i % 4 == 3:
+                records.of(subsets[i])
+                advanced = AnalystRecords.advance(
+                    records, workspace.graph, workspace.schema, set()
+                )
+                assert all(
+                    advanced._facets[item] is records._facets[item]
+                    for item in advanced._facets
+                )
+            results[i] = records.profile(subsets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(THREADS, work)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert list(got.properties) == list(want.properties)
+            for prop, profile in want.properties.items():
+                assert list(got.properties[prop].counts.items()) == list(
+                    profile.counts.items()
+                )
+                assert got.properties[prop].coverage == profile.coverage
+        assert len(records._facets) == len(items)
+        assert len(records) == len(set().union(*subsets[3::4]))

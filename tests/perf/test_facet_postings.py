@@ -1,11 +1,11 @@
-"""Facet postings profiles ≡ the graph sweep, bit for bit.
+"""Facet-entry profiles ≡ the graph sweep, bit for bit.
 
-:meth:`FacetPostings.profile` replays precomputed per-item records
-instead of walking the graph; its :class:`CollectionProfile` must be
-identical to :func:`collection_profile`'s — including dict and Counter
-insertion order, which ``most_common`` tie-breaking leaks into
-suggestion ranking, and the handling of non-finite numeric readings
-(NaN dropped, ±inf kept).
+:meth:`AnalystRecords.profile` replays per-item facet entries instead
+of walking the graph; its :class:`CollectionProfile` must be identical
+to :func:`collection_profile`'s — including dict and Counter insertion
+order, which ``most_common`` tie-breaking leaks into suggestion
+ranking, and the handling of non-finite numeric readings (NaN dropped,
+±inf kept) — for any nodes, items of the workspace or not.
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysts.common import collection_profile
-from repro.query import QueryContext
+from repro.core.workspace import Workspace
 from repro.rdf import Graph, Literal, Namespace, RDF
 
 EX = Namespace("http://postings-profile.example/")
@@ -45,8 +45,9 @@ def _assert_profiles_identical(swept, replayed):
 
 
 @pytest.fixture(scope="module")
-def nan_context():
-    """Items whose numeric facets include NaN/inf/unparseable literals."""
+def nan_workspace():
+    """Items whose numeric facets include NaN/inf/unparseable literals,
+    plus untyped nodes outside the item universe."""
     graph = Graph()
     oddities = ["nan", "inf", "-inf", "n/a", "3.5", "nan"]
     for i in range(24):
@@ -56,45 +57,68 @@ def nan_context():
         graph.add(item, EX.rank, Literal(i))
         if i % 3 == 0:
             graph.add(item, EX.label, Literal(f"label {i % 5}"))
-    return QueryContext(graph)
+    for i in range(6):
+        loose = EX[f"loose{i}"]
+        graph.add(loose, EX.score, Literal(oddities[i]))
+        graph.add(loose, EX.color, EX[f"c{i % 2}"])
+    return Workspace(graph)
 
 
 class TestFacetProfileBitIdentity:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_subsets_on_recipes(self, recipe_workspace, data):
-        context = recipe_workspace.query_context
-        items = sorted(context.universe, key=lambda n: n.n3())
+        workspace = recipe_workspace
+        items = sorted(workspace.items, key=lambda n: n.n3())
         subset = data.draw(
             st.lists(st.sampled_from(items), unique=True, max_size=60)
         )
-        swept = collection_profile(context.graph, context.schema, subset)
-        replayed = context.facet_postings().profile(subset)
+        swept = collection_profile(workspace.graph, workspace.schema, subset)
+        replayed = workspace.analyst_records().profile(subset)
         _assert_profiles_identical(swept, replayed)
 
-    def test_nan_and_inf_readings_match(self, nan_context):
-        context = nan_context
-        items = sorted(context.universe, key=lambda n: n.n3())
-        swept = collection_profile(context.graph, context.schema, items)
-        replayed = context.facet_postings().profile(items)
+    def test_nan_and_inf_readings_match(self, nan_workspace):
+        workspace = nan_workspace
+        items = sorted(workspace.items, key=lambda n: n.n3())
+        swept = collection_profile(workspace.graph, workspace.schema, items)
+        replayed = workspace.analyst_records().profile(items)
         _assert_profiles_identical(swept, replayed)
         readings = replayed.properties[EX.score]._readings
         # NaN is dropped on both sides; +inf and -inf are kept.
         assert not any(math.isnan(r) for r in readings)
         assert math.inf in readings and -math.inf in readings
 
-    def test_subset_order_controls_profile_order(self, nan_context):
-        context = nan_context
-        items = sorted(context.universe, key=lambda n: n.n3())
+    def test_subset_order_controls_profile_order(self, nan_workspace):
+        workspace = nan_workspace
+        items = sorted(workspace.items, key=lambda n: n.n3())
         for subset in (list(reversed(items)), items[::3], items[5:6]):
-            swept = collection_profile(context.graph, context.schema, subset)
-            replayed = context.facet_postings().profile(subset)
+            swept = collection_profile(
+                workspace.graph, workspace.schema, subset
+            )
+            replayed = workspace.analyst_records().profile(subset)
             _assert_profiles_identical(swept, replayed)
 
-    def test_unknown_item_falls_back_to_none(self, nan_context):
-        assert nan_context.facet_postings().profile([EX.stranger]) is None
+    def test_non_universe_nodes_profile_like_the_sweep(self, nan_workspace):
+        workspace = nan_workspace
+        loose = [EX[f"loose{i}"] for i in range(6)]
+        assert workspace.query_context.universe.isdisjoint(loose)
+        # Untyped nodes, a node with no triples at all, and a mix with
+        # items, in an order the graph never inserted them in.
+        for nodes in (
+            loose,
+            [EX.stranger],
+            [loose[3], EX.n4, EX.stranger, loose[0], EX.n0],
+        ):
+            swept = collection_profile(
+                workspace.graph, workspace.schema, nodes
+            )
+            replayed = workspace.analyst_records().profile(nodes)
+            _assert_profiles_identical(swept, replayed)
+            _assert_profiles_identical(swept, workspace.facet_profile(nodes))
 
-    def test_empty_collection(self, nan_context):
-        swept = collection_profile(nan_context.graph, nan_context.schema, [])
-        replayed = nan_context.facet_postings().profile([])
+    def test_empty_collection(self, nan_workspace):
+        swept = collection_profile(
+            nan_workspace.graph, nan_workspace.schema, []
+        )
+        replayed = nan_workspace.analyst_records().profile([])
         _assert_profiles_identical(swept, replayed)

@@ -1,10 +1,10 @@
-"""A one-item delta must advance the facet postings, not rebuild them.
+"""A one-item delta must advance the facet entries, not rebuild them.
 
-The epoch fold calls :meth:`FacetPostings.advance`, which carries every
-record whose item the delta did not touch.  These tests pin that:
-touching one item out of hundreds re-sweeps that one item (plus any
-items the fold conservatively marks dirty) and reuses the rest
-verbatim, and a re-swept record reflects the delta.  The facet
+The epoch fold calls :meth:`AnalystRecords.advance`, which carries the
+facet entries of every node the delta did not touch.  These tests pin
+that: touching one item out of hundreds re-sweeps that one item (plus
+any items the fold conservatively marks dirty) and reuses the rest
+verbatim, and a re-swept entry reflects the delta.  The facet
 profile memo rides the same delta: collections disjoint from the dirty
 set carry across the publish, collections containing a touched item are
 dropped.
@@ -33,24 +33,38 @@ def _big_workspace() -> Workspace:
     return Workspace(g)
 
 
+def _swept_again(prior, records, items):
+    """Items whose facet entries ``records`` did not take from ``prior``."""
+    return [
+        item
+        for item in items
+        if records._facets[item] is not prior._facets[item]
+    ]
+
+
 def test_one_item_delta_reuses_records():
     ws = _big_workspace()
-    prior = ws.query_context.facet_postings()  # force the epoch-0 build
-    assert prior.rebuilt_records == N_ITEMS
+    prior = ws.analyst_records()
+    prior.profile(ws.items)  # build every epoch-0 facet entry
+    assert len(prior._facets) == N_ITEMS
 
     manager = EpochManager(ws)
     manager.ingest([(OP_ASSERT, EX.it7, EX.color, EX.c99)])
     epoch = manager.publish()
 
-    postings = epoch.workspace.query_context.facet_postings_if_built()
-    assert postings is not None
-    assert postings.n_items == N_ITEMS
-    # One touched item re-swept; the other ~399 records carried.
-    assert postings.rebuilt_records <= 2
-    assert postings.reused_records >= N_ITEMS - 2
-    # it7's record was rebuilt, everything else is the same object.
-    assert postings._records[EX.it7] is not prior._records[EX.it7]
-    assert postings._records[EX.it0] is prior._records[EX.it0]
+    records = epoch.workspace.analyst_records()
+    # The fold carried the untouched entries and built no item record.
+    assert EX.it7 not in records._facets
+    assert len(records._facets) >= N_ITEMS - 2
+    assert records._facets[EX.it0] is prior._facets[EX.it0]
+    assert len(records) == 0
+
+    records.profile(epoch.workspace.items)
+    assert len(records._facets) == N_ITEMS
+    # One touched item re-swept; the other ~399 entries carried.
+    swept = _swept_again(prior, records, epoch.workspace.items)
+    assert EX.it7 in swept
+    assert len(swept) <= 2
 
     cold = manager.cold_workspace(epoch.watermark)
     assert workspace_fingerprint(epoch.workspace) == \
@@ -59,17 +73,18 @@ def test_one_item_delta_reuses_records():
 
 def test_touched_item_record_reflects_the_delta():
     ws = _big_workspace()
-    prior = ws.query_context.facet_postings()
+    prior = ws.analyst_records()
+    prior.profile(ws.items)
 
     manager = EpochManager(ws)
     manager.ingest([(OP_ASSERT, EX.it5, EX.weight, Literal(12.5))])
     epoch = manager.publish()
 
-    postings = epoch.workspace.query_context.facet_postings_if_built()
-    assert postings._records[EX.it5] is not prior._records[EX.it5]
-    profile = postings.profile([EX.it5])
+    records = epoch.workspace.analyst_records()
+    profile = records.profile([EX.it5])
+    assert records._facets[EX.it5] is not prior._facets[EX.it5]
     assert sorted(profile.properties[EX.weight]._readings) == [5.0, 12.5]
-    whole = postings.profile(epoch.workspace.items)
+    whole = records.profile(epoch.workspace.items)
     assert len(whole.properties[EX.weight]._readings) == N_ITEMS + 1
 
 
@@ -97,3 +112,20 @@ def test_facet_memo_carries_only_clean_collections():
     assert stats.misses == 1 and stats.hits == 0
     epoch.workspace.facet_profile(clean)
     assert stats.hits == 1
+
+
+def test_touched_non_item_node_is_swept_again():
+    """Facet entries and memoized profiles exist for nodes outside the
+    item universe too, so a delta naming one must not carry either."""
+    ws = _big_workspace()
+    ws.graph.add(EX.loose, EX.color, EX.c1)
+    assert EX.loose not in ws.query_context.universe
+    before = ws.facet_profile([EX.loose])
+    assert list(before.properties[EX.color].counts) == [EX.c1]
+
+    manager = EpochManager(ws)
+    manager.ingest([(OP_ASSERT, EX.loose, EX.color, EX.c2)])
+    epoch = manager.publish()
+
+    after = epoch.workspace.facet_profile([EX.loose])
+    assert set(after.properties[EX.color].counts) == {EX.c1, EX.c2}

@@ -12,6 +12,7 @@ from repro.query import (
     Or,
     PathValue,
     QueryContext,
+    QueryEngine,
     Range,
     TextMatch,
     TypeIs,
@@ -140,19 +141,22 @@ class TestLeafPredicates:
 
 
 class TestBooleanAlgebra:
+    """Compounds have no extent of their own: the engine combines the
+    extents of their parts."""
+
     def test_and(self, context):
         p = And([HasValue(EX.cuisine, EX.greek),
                  HasValue(EX.ingredient, EX.parsley)])
-        assert p.candidates(context) == {EX.r1}
+        assert QueryEngine(context).evaluate(p) == {EX.r1}
 
     def test_or(self, context):
         p = Or([HasValue(EX.ingredient, EX.lamb),
                 HasValue(EX.ingredient, EX.corn)])
-        assert p.candidates(context) == {EX.r2, EX.r3}
+        assert QueryEngine(context).evaluate(p) == {EX.r2, EX.r3}
 
     def test_not(self, context):
         p = Not(HasValue(EX.cuisine, EX.greek))
-        assert p.candidates(context) == {EX.r3}
+        assert QueryEngine(context).evaluate(p) == {EX.r3}
 
     def test_nested(self, context):
         p = And([
@@ -160,13 +164,13 @@ class TestBooleanAlgebra:
             Or([HasValue(EX.cuisine, EX.mexican),
                 HasValue(EX.ingredient, EX.feta)]),
         ])
-        assert p.candidates(context) == {EX.r1, EX.r3}
+        assert QueryEngine(context).evaluate(p) == {EX.r1, EX.r3}
 
     def test_empty_and_is_universe(self, context):
-        assert And([]).candidates(context) == context.universe
+        assert QueryEngine(context).evaluate(And([])) == context.universe
 
     def test_empty_or_is_nothing(self, context):
-        assert Or([]).candidates(context) == set()
+        assert QueryEngine(context).evaluate(Or([])) == set()
 
     def test_double_negation_collapses(self):
         p = HasValue(EX.cuisine, EX.greek)
@@ -176,7 +180,7 @@ class TestBooleanAlgebra:
         p = HasValue(EX.cuisine, EX.greek) & ~HasValue(
             EX.ingredient, EX.parsley
         )
-        assert p.candidates(context) == {EX.r2}
+        assert QueryEngine(context).evaluate(p) == {EX.r2}
 
     def test_or_sugar(self, context):
         p = HasValue(EX.ingredient, EX.lamb) | HasValue(EX.ingredient, EX.corn)

@@ -9,7 +9,6 @@ from repro.store import (
     OP_RETRACT,
     Datom,
     DatomLog,
-    HistoryDisabledError,
 )
 from repro.store.datom import datom_from_dict, datom_to_dict
 
@@ -142,37 +141,6 @@ def test_replay_rejects_noop_datoms_as_corruption():
     bad = list(g.log) + [Datom(S, P, Literal("x"), 2, OP_RETRACT)]
     with pytest.raises(ValueError, match="absent"):
         Graph.from_datoms(bad)
-
-
-def test_dropped_history_log_counts_but_refuses_reads():
-    log = DatomLog(keep_datoms=False)
-    assert not log.keeps_history
-    log.commit((Datom(S, P, Literal("a"), 1, OP_ASSERT),))
-    log.commit((Datom(S, P, Literal("b"), 2, OP_ASSERT),))
-    assert log.last_tx == 2
-    assert len(log) == 2  # counting survives the drop
-    with pytest.raises(HistoryDisabledError, match="keep_datoms=False"):
-        log.datoms
-    with pytest.raises(HistoryDisabledError, match="keep_datoms=False"):
-        log.datoms_through(1)
-    with pytest.raises(HistoryDisabledError, match="keep_datoms=False"):
-        iter(log)
-
-
-def test_untracked_graph_mutates_without_retaining_datoms():
-    g = Graph(track_history=False)
-    g.add(S, P, Literal("a"))
-    g.add(S, P, Literal("b"))
-    g.remove(S, P, Literal("a"))
-    assert len(g) == 1
-    assert g.last_tx == 3  # tx ids still mint monotonically
-    assert len(g.log) == 3
-    assert not g.log.keeps_history
-    with pytest.raises(HistoryDisabledError, match="track_history=False"):
-        g.as_of(1)
-    # copies inherit the opt-out
-    assert not g.copy().log.keeps_history
-    assert Graph().copy().log.keeps_history
 
 
 def test_blank_node_counter_reseeds_after_replay():
