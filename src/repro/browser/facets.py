@@ -108,17 +108,6 @@ class FacetSummary:
         facets.sort(key=lambda f: (-f.coverage, f.label.lower()))
         return cls(facets, len(items))
 
-    @staticmethod
-    def _coverage(workspace: Workspace, items: list[Node], prop: Resource) -> int:
-        return workspace.facet_profile(items).coverage(prop)
-
-    @staticmethod
-    def _continuous_properties(
-        workspace: Workspace, items: list[Node]
-    ) -> list[Resource]:
-        profile = workspace.facet_profile(items)
-        return profile.continuous_properties(workspace.schema)
-
     def facet_for(self, prop: Resource) -> PropertyFacet | None:
         """Look up one property's facet."""
         for facet in self.facets:

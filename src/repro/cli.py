@@ -454,11 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         from .net.cli import serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        # `python -m repro loadgen ...` — drive a running server.
-        from .net.cli import loadgen_main
-
-        return loadgen_main(argv[1:])
     if argv and argv[0] == "store":
         # `python -m repro store ...` — manage durable datom-log stores.
         from .store.cli import store_main

@@ -16,7 +16,6 @@ possible — against either tier.
 """
 
 from .client import NavigationClient, ServerError
-from .loadgen import LoadReport, run_load
 from .protocol import (
     BadRequest,
     ClientDisconnect,
@@ -43,8 +42,6 @@ from .worker import DatasetSpec, WorkerHandle
 __all__ = [
     "NavigationClient",
     "ServerError",
-    "LoadReport",
-    "run_load",
     "NetError",
     "BadRequest",
     "NotFound",

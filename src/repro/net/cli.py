@@ -1,4 +1,4 @@
-"""``python -m repro serve`` and ``python -m repro loadgen``.
+"""``python -m repro serve``.
 
 ``serve`` loads a corpus exactly like the interactive browser (bundled
 datasets or --ntriples/--turtle), freezes the workspace for concurrent
@@ -10,15 +10,11 @@ workspace replica, behind a :class:`~repro.net.router.ShardedServer`
 session-affinity front.  ``--selftest`` is the CI smoke mode: start,
 drive a mixed command batch through a real client, drain, and exit
 nonzero if anything — including the drain's session saves — fails.
-
-``loadgen`` points the closed-loop load generator at a running server
-and prints the latency/throughput report as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 
@@ -105,27 +101,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_loadgen_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="Drive a running navigation server and report latency.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8642)
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--requests", type=int, default=100,
-                        help="requests per client")
-    parser.add_argument("--sessions", type=int, default=8)
-    parser.add_argument("--lg-seed", type=int, default=0)
-    parser.add_argument("--session-prefix", default="load",
-                        help="session name prefix (fresh prefix = fresh "
-                        "sessions, e.g. one per benchmark level)")
-    parser.add_argument("--no-keep-alive", action="store_true",
-                        help="open a fresh TCP connection per request "
-                        "instead of reusing kept-alive ones")
-    return parser
-
-
 def _build_server(args: argparse.Namespace):
     from .server import NavigationServer, ServerConfig
 
@@ -174,12 +149,45 @@ def _build_server(args: argparse.Namespace):
     return NavigationServer(manager, config)
 
 
+#: Keyword vocabulary for the smoke batch; datasets need not match
+#: these — empty results are legitimate navigation outcomes.
+_WORDS = [
+    "salad", "pepper", "corn", "olive", "magnet", "query",
+    "navigation", "graph", "empty",
+]
+
+
+def _smoke_command(rng):
+    """One command of the blind smoke mix.
+
+    Blind on purpose: a ``RemoveConstraint(0)`` on an empty chip row or
+    a ``Back`` with nothing to go back to comes back as a typed 422,
+    which the smoke counts as expected traffic.
+    """
+    from ..query.ast import TextMatch
+    from ..service import commands as cmd
+
+    roll = rng.random()
+    if roll < 0.30:
+        return cmd.Search(rng.choice(_WORDS))
+    if roll < 0.45:
+        return cmd.SearchWithin(rng.choice(_WORDS))
+    if roll < 0.65:
+        return cmd.Refine(TextMatch(rng.choice(_WORDS)), "filter")
+    if roll < 0.75:
+        return cmd.RemoveConstraint(0)
+    if roll < 0.85:
+        return cmd.UndoRefinement()
+    if roll < 0.95:
+        return cmd.Back()
+    return cmd.GoBookmarks()
+
+
 def _selftest(server) -> int:
     """The blocking CI smoke: 50 mixed commands, drain, zero drops."""
     import random
     import tempfile
 
-    from .loadgen import _next_command
     from .client import NavigationClient, ServerError
 
     host, port = server.address
@@ -191,7 +199,7 @@ def _selftest(server) -> int:
     ok = typed_errors = 0
     for step in range(50):
         try:
-            client.apply(names[step % len(names)], _next_command(rng))
+            client.apply(names[step % len(names)], _smoke_command(rng))
             ok += 1
         except ServerError:
             typed_errors += 1  # typed service errors are expected traffic
@@ -236,24 +244,6 @@ def serve_main(argv=None) -> int:
         f"{len(report.dropped)} dropped"
     )
     return 0 if report.ok else 1
-
-
-def loadgen_main(argv=None) -> int:
-    args = build_loadgen_parser().parse_args(argv)
-    from .loadgen import run_load
-
-    report = run_load(
-        args.host,
-        args.port,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        sessions=args.sessions,
-        seed=args.lg_seed,
-        session_prefix=args.session_prefix,
-        keep_alive=not args.no_keep_alive,
-    )
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via repro.cli

@@ -6,9 +6,8 @@ event loop, a hard body cap enforced from the declared length before
 any body byte is read, and a typed error for every way a request can
 be malformed.  This module is that thin layer: :class:`Request`, plus
 :func:`find_head`, :func:`parse_head` and :func:`content_length`, which
-the shared front door (:mod:`repro.net.front`), the router's upstream
-connections and the load generator use to frame bytes they have
-buffered themselves.
+the shared front door (:mod:`repro.net.front`) and the router's
+upstream connections use to frame bytes they have buffered themselves.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class Request:
 
 
 # ----------------------------------------------------------------------
-# Incremental parsing (event-loop callers: front, router, loadgen)
+# Incremental parsing (event-loop callers: front, router)
 # ----------------------------------------------------------------------
 
 

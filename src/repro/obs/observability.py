@@ -19,27 +19,16 @@ __all__ = ["Observability", "NULL_OBS"]
 class Observability:
     """Tracer + metrics registry, shared by one workspace's substrates."""
 
-    __slots__ = ("tracer", "metrics", "_clock")
+    __slots__ = ("tracer", "metrics")
 
     def __init__(self, tracing: bool = False, clock=None,
                  metrics: MetricsRegistry | None = None):
-        self._clock = clock
         self.tracer = Tracer(clock) if tracing else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    def enable_tracing(self, clock=None) -> Tracer:
-        """Switch tracing on (idempotent); returns the live tracer."""
-        if not self.tracer.enabled:
-            self.tracer = Tracer(clock if clock is not None else self._clock)
-        return self.tracer
-
-    def disable_tracing(self) -> None:
-        """Back to the shared no-op tracer; recorded spans are dropped."""
-        self.tracer = NULL_TRACER
 
     def __repr__(self) -> str:
         return f"<Observability tracing={self.tracing} {self.metrics!r}>"

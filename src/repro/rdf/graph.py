@@ -430,18 +430,6 @@ class Graph:
         """All property → value-set pairs of a subject (copied)."""
         return {p: set(objs) for p, objs in self._spo.get(subject, {}).items()}
 
-    def iter_properties(self, subject) -> Iterator[tuple[Resource, set[Node]]]:
-        """Iterate (property, value-set) pairs of a subject without copying.
-
-        The yielded sets are live index views: callers must treat them as
-        read-only and must not mutate the graph mid-iteration.  Hot
-        sweeps (facet counting) use this to skip :meth:`properties_of`'s
-        per-item copies.
-        """
-        by_pred = self._spo.get(subject)
-        if by_pred:
-            yield from by_pred.items()
-
     def count_subjects(self, predicate, obj) -> int:
         """Number of distinct subjects of (*, predicate, obj) in O(1).
 

@@ -1,6 +1,7 @@
 """The multi-process sharded tier: routing, failure, drain, telemetry."""
 
 import os
+import random
 import signal
 import threading
 import time
@@ -264,31 +265,60 @@ class TestShardedDrain:
         ]
 
     def test_drain_under_load_loses_no_admitted_request(self, tmp_path):
-        from repro.net.loadgen import run_load
+        from repro.net.cli import _smoke_command
 
         spec = DatasetSpec(kind="check_corpus", seed=CORPUS_SEED)
         server = ShardedServer(spec, ServerConfig(workers=2), procs=2).start()
         host, port = server.address
+        names = [f"under-{i}" for i in range(8)]
+        setup = NavigationClient(host, port, timeout=10.0)
+        for name in names:
+            setup.create_session(name)
 
-        result: dict = {}
+        draining = threading.Event()
+        ok: list[int] = []
+        error_types: list[str] = []
+        failures: list[BaseException] = []
 
-        def load():
-            result["report"] = run_load(
-                host, port, clients=4, requests_per_client=40,
-                sessions=8, seed=5, session_prefix="under",
-            )
+        def drive(index: int) -> None:
+            rng = random.Random(index)
+            owned = names[index::4]
+            with NavigationClient(
+                host, port, timeout=10.0, keep_alive=True
+            ) as client:
+                for step in range(40):
+                    try:
+                        client.apply(owned[step % len(owned)], _smoke_command(rng))
+                        ok.append(step)
+                    except ServerError as error:
+                        error_types.append(error.error_type)
+                    except ConnectionError as error:
+                        # Refused or reset once the drain has begun: the
+                        # request was never admitted, so it is not lost.
+                        if not draining.is_set():
+                            failures.append(error)
+                        return
+                    except Exception as error:  # noqa: BLE001 - surfaced below
+                        failures.append(error)
+                        return
 
-        thread = threading.Thread(target=load)
-        thread.start()
-        time.sleep(0.25)  # let the run get properly in flight
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        # Start the drain mid-run: a quarter of the 160 requests in.
+        deadline = time.monotonic() + 30.0
+        while len(ok) + len(error_types) < 40 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        draining.set()
         report = server.drain(save_dir=tmp_path)
-        thread.join(timeout=60.0)
+        for thread in threads:
+            thread.join(timeout=60.0)
 
-        assert report.saved == [f"under-{i}" for i in range(8)]
+        assert report.saved == names
         assert report.dropped == []
-        load_report = result["report"]
         # In-flight requests either completed or were answered with a
-        # typed envelope once the drain began; the generator never saw
-        # a malformed response.
-        assert "BadEnvelope" not in load_report.errors
-        assert load_report.ok > 0
+        # typed envelope once the drain began; no client saw a
+        # malformed response or a transport failure before the drain.
+        assert failures == []
+        assert "BadEnvelope" not in error_types
+        assert ok

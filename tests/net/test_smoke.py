@@ -1,11 +1,13 @@
 """End-to-end smoke: a mixed batch under concurrency, then drain."""
 
 import os
+import random
+import threading
 
 import pytest
 
-from repro.net import NavigationClient, NavigationServer, ServerConfig
-from repro.net.loadgen import run_load
+from repro.net import NavigationClient, NavigationServer, ServerConfig, ServerError
+from repro.net.cli import _smoke_command
 from repro.service.manager import SessionManager
 
 
@@ -15,15 +17,40 @@ class TestServeSmoke:
         server = NavigationServer(manager, ServerConfig(workers=4)).start()
         host, port = server.address
 
-        report = run_load(
-            host, port, clients=4, requests_per_client=25, sessions=5, seed=3
-        )
-        assert report.requests == 100
-        assert report.ok > 0
-        # Typed service errors are legitimate traffic; transport-level
-        # failures (BadEnvelope, disconnects) are not.
-        assert "BadEnvelope" not in report.errors
-        assert report.p99_ms >= report.p50_ms > 0
+        names = [f"load-{i}" for i in range(5)]
+        setup = NavigationClient(host, port, timeout=10.0)
+        for name in names:
+            setup.create_session(name)
+
+        # One answer per request: None for ok, the ServerError otherwise.
+        # A transport failure kills its thread and shows as a short count.
+        answers: list = []
+
+        def drive(index: int) -> None:
+            rng = random.Random(index)
+            owned = names[index::4]
+            with NavigationClient(
+                host, port, timeout=10.0, keep_alive=True
+            ) as client:
+                for step in range(25):
+                    try:
+                        client.apply(owned[step % len(owned)], _smoke_command(rng))
+                        answers.append(None)
+                    except ServerError as error:
+                        answers.append(error)
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+
+        assert len(answers) == 100
+        assert None in answers
+        # Typed service errors are legitimate traffic; a response that
+        # is not an envelope at all is not.
+        errors = [answer for answer in answers if answer is not None]
+        assert all(error.error_type != "BadEnvelope" for error in errors)
 
         drain = server.drain(save_dir=tmp_path)
         assert drain.ok
