@@ -21,7 +21,12 @@ on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
 * a second session's landing, its view-pure analysts served from the
   workspace's analysis memo, is ≥3× faster than the same landing with
   every analyst run on warm workspace caches, bytes identical
-  (``landing_repeat`` row, also measured at 16,384 items).
+  (``landing_repeat`` row, also measured at 16,384 items);
+* a value or range preview served against the view's cached intern
+  mask is ≥VIEW_PREVIEW_FLOOR× faster than re-interning the view's
+  items for every preview, counts identical, on the landing view and
+  on a narrowed view (``view_preview`` row, also measured at 16,384
+  items).
 
 One row records a cost and has no floor: ``epoch_fold``, the time to
 publish two new items at 8,192 and 16,384 items now that every publish
@@ -62,7 +67,7 @@ from repro.net.protocol import (
 )
 from repro.query import HasValue, QueryContext, Range
 from repro.rdf.terms import Literal
-from repro.service import commands as cmd
+from repro.service import NavigationService, commands as cmd
 from repro.service.manager import SessionManager
 from repro.store.datom import OP_ASSERT
 from repro.vsm import SparseVector, VectorSpaceModel
@@ -515,6 +520,91 @@ def test_landing_repeat(corpus):
     speedup = rows[str(N_ITEMS)]["speedup"]
     assert speedup >= LANDING_REPEAT_FLOOR, (
         f"memo-served landing only {speedup}x faster: {rows}"
+    )
+
+
+#: The acceptance floor for a preview at 64k: one AND and one popcount
+#: against the view's cached mask, against re-interning the view.
+VIEW_PREVIEW_FLOOR = 100.0
+
+#: Previews per timed batch.
+VIEW_PREVIEW_CALLS = 20
+
+
+def _interning_preview(workspace, state, predicate):
+    """The preview before views carried their mask, kept as the baseline:
+    given the view's items, the engine interns every one of them on each
+    call, then counts ``popcount(bits & bits_of(view.items))``."""
+    return workspace.query_engine.count(predicate, within=state.view.items)
+
+
+def _view_preview(corpus):
+    """Per-preview ms, before and after, by view and predicate kind.
+
+    Extents are warm on both sides (the same predicates repeat), so the
+    two differ only in how the view becomes a mask.
+    """
+    extras = corpus.extras
+    workspace = Workspace(
+        corpus.graph, schema=corpus.schema, items=corpus.items
+    ).freeze()
+    service = NavigationService()
+    landing = service.initial_state(workspace)
+    narrowed = service.apply(
+        workspace,
+        landing,
+        cmd.Refine(HasValue(extras["p_category"], extras["categories"][0])),
+    ).state
+    previews = {
+        "value": HasValue(extras["p_tag"], extras["tags"][0]),
+        "range": Range(extras["p_year"], low=1950.0, high=1990.0),
+    }
+    rows = {}
+    for view_name, state in (("landing", landing), ("narrowed", narrowed)):
+        for kind, predicate in previews.items():
+            want = service.preview_count(workspace, state, predicate)
+            naive = len(
+                naive_extent(predicate, set(state.view.items),
+                             workspace.query_context)
+            )
+            assert want == naive
+            before_s, before = _best_of(lambda: [
+                _interning_preview(workspace, state, predicate)
+                for _ in range(VIEW_PREVIEW_CALLS)
+            ])
+            after_s, after = _best_of(lambda: [
+                service.preview_count(workspace, state, predicate)
+                for _ in range(VIEW_PREVIEW_CALLS)
+            ])
+            assert before == after == [want] * VIEW_PREVIEW_CALLS
+            rows[f"{view_name}_{kind}"] = {
+                "view_items": len(state.view.items),
+                "count": want,
+                "before_ms": round(before_s / VIEW_PREVIEW_CALLS * 1000, 3),
+                "after_ms": round(after_s / VIEW_PREVIEW_CALLS * 1000, 4),
+                "speedup": round(before_s / after_s, 1),
+            }
+    return rows
+
+
+def test_view_preview(corpus):
+    """Previews against the view's cached mask, against re-interning the
+    view for every preview; counts identical."""
+    rows = {
+        str(size): _view_preview(sized)
+        for size, sized in (
+            (16_384, scaled.build_corpus(16_384)),
+            (N_ITEMS, corpus),
+        )
+    }
+    _record_bench(
+        N_ITEMS,
+        "view_preview",
+        {"sizes": rows, "floor": VIEW_PREVIEW_FLOOR, "host": _host()},
+    )
+    slowest = min(row["speedup"] for row in rows[str(N_ITEMS)].values())
+    assert slowest >= VIEW_PREVIEW_FLOOR, (
+        f"mask-served preview only {slowest}x faster: {rows}"
     )
 
 

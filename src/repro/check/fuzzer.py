@@ -325,30 +325,55 @@ class DifferentialRunner:
             replace(self.state, view=self._landing),
             "landing suggestion cycle",
         )
-        if not self.state.view.is_collection:
-            return
-        items = set(self.model.view.items)
-        for suggestion in self._probe_targets(first.all_suggestions()):
-            action = suggestion.action
-            engine_count = self.service.preview_count(
-                self.workspace, self.state, action.predicate, RefineMode.FILTER
+        probes = self._probe_targets(first.all_suggestions())
+        # The landing view borrows the universe mask and a back-stack
+        # view keeps the mask its refinement computed: both are
+        # mask-served, so both are preview-probed as well.
+        self._check_previews(command, probes, self._landing, "landing view")
+        if self.state.back_stack:
+            self._check_previews(
+                command, probes, self.state.back_stack[-1], "back-stack top"
             )
-            naive_count = len(self.model.extent(action.predicate) & items)
-            if engine_count != naive_count:
-                self._fail(
-                    command,
-                    f"preview count for suggested {action.predicate!r}: "
-                    f"engine {engine_count} != naive {naive_count}",
-                )
+        counts = self._check_previews(
+            command, probes, self.state.view, "current view"
+        )
+        for suggestion, naive_count in zip(probes, counts):
             if suggestion.analyst in _COUNTED_ANALYSTS:
                 shown = _TITLE_COUNT.search(suggestion.title)
                 if shown is None or int(shown.group(1)) != naive_count:
                     self._fail(
                         command,
                         f"{suggestion.analyst} chip {suggestion.title!r} "
-                        f"for {action.predicate!r}: naive count over the "
-                        f"view is {naive_count}",
+                        f"for {suggestion.action.predicate!r}: naive count "
+                        f"over the view is {naive_count}",
                     )
+
+    def _check_previews(
+        self, command: cmd.Command, probes, view, what: str
+    ) -> list[int]:
+        """Preview-probe one view of this session against the model.
+
+        Returns the naive counts, one per probe (none for an item view).
+        """
+        if not view.is_collection:
+            return []
+        state = replace(self.state, view=view)
+        items = set(view.items)
+        counts = []
+        for suggestion in probes:
+            predicate = suggestion.action.predicate
+            engine_count = self.service.preview_count(
+                self.workspace, state, predicate, RefineMode.FILTER
+            )
+            naive_count = len(self.model.extent(predicate) & items)
+            if engine_count != naive_count:
+                self._fail(
+                    command,
+                    f"{what} preview count for {predicate!r}: "
+                    f"engine {engine_count} != naive {naive_count}",
+                )
+            counts.append(naive_count)
+        return counts
 
     def _probe_targets(self, suggestions) -> list:
         """The first few Refine suggestions, plus one of each counted kind.

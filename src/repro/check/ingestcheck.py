@@ -20,7 +20,13 @@ at each watermark:
   commands against the live epoch while its
   :class:`~repro.check.reference.ReferenceModel` is rebuilt over the
   *cold* workspace, so every refinement, zoom, search, and suggestion
-  probe compares incremental state against from-scratch state.
+  probe compares incremental state against from-scratch state;
+* **migrated previews** — one session, narrowed in the first epoch, is
+  carried into every later one the way ``sync_session`` carries it
+  (same view, new workspace), and previews one predicate per epoch.  A
+  view caches its items' mask per intern table and every epoch has a
+  fresh table, so the count must equal a naive count over the cold
+  build.
 
 ``mutate_epoch`` is the harness-sensitivity seam: a test can plant a
 deliberate staleness bug (e.g. a facet-profile memo carried across a
@@ -35,12 +41,17 @@ from dataclasses import dataclass, field, replace
 
 from ..core.engine import NavigationEngine
 from ..core.epochs import EpochManager
+from ..core.suggestions import RefineMode
+from ..query.ast import HasValue, Range
 from ..rdf import RDF, Literal
 from ..rdf.vocab import MAGNET
+from ..service import commands as cmd
+from ..service.navigation import NavigationService
+from ..service.state import SessionState
 from ..store.datom import OP_ASSERT, OP_RETRACT
 from .corpus import FUZZ, FuzzCorpus, random_corpus
 from .fuzzer import CommandGenerator, DifferentialRunner, Divergence, FuzzConfig
-from .reference import ReferenceModel
+from .reference import ReferenceModel, naive_extent
 from .storecheck import workspace_fingerprint
 
 __all__ = ["IngestCheckReport", "run_ingest_check"]
@@ -190,6 +201,9 @@ def run_ingest_check(
         soup = _DeltaSoup(rng, corpus)
         report.corpora_run += 1
         published = 0
+        # Its own stream, so the mutations drawn stay those of ``rng``.
+        preview_rng = random.Random(corpus_seed ^ 0x7E5E)
+        migrated: SessionState | None = None
         for _round in range(max(2, epochs)):
             before = manager._datoms_ingested
             for _tx in range(rng.randint(1, max(1, txs_per_epoch))):
@@ -220,6 +234,10 @@ def run_ingest_check(
                     f"{epoch.watermark}) build"
                 )
                 break  # the epoch chain is already suspect
+            migrated = _preview_migrated(
+                corpus, preview_rng, epoch, cold, migrated, corpus_seed,
+                report,
+            )
             steps = _race_navigation(
                 corpus, epoch, cold, corpus_seed, nav_steps, report
             )
@@ -231,6 +249,58 @@ def run_ingest_check(
                 f"head tx {manager.head_tx}"
             )
     return report
+
+
+def _preview_migrated(
+    corpus: FuzzCorpus,
+    rng: random.Random,
+    epoch,
+    cold,
+    state: SessionState | None,
+    corpus_seed: int,
+    report: IngestCheckReport,
+) -> SessionState:
+    """Preview one predicate on a session carried over from the last epoch.
+
+    The first epoch lands a session and narrows it by one facet value
+    (kept or excluded); later epochs reuse that state, view object and
+    all.  Returns the state to carry on.
+    """
+    service = NavigationService()
+    workspace = epoch.workspace
+    graph = workspace.graph
+    if state is None:
+        state = service.initial_state(workspace)
+        prop = rng.choice(corpus.props)
+        values = sorted(set(graph.objects(None, prop)), key=lambda n: n.n3())
+        if values:
+            mode = rng.choice([RefineMode.FILTER, RefineMode.EXCLUDE])
+            narrow = cmd.Refine(HasValue(prop, rng.choice(values)), mode)
+            state = service.apply(workspace, state, narrow).state
+    items = state.view.items
+    if items and rng.random() < 0.5:
+        item = rng.choice(items)
+        pairs = sorted(
+            ((p, o) for _s, p, o in graph.triples(item, None, None)
+             if p in corpus.props),
+            key=lambda pair: (pair[0].n3(), pair[1].n3()),
+        )
+        predicate = HasValue(*rng.choice(pairs)) if pairs else None
+    else:
+        predicate = None
+    if predicate is None:
+        low, high = corpus.numeric_span
+        bounds = sorted(rng.uniform(low, high) for _ in range(2))
+        predicate = Range(rng.choice(corpus.numeric_props), *bounds)
+    count = service.preview_count(workspace, state, predicate)
+    naive = len(naive_extent(predicate, set(items), cold.query_context))
+    if count != naive:
+        report.violations.append(
+            f"corpus {corpus_seed} epoch {epoch.number}: migrated session "
+            f"previews {predicate!r} at {count}, naive count over the "
+            f"cold build is {naive}"
+        )
+    return state
 
 
 def _race_navigation(

@@ -172,6 +172,8 @@ class Workspace:
         self._facet_profiles: dict = dict(carried_profiles or {})
         self.facet_profile_stats = CacheStats()
         self._frozen = False
+        #: Set by :meth:`freeze`: whether ``items`` lists the universe.
+        self._items_are_universe = False
         #: Set on views produced by :meth:`as_of`: the pinned tx.
         self._historical_tx: int | None = None
         #: tx -> historical Workspace view, small FIFO (time-travel
@@ -252,9 +254,22 @@ class Workspace:
             if self._frozen:
                 return self
             self.graph.freeze()
-            self.query_context.universe_bits()
+            context = self.query_context
+            context.universe_bits()
+            self._items_are_universe = set(self.items) == context.universe
             self._frozen = True
         return self
+
+    def landing_bits(self) -> int | None:
+        """The mask of a landing view (a copy of ``items``), if known.
+
+        On a frozen workspace whose ``items`` list the universe, that is
+        the cached universe mask; otherwise None, and the view interns
+        its items on first use.
+        """
+        if not self._items_are_universe:
+            return None
+        return self.query_context.universe_bits()
 
     @property
     def as_of_tx(self) -> int | None:

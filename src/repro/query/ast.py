@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence
 
 from ..index.textindex import TextIndex
@@ -64,6 +64,10 @@ __all__ = [
 
 #: Sentinel distinguishing "cache miss" from a cached None extent.
 _MISS = object()
+
+#: The order a collection view lists its items in.  One shared object,
+#: so every intern table builds its rank for it once.
+_N3_KEY = methodcaller("n3")
 
 #: Most predicate extents one context keeps; past it the least recently
 #: used entry is evicted.  Range bounds follow a slider, so without a
@@ -145,6 +149,10 @@ class QueryContext:
     def nodes_of(self, mask: int) -> set[Node]:
         """The node set a bitmask denotes."""
         return self.graph.interner.nodes_of(mask)
+
+    def ordered_nodes(self, mask: int) -> list[Node]:
+        """The nodes of a bitmask in view order: ``sorted(..., key=n3)``."""
+        return self.graph.interner.ordered(mask, _N3_KEY)
 
     def _cache_key(self) -> tuple[int, int]:
         """(graph version, universe size): what every extent depends on.
@@ -402,17 +410,27 @@ class RangeIndex:
 
     ``values`` holds every reading in ascending order and ``ids[i]`` the
     intern id of the item carrying ``values[i]``: 16 bytes per reading
-    in two flat arrays.  A ``Range`` extent is then two bisections and
-    one bitmask over an id slice.  Readings follow :meth:`Range.matches`
-    exactly (see :meth:`reading`); an item with several readings
-    appears once per reading.
+    in two flat arrays.  ``blocks[b]`` is the bitmask of the ids of
+    readings ``b * BLOCK .. (b + 1) * BLOCK - 1``.  A ``Range`` extent is
+    then two bisections, an OR over the whole blocks between them and at
+    most two short id slices at the ends.  Readings follow
+    :meth:`Range.matches` exactly (see :meth:`reading`); an item with
+    several readings appears once per reading.
     """
 
-    __slots__ = ("values", "ids")
+    __slots__ = ("values", "ids", "blocks")
+
+    #: Readings per block mask.
+    BLOCK = 64
 
     def __init__(self, values: array, ids: array):
         self.values = values
         self.ids = ids
+        step = self.BLOCK
+        self.blocks = [
+            bits_from_ids(ids[start:start + step])
+            for start in range(0, len(ids) - step + 1, step)
+        ]
 
     @staticmethod
     def reading(value: Node) -> float | None:
@@ -464,7 +482,17 @@ class RangeIndex:
         end = len(values) if high is None else bisect_right(values, high)
         if start >= end:
             return 0
-        return bits_from_ids(self.ids[start:end])
+        step = self.BLOCK
+        first = -(-start // step)  # the first block starting at or after start
+        last = end // step  # the blocks before it end at or before end
+        if first >= last:
+            return bits_from_ids(self.ids[start:end])
+        bits = bits_from_ids(self.ids[start:first * step])
+        for block in self.blocks[first:last]:
+            bits |= block
+        if end > last * step:
+            bits |= bits_from_ids(self.ids[last * step:end])
+        return bits
 
 
 class Range(Predicate):

@@ -18,13 +18,21 @@ as any other leaf.  Predicates that cannot enumerate an extent
 (extension-only predicates such as ``PathValue``/``Cardinality``, or
 trees containing them) fall back to per-item filtering; results are the
 same either way, only the time to produce them changes.
+
+A base collection (``within``) is given either as nodes, which are
+interned on every call, or as their bitmask over the context's intern
+table.  The navigation service passes the current view's cached mask
+(:meth:`~repro.service.state.ViewState.bits`), so a preview is one AND
+and one popcount, and a refinement takes its result as a mask
+(:meth:`QueryEngine.select`) that the new view keeps: neither ever
+re-interns the view.
 ``repro.check.reference.naive_extent`` is the oracle the test suites
 and the differential fuzzer compare this engine against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ..obs import NULL_OBS, Observability
 from ..perf.bitset import popcount
@@ -36,6 +44,9 @@ __all__ = ["QueryEngine"]
 #: An extension evaluator returns the predicate's exact extent, or None
 #: to fall back to per-item matching.
 ExtensionEvaluator = Callable[[Predicate, QueryContext], Optional[set[Node]]]
+
+#: A base collection: its nodes, or their bitmask over the intern table.
+Collection = Union[Iterable[Node], int]
 
 
 class QueryEngine:
@@ -65,12 +76,14 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def evaluate(
-        self, predicate: Predicate, within: Iterable[Node] | None = None
+        self, predicate: Predicate, within: Collection | None = None
     ) -> set[Node]:
         """The set of items satisfying ``predicate``.
 
         ``within`` restricts evaluation to a base collection (used when
-        refining the current result set); None means the full universe.
+        refining the current result set), given as nodes or as a
+        bitmask over the context's intern table; None means the full
+        universe.
         """
         tracer = self.obs.tracer
         if not tracer.enabled:
@@ -82,28 +95,46 @@ class QueryEngine:
             span.set_tag("results", len(result))
             return result
 
+    def select(
+        self, predicate: Predicate, within: Collection | None = None
+    ) -> int:
+        """:meth:`evaluate`'s result as a bitmask over the intern table.
+
+        What a refinement keeps as its new view's mask: with a known
+        extent it is one AND, and the items are never collected into a
+        set.  Traced under the same span name as :meth:`evaluate`.
+        """
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return self._select(predicate, within)
+        with tracer.span(
+            "query.evaluate", root=type(predicate).__name__
+        ) as span:
+            result = self._select(predicate, within)
+            span.set_tag("results", popcount(result))
+            return result
+
     def _evaluate(
-        self, predicate: Predicate, within: Iterable[Node] | None
+        self, predicate: Predicate, within: Collection | None
     ) -> set[Node]:
-        context = self.context
         bits = self._root_bits(predicate)
         if bits is not None:
-            if within is not None:
-                return context.nodes_of(bits & context.bits_of(within))
-            return context.nodes_of(bits & context.universe_bits())
-        population = set(within) if within is not None else context.universe
-        return {
-            item
-            for item in population
-            if predicate.matches(item, context)
-        }
+            return self.context.nodes_of(bits & self._base_bits(within))
+        return self._filter(predicate, within)
 
-    def count(self, predicate: Predicate, within: Iterable[Node] | None = None) -> int:
+    def _select(self, predicate: Predicate, within: Collection | None) -> int:
+        bits = self._root_bits(predicate)
+        if bits is not None:
+            return bits & self._base_bits(within)
+        return self.context.bits_of(self._filter(predicate, within))
+
+    def count(self, predicate: Predicate, within: Collection | None = None) -> int:
         """Size of the predicate's result set (used for query previews).
 
         When the extent is known the count is a popcount — no item set is
         materialized, which is what makes §3.2's per-click previews
-        near-free once extents are cached.
+        near-free once extents are cached.  Given the view's own mask as
+        ``within``, a preview is one AND and one popcount.
         """
         tracer = self.obs.tracer
         if not tracer.enabled:
@@ -115,16 +146,34 @@ class QueryEngine:
             span.set_tag("results", count)
             return count
 
-    def _count(
-        self, predicate: Predicate, within: Iterable[Node] | None
-    ) -> int:
-        context = self.context
+    def _count(self, predicate: Predicate, within: Collection | None) -> int:
         bits = self._root_bits(predicate)
         if bits is not None:
-            if within is not None:
-                return popcount(bits & context.bits_of(within))
-            return popcount(bits & context.universe_bits())
-        return len(self._evaluate(predicate, within))
+            return popcount(bits & self._base_bits(within))
+        return len(self._filter(predicate, within))
+
+    def _base_bits(self, within: Collection | None) -> int:
+        """The base collection as a bitmask (the universe for None)."""
+        if within is None:
+            return self.context.universe_bits()
+        if isinstance(within, int):
+            return within
+        return self.context.bits_of(within)
+
+    def _filter(self, predicate: Predicate, within: Collection | None) -> set[Node]:
+        """Per-item matching over the base collection (no known extent)."""
+        context = self.context
+        if within is None:
+            population = context.universe
+        elif isinstance(within, int):
+            population = context.nodes_of(within)
+        else:
+            population = set(within)
+        return {
+            item
+            for item in population
+            if predicate.matches(item, context)
+        }
 
     def matches(self, predicate: Predicate, item: Node) -> bool:
         """Test a single item."""

@@ -77,13 +77,17 @@ class NavigationService:
         session_id: str | None = None,
     ) -> SessionState:
         """A fresh session over the workspace: viewing everything."""
-        return SessionState.initial(
+        state = SessionState.initial(
             workspace.items,
             fuzzy_on_empty=fuzzy_on_empty,
             fuzzy_k=fuzzy_k,
             back_limit=back_limit,
             session_id=session_id,
         )
+        landing = workspace.landing_bits()
+        if landing is not None:
+            state.view.keep_bits(workspace.graph.interner, landing)
+        return state
 
     def history_of(self, state: SessionState) -> NavigationHistory:
         """A NavigationHistory rebuilt from the state's raw sequences."""
@@ -191,9 +195,9 @@ class NavigationService:
         with obs.tracer.span(
             "session.query", **self._session_tags(state)
         ) as span:
-            items = workspace.query_engine.evaluate(predicate)
+            bits = workspace.query_engine.select(predicate)
             transition = self._arrive_collection(
-                workspace, state, predicate, items, description
+                workspace, state, predicate, bits, description
             )
             span.set_tag("items", len(transition.state.view.items))
             return transition
@@ -545,9 +549,11 @@ class NavigationService:
         engine = workspace.query_engine
         current = state.view
         if mode == RefineMode.FILTER:
-            return engine.count(predicate, within=current.items)
+            within = current.bits(workspace.graph.interner)
+            return engine.count(predicate, within=within)
         if mode == RefineMode.EXCLUDE:
-            return engine.count(predicate.negated(), within=current.items)
+            within = current.bits(workspace.graph.interner)
+            return engine.count(predicate.negated(), within=within)
         if mode == RefineMode.EXPAND:
             query = (
                 predicate
@@ -576,27 +582,26 @@ class NavigationService:
         mode: str,
     ) -> Transition:
         current = state.view
+        engine = workspace.query_engine
         if mode == RefineMode.FILTER:
             query = self._conjoin(current.query, predicate)
-            items = workspace.query_engine.evaluate(
-                predicate, within=current.items
-            )
+            within = current.bits(workspace.graph.interner)
+            bits = engine.select(predicate, within=within)
         elif mode == RefineMode.EXCLUDE:
             negated = predicate.negated()
             query = self._conjoin(current.query, negated)
-            items = workspace.query_engine.evaluate(
-                negated, within=current.items
-            )
+            within = current.bits(workspace.graph.interner)
+            bits = engine.select(negated, within=within)
         elif mode == RefineMode.EXPAND:
             query = (
                 predicate
                 if current.query is None
                 else Or([current.query, predicate])
             )
-            items = workspace.query_engine.evaluate(query)
+            bits = engine.select(query)
         else:
             raise ValueError(f"unknown refine mode {mode!r}")
-        return self._arrive_collection(workspace, state, query, items)
+        return self._arrive_collection(workspace, state, query, bits)
 
     @staticmethod
     def _conjoin(query: Predicate | None, predicate: Predicate) -> Predicate:
@@ -617,23 +622,31 @@ class NavigationService:
         workspace: Workspace,
         state: SessionState,
         query: Predicate | None,
-        items,
+        bits: int,
         description: str | None = None,
     ) -> Transition:
-        item_list = sorted(items, key=lambda n: n.n3())
+        """Arrive at the collection ``bits`` denotes (listed in n3 order).
+
+        The new view keeps ``bits`` as its mask, so its previews and
+        refinements never intern its items; a fuzzy fallback's ranked
+        list interns lazily on first use instead.
+        """
+        context = workspace.query_context
+        item_list = context.ordered_nodes(bits)
         was_fuzzy = False
         if not item_list and state.fuzzy_on_empty and query is not None:
             fuzzy = self._fuzzy_results(workspace, state, query)
             if fuzzy:
                 item_list = fuzzy
                 was_fuzzy = True
-        context = workspace.query_context
         description = description or (
             query.describe(context) if query is not None else "collection"
         )
         view = ViewState.of_collection(
             tuple(item_list), query=query, description=description
         )
+        if not was_fuzzy:
+            view.keep_bits(workspace.graph.interner, bits)
         new_state = replace(
             state,
             view=view,

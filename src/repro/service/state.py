@@ -16,13 +16,20 @@ save/load and the :class:`~repro.service.manager.SessionManager`.
 ``json_bytes`` is that form's canonical JSON, assembled from memoized
 term fragments; ``to_dict`` stays the oracle it must equal byte for
 byte.
+
+A collection view also caches its items' bitmask over one intern table
+(:meth:`ViewState.bits`), so a preview against it is one AND and one
+popcount.  The cache is not part of the value: equality, hashing and the
+wire form ignore it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from ..perf.intern import InternTable
 from ..query.ast import And, Predicate
 from ..rdf.terms import Node
 from .serialize import (
@@ -72,6 +79,31 @@ class ViewState:
     @property
     def is_collection(self) -> bool:
         return self.kind == self.KIND_COLLECTION
+
+    def bits(self, table: InternTable) -> int:
+        """The items as a bitmask over ``table``, derived once per table.
+
+        The view remembers one ``(table, mask)`` pair and holds the table
+        weakly, so a retired epoch's table is not kept alive by the
+        views that outlive it.  A mask is never read against any other
+        table: a session migrated to a new epoch keeps its items, and
+        their mask is derived again, once, against the new table.
+        """
+        cached = self.__dict__.get("_bits")
+        if cached is not None and cached[0]() is table:
+            return cached[1]
+        mask = table.bits_of(self.items)
+        self.keep_bits(table, mask)
+        return mask
+
+    def keep_bits(self, table: InternTable, mask: int) -> None:
+        """Record ``mask`` as the items' bitmask over ``table``.
+
+        For callers that already hold it (a refinement's result mask,
+        the universe mask of a landing view); it must equal
+        ``table.bits_of(self.items)``.
+        """
+        object.__setattr__(self, "_bits", (weakref.ref(table), mask))
 
     def constraints(self) -> list[Predicate]:
         """The query's top-level conjuncts (the constraint chips)."""

@@ -15,7 +15,7 @@ dicts session states use and the segment files need no new vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..rdf.terms import BlankNode, Node, Resource
 
@@ -24,7 +24,14 @@ from ..rdf.terms import BlankNode, Node, Resource
 # imported lazily inside the codec functions so rdf -> store keeps a
 # downward-only import graph at module-load time.
 
-__all__ = ["OP_ASSERT", "OP_RETRACT", "Datom", "datom_to_dict", "datom_from_dict"]
+__all__ = [
+    "OP_ASSERT",
+    "OP_RETRACT",
+    "Datom",
+    "datom_to_dict",
+    "datom_from_dict",
+    "term_decoder",
+]
 
 #: Operation tags.  Single characters: they appear once per line in
 #: segment files, and the log can hold millions of datoms.
@@ -76,15 +83,58 @@ def datom_to_dict(datom: Datom) -> dict[str, Any]:
     }
 
 
-def datom_from_dict(data: dict[str, Any]) -> Datom:
-    """Decode a datom; malformed input raises StateSerializationError."""
+def term_decoder() -> Callable[[Any], Node]:
+    """A term decoder that returns one object per distinct term.
+
+    A log names each subject, property and common value many times; a
+    replay that decodes through one decoder builds each term once, and
+    the graph then holds one object per term.  Terms are keyed on their
+    wire fields ``(t, v, dt, lang)``, not on term equality, and only
+    string-valued fields are keyed, so ``1``, ``True`` and ``1.0`` never
+    share an entry.  Everything else, malformed input included, goes to
+    ``node_from_dict`` as before.
+    """
+    from ..service.serialize import node_from_dict
+
+    terms: dict[tuple, Node] = {}
+
+    def decode(data: Any) -> Node:
+        if type(data) is dict:
+            kind, value = data.get("t"), data.get("v")
+            datatype, language = data.get("dt"), data.get("lang")
+            if (
+                type(kind) is str
+                and type(value) is str
+                and (datatype is None or type(datatype) is str)
+                and (language is None or type(language) is str)
+            ):
+                key = (kind, value, datatype, language)
+                node = terms.get(key)
+                if node is None:
+                    node = terms[key] = node_from_dict(data)
+                return node
+        return node_from_dict(data)
+
+    return decode
+
+
+def datom_from_dict(
+    data: dict[str, Any], decode: Callable[[Any], Node] | None = None
+) -> Datom:
+    """Decode a datom; malformed input raises StateSerializationError.
+
+    ``decode`` decodes the three terms (``node_from_dict`` by default;
+    a log replay passes one :func:`term_decoder`).
+    """
     from ..service.serialize import StateSerializationError, node_from_dict
 
+    if decode is None:
+        decode = node_from_dict
     try:
         return Datom(
-            s=node_from_dict(data["s"]),  # type: ignore[arg-type]
-            p=node_from_dict(data["p"]),  # type: ignore[arg-type]
-            o=node_from_dict(data["o"]),
+            s=decode(data["s"]),  # type: ignore[arg-type]
+            p=decode(data["p"]),  # type: ignore[arg-type]
+            o=decode(data["o"]),
             tx=data["tx"],
             op=data["op"],
         )

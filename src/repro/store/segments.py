@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .datom import Datom, datom_from_dict, datom_to_dict
+from .datom import Datom, datom_from_dict, datom_to_dict, term_decoder
 
 __all__ = [
     "LogStore",
@@ -352,9 +352,13 @@ class LogStore:
         return payload
 
     def datoms(self) -> Iterator[Datom]:
-        """Every datom in tx order, verifying checksums segment by segment."""
+        """Every datom in tx order, verifying checksums segment by segment.
+
+        One pass decodes each distinct term once (:func:`term_decoder`).
+        """
         from ..service.serialize import StateSerializationError
 
+        decode = term_decoder()
         for info in self._segments:
             payload = self._segment_payload(info)
             count = 0
@@ -362,7 +366,7 @@ class LogStore:
                 if not line.strip():
                     continue
                 try:
-                    yield datom_from_dict(json.loads(line))
+                    yield datom_from_dict(json.loads(line), decode)
                 except (ValueError, StateSerializationError) as error:
                     raise StoreCorruptError(
                         f"segment {info.name} holds a malformed datom: "

@@ -4,8 +4,9 @@ The second half is the harness-sensitivity contract: an oracle that
 cannot detect a deliberately planted bug is decoration, not a check.
 We corrupt each published epoch's facet-profile memo after the fold
 (exactly the bug the fold's carry logic could introduce if it carried
-a profile across a dirty delta), or nudge one posting weight of its
-vector index, and require the run to report a violation.
+a profile across a dirty delta), nudge one posting weight of its
+vector index, or let views reuse their mask against a new epoch's
+intern table, and require the run to report a violation.
 """
 
 from repro.check.ingestcheck import run_ingest_check
@@ -70,6 +71,25 @@ def test_nudged_vector_score_demands_divergence():
     )
     assert not report.ok
     assert any("diverge" in violation for violation in report.violations)
+
+
+def test_catches_a_view_mask_that_ignores_the_intern_table(monkeypatch):
+    """Every epoch has a fresh intern table: a view mask cached against
+    one epoch's ids and read against the next counts other items."""
+    from repro.service.state import ViewState
+
+    def table_blind(self, table):
+        cached = self.__dict__.get("_bits")
+        if cached is not None:
+            return cached[1]
+        mask = table.bits_of(self.items)
+        self.keep_bits(table, mask)
+        return mask
+
+    monkeypatch.setattr(ViewState, "bits", table_blind)
+    report = run_ingest_check(20260807, corpora=2, epochs=4, nav_steps=1)
+    assert not report.ok
+    assert any("migrated session" in v for v in report.violations)
 
 
 def test_cli_flag_runs_the_oracle(capsys):

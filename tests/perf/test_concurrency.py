@@ -47,8 +47,7 @@ def _run_threads(count, target):
         raise errors[0]
 
 
-@pytest.fixture()
-def frozen_workspace():
+def _graph():
     g = Graph()
     for i in range(40):
         item = EX[f"d{i}"]
@@ -56,7 +55,12 @@ def frozen_workspace():
         g.add(item, EX.color, EX.red if i % 2 else EX.blue)
         g.add(item, EX.size, EX.big if i % 3 else EX.small)
         g.add(item, EX.title, Literal(f"doc number {i} corn salad"))
-    return Workspace(g).freeze()
+    return g
+
+
+@pytest.fixture()
+def frozen_workspace():
+    return Workspace(_graph()).freeze()
 
 
 def _script():
@@ -216,6 +220,62 @@ class TestConcurrentSessions:
         assert stats.hits == THREADS * lookups
         assert stats.misses == 0
         assert len(frozen_workspace.analysis_memo) <= misses
+
+
+class TestViewMasks:
+    def test_previews_and_refines_on_shared_views(self, frozen_workspace):
+        """Threads share views whose masks are seeded (landing), lazily
+        derived (a go-to collection) or carried by a refine, and race
+        the first ordered build of the intern table's rank.  Every count
+        and every refined item list must equal a single-threaded run's
+        over an identical workspace."""
+        service = NavigationService()
+        probes = [
+            HasValue(EX.color, EX.red),
+            HasValue(EX.size, EX.small),
+            HasValue(EX.color, EX.blue),
+        ]
+
+        def shared_states(workspace):
+            landing = service.initial_state(workspace)
+            picked = service.apply(
+                workspace, landing,
+                cmd.GoCollection(tuple(workspace.items[::3])),
+            ).state
+            return [landing, picked]
+
+        def work(workspace, states):
+            out = []
+            for state in states:
+                for predicate in probes:
+                    out.append(service.preview_count(workspace, state, predicate))
+                    refined = service.apply(
+                        workspace, state, cmd.Refine(predicate)
+                    ).state
+                    out.append(refined.view.items)
+                    out.append(
+                        service.preview_count(workspace, refined, probes[1])
+                    )
+            return out
+
+        # Its own graph, hence its own intern table: the threads below
+        # build the shared table's rank.
+        reference_ws = Workspace(_graph()).freeze()
+        reference = work(reference_ws, shared_states(reference_ws))
+        states = shared_states(frozen_workspace)
+        results = [None] * THREADS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(
+                THREADS,
+                lambda i: results.__setitem__(
+                    i, [work(frozen_workspace, states) for _ in range(5)]
+                ),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == reference for result in results for run in result)
 
 
 class TestAnalyzerStemCache:

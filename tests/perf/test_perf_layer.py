@@ -13,6 +13,7 @@ from repro.perf import (
 )
 from repro.query import HasValue, QueryContext, QueryEngine
 from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.rdf.terms import BlankNode
 
 EX = Namespace("http://perf.example/")
 
@@ -57,6 +58,65 @@ class TestInternTable:
         table = InternTable()
         mask = table.bits_of([EX.fresh])
         assert table.nodes_of(mask) == {EX.fresh}
+
+
+def _n3(node):
+    return node.n3()
+
+
+def _mixed_nodes(rng, count):
+    """Resources, blank nodes and literals, in no particular order."""
+    kinds = [
+        lambda i: EX[f"r{rng.randrange(10**6)}-{i}"],
+        lambda i: BlankNode(f"b{rng.randrange(10**6)}-{i}"),
+        lambda i: Literal(f"v{rng.randrange(10**6)}-{i}"),
+        lambda i: Literal(rng.randrange(-1000, 1000) * 1000 + i),
+    ]
+    return [rng.choice(kinds)(i) for i in range(count)]
+
+
+class TestOrdered:
+    """``InternTable.ordered`` against the plain sort it replaces."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 63, 64, 65, 700])
+    def test_random_masks_equal_the_n3_sort(self, size):
+        rng = random.Random(size)
+        table = InternTable()
+        for node in _mixed_nodes(rng, size):
+            table.intern(node)
+        for density in (0.0, 0.005, 0.02, 0.3, 0.9, 1.0):
+            ids = [i for i in range(size) if rng.random() < density]
+            mask = bits_from_ids(ids)
+            assert table.ordered(mask, _n3) == sorted(
+                table.nodes_of(mask), key=_n3
+            )
+
+    def test_ids_interned_after_the_rank_fall_back(self):
+        rng = random.Random(7)
+        table = InternTable()
+        for node in _mixed_nodes(rng, 300):
+            table.intern(node)
+        table.ordered(bits_from_ids(range(300)), _n3)  # builds the rank
+        for node in _mixed_nodes(rng, 40):
+            table.intern(node)
+        for _ in range(20):
+            ids = rng.sample(range(340), rng.randrange(1, 340))
+            mask = bits_from_ids(ids)
+            assert table.ordered(mask, _n3) == sorted(
+                table.nodes_of(mask), key=_n3
+            )
+
+    def test_a_new_key_builds_a_new_rank(self):
+        table = InternTable()
+        for i in range(100):
+            table.intern(EX[f"n{i:03d}"])
+        mask = bits_from_ids(range(0, 100, 3))
+        by_n3 = table.ordered(mask, _n3)
+        backwards = table.ordered(mask, lambda n: "".join(reversed(n.n3())))
+        assert by_n3 == sorted(table.nodes_of(mask), key=_n3)
+        assert backwards == sorted(
+            table.nodes_of(mask), key=lambda n: "".join(reversed(n.n3()))
+        )
 
 
 class TestBitsetHelpers:

@@ -11,12 +11,17 @@ literals.
 import datetime as dt
 import math
 import threading
+from array import array
+from bisect import bisect_left, bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.reference import naive_extent
 from repro.core.workspace import Workspace
 from repro.query import QueryContext, QueryEngine, Range
+from repro.perf.bitset import bits_from_ids
 from repro.query.ast import RangeIndex
 from repro.rdf import Graph, Literal, Namespace, RDF
 from repro.rdf.terms import XSD_DECIMAL
@@ -24,6 +29,14 @@ from repro.rdf.terms import XSD_DECIMAL
 EX = Namespace("http://ri.example/")
 
 INF = math.inf
+
+#: A range bound: open, any float (NaN and ±inf included) or one near
+#: the readings below.
+_bounds = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-60, 60).map(float),
+)
 
 
 def _graph() -> Graph:
@@ -255,3 +268,50 @@ class TestConcurrency:
         assert all(result == want for result in results)
         assert builds == [EX.size]
         assert engine.evaluate(predicate) == want
+
+
+class TestBlockMasks:
+    """``RangeIndex.bits`` ORs whole 64-reading blocks plus two partial
+    slices; the plain id-slice mask between the bisections is the oracle."""
+
+    @staticmethod
+    def _index(readings):
+        values = array("d", sorted(r for r, _ in readings))
+        ids = array("q", [i for _, i in sorted(readings)])
+        return RangeIndex(values, ids)
+
+    @staticmethod
+    def _slice_bits(index, low, high):
+        values = index.values
+        start = 0 if low is None else bisect_left(values, low)
+        end = len(values) if high is None else bisect_right(values, high)
+        return bits_from_ids(index.ids[start:end])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-50, 50).map(float), st.integers(0, 400)
+            ),
+            max_size=300,
+        ),
+        _bounds,
+        _bounds,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_id_slice_mask(self, readings, low, high):
+        index = self._index(readings)
+        assert index.bits(low, high) == self._slice_bits(index, low, high)
+
+    def test_edges_of_a_multi_block_index(self):
+        readings = [(float(v // 3), (v * 37) % 500) for v in range(400)]
+        index = self._index(readings)
+        assert len(index.blocks) == 400 // RangeIndex.BLOCK
+        bounds = [None, -INF, INF, math.nan, -1.0, 0.0, 21.0, 21.5, 64.0,
+                  133.0, 134.0]
+        for low in bounds:
+            for high in bounds:
+                assert index.bits(low, high) == self._slice_bits(
+                    index, low, high
+                ), (low, high)
+        assert index.bits(None, None) == bits_from_ids(index.ids)
+        assert index.bits(5.0, 4.0) == 0

@@ -1,6 +1,7 @@
 """The durable layer: segments, manifest, checksums, compaction."""
 
 import gzip
+import hashlib
 import json
 import os
 
@@ -217,3 +218,102 @@ def test_failed_segment_write_leaves_store_untouched(tmp_path):
     reopened = LogStore.open(tmp_path / "store")
     assert reopened.last_tx == 0
     assert reopened.verify()["ok"] is True
+
+
+def _rewrite_segment(root, store, lines: list[bytes]) -> None:
+    """Replace the first segment's datoms, keeping its manifest entry valid."""
+    name = store.segments[0].name
+    payload = b"".join(line + b"\n" for line in lines)
+    with gzip.open(root / name, "wb") as handle:
+        handle.write(payload)
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    entry = manifest["segments"][0]
+    entry["sha256"] = hashlib.sha256(payload).hexdigest()
+    entry["count"] = len(lines)
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def _parent_error_text(data) -> str:
+    """What decoding ``data`` without a term decoder raises."""
+    from repro.service.serialize import StateSerializationError
+    from repro.store.datom import datom_from_dict
+
+    try:
+        datom_from_dict(data)
+    except (ValueError, StateSerializationError) as error:
+        return str(error)
+    raise AssertionError(f"{data!r} decoded")
+
+
+class TestReplayInterning:
+    """A replay decodes each distinct term once, keyed on its wire fields."""
+
+    def test_replay_shares_one_object_per_term(self, tmp_path):
+        g = Graph()
+        for i in range(5):
+            g.add(Resource(f"urn:i{i}"), P, Literal("shared"))
+            g.add(Resource(f"urn:i{i}"), Resource("urn:q"), S)
+        store = LogStore.init(tmp_path / "store")
+        store.append_log(g.log)
+        datoms = list(LogStore.open(tmp_path / "store").datoms())
+        assert len({id(d.p) for d in datoms if d.p == P}) == 1
+        assert len({id(d.o) for d in datoms if d.o == Literal("shared")}) == 1
+        assert len({id(d.o) for d in datoms if d.o == S}) == 1
+
+    def test_values_that_compare_equal_never_collide(self):
+        from repro.service.serialize import node_from_dict
+        from repro.store.datom import term_decoder
+
+        decode = term_decoder()
+        wire = [
+            {"t": "lit", "v": 1},
+            {"t": "lit", "v": True},
+            {"t": "lit", "v": 1.0},
+            {"t": "lit", "v": "1"},
+            {"t": "lit", "v": "1", "dt": "http://www.w3.org/2001/XMLSchema#integer"},
+            {"t": "lit", "v": "1", "lang": "en"},
+            {"t": "uri", "v": "1"},
+            {"t": "bnode", "v": "1"},
+        ]
+        for _round in range(2):
+            for data in wire:
+                node = decode(data)
+                plain = node_from_dict(data)
+                assert (type(node), repr(node), node.n3()) == (
+                    type(plain), repr(plain), plain.n3()
+                ), data
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri", "v": "urn:p"},
+             "o": {"t": "what", "v": "x"}, "tx": 1, "op": "+"},
+            {"s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri", "v": "urn:p"},
+             "o": {"t": ["lit"], "v": "x"}, "tx": 1, "op": "+"},
+            {"s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri", "v": "urn:p"},
+             "o": {"t": "lit", "v": "x", "dt": ["x"]}, "tx": 1, "op": "+"},
+            {"s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri"},
+             "o": {"t": "lit", "v": "x"}, "tx": 1, "op": "+"},
+            {"s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri", "v": "urn:p"},
+             "tx": 1, "op": "+"},
+            {"s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri", "v": "urn:p"},
+             "o": {"t": "lit", "v": "x"}, "tx": 1, "op": "?"},
+        ],
+    )
+    def test_malformed_datoms_keep_their_error_text(self, tmp_path, bad):
+        g = _sample_graph()
+        root = tmp_path / "store"
+        store = LogStore.init(root)
+        store.append_log(g.log)
+        good = json.dumps({
+            "s": {"t": "uri", "v": "urn:s"}, "p": {"t": "uri", "v": "urn:p"},
+            "o": {"t": "lit", "v": "x"}, "tx": 1, "op": "+",
+        }).encode()
+        _rewrite_segment(root, store, [good, json.dumps(bad).encode()])
+        expected = (
+            f"segment {store.segments[0].name} holds a malformed datom: "
+            f"{_parent_error_text(bad)}"
+        )
+        with pytest.raises(StoreCorruptError) as caught:
+            list(LogStore.open(root).datoms())
+        assert str(caught.value) == expected
