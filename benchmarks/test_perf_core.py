@@ -22,6 +22,7 @@ import pytest
 from repro.browser import Session
 from repro.check.reference import naive_extent
 from repro.core import Workspace
+from repro.core.analysts.records import AnalystRecords
 from repro.datasets import recipes
 from repro.query import And, HasValue, QueryEngine, Range, TypeIs
 from repro.vsm import VectorSpaceModel
@@ -125,7 +126,9 @@ def test_perf_landing_suggest(full_recipe_corpus, full_recipe_workspace):
     are after any earlier view); ``warm_ms`` the median cycle after it.
     """
     workspace = full_recipe_workspace
-    workspace._analyst_records = None  # records start empty
+    workspace._analyst_records = AnalystRecords(  # records start empty
+        workspace.graph, workspace.schema, workspace.text_index.analyzer
+    )
     session = Session(workspace)
     view = session.current
     assert len(view.items) == len(workspace.items)
@@ -165,7 +168,7 @@ def test_perf_repeated_refinement(full_recipe_corpus, full_recipe_workspace):
     """One round = the preview-and-click cycle over a dozen facets.
 
     The engine amortizes leaf extents across clicks (cached on the
-    context by graph version); the naive oracle (``naive_extent``, the
+    workspace's sealed context); the naive oracle (``naive_extent``, the
     differential harness's reference) re-derives every extent per click
     by per-item matching.  Both produce identical item sets — only the
     time may differ.

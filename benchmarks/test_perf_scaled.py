@@ -136,7 +136,7 @@ def test_facet_overview_postings_speedup(corpus):
     records = AnalystRecords(corpus.graph, corpus.schema, Analyzer())
     items = corpus.items
     # Building the facet entries is index construction — amortized
-    # across every profile of the same graph version — so it warms
+    # across every profile of the same workspace — so it warms
     # outside the timed region, like the vector store's refresh().
     records.profile(items)
 

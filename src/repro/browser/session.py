@@ -112,9 +112,11 @@ class Session:
 
         The state is a pure value (terms, not workspace references), so
         re-materializing it over the new snapshot is the whole
-        migration; collection views re-run their query against the new
-        corpus on next access.  ``epoch`` stamps the state so the pin
-        survives serialization.
+        migration.  A migrated collection view keeps its items as they
+        were: its query is not re-run, so items the new epoch retracted
+        stay and new matches do not join.  Previews and refines evaluate
+        against the new epoch, within those items.  ``epoch`` stamps the
+        state so the pin survives serialization.
         """
         self.workspace = workspace
         self.restore(replace(self._state, epoch=epoch))

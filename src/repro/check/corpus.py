@@ -47,7 +47,7 @@ class FuzzCorpus:
     link_props: list[Resource] = field(default_factory=list)  # item→item edges
 
 
-def random_corpus(seed: int, freeze: bool = True) -> FuzzCorpus:
+def random_corpus(seed: int) -> FuzzCorpus:
     """Build a reproducible random workspace from a seed."""
     rng = random.Random(seed)
     g = Graph()
@@ -112,8 +112,6 @@ def random_corpus(seed: int, freeze: bool = True) -> FuzzCorpus:
         g.add(note, color, FUZZ.red)
 
     workspace = Workspace(g)
-    if freeze:
-        workspace.freeze()
     all_values = sorted(
         {v for vs in palette.values() for v in vs}, key=lambda n: n.n3()
     )

@@ -269,12 +269,6 @@ class DifferentialRunner:
                 command,
                 f"session.refinements moved by {delta}, expected {expected}",
             )
-        stats = self.workspace.query_context.cache_stats
-        if self.workspace.frozen and stats.invalidations != 0:
-            self._fail(
-                command,
-                "extent cache reported invalidations on a frozen workspace",
-            )
 
     def _check_roundtrip(self, command: cmd.Command) -> None:
         # The served encoding is spliced from memoized term fragments;

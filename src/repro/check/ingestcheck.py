@@ -106,12 +106,12 @@ class _DeltaSoup:
         rng = self.rng
         corpus = self.corpus
         kind = rng.choices(
-            ["add_item", "facet_churn", "untype", "numeric", "title",
+            ["new_item", "facet_churn", "untype", "numeric", "title",
              "annotate"],
             weights=[3, 4, 1, 3, 2, 1],
         )[0]
 
-        if kind == "add_item":
+        if kind == "new_item":
             self._fresh += 1
             item = FUZZ[f"live{self._fresh}"]
             ops = [(OP_ASSERT, item, RDF.type, rng.choice(self.types))]

@@ -108,10 +108,7 @@ def _suggestions_fingerprint(graph: Graph):
     """Fingerprint of a fresh cold build over ``graph``'s full log."""
     from ..core.workspace import Workspace
 
-    frozen = Graph.from_datoms(graph.log)
-    frozen.freeze()
-    workspace = Workspace(frozen).freeze()
-    return workspace_fingerprint(workspace)
+    return workspace_fingerprint(Workspace(Graph.from_datoms(graph.log)))
 
 
 def _tx_boundaries(graph: Graph) -> list[int]:
@@ -205,10 +202,10 @@ def _mutated_corpus_graph(corpus_seed: int, rng: random.Random) -> Graph:
     ``random_corpus`` only asserts; time travel is interesting when
     history contains removals, so a random third of the triples are
     retracted — some individually, some inside multi-op transactions
-    that retract one triple and re-assert another.
+    that retract one triple and re-assert another.  The writes go to a
+    fork of the corpus graph, which its workspace sealed.
     """
-    corpus = random_corpus(corpus_seed, freeze=False)
-    graph = corpus.workspace.graph
+    graph = random_corpus(corpus_seed).workspace.graph.fork()
     triples = sorted(graph.triples(), key=repr)
     rng.shuffle(triples)
     victims = triples[: len(triples) // 3]

@@ -11,9 +11,9 @@ so the workspace keeps those postings in an :class:`AnalysisMemo` and a
 repeated view is served from it instead of re-running the analysts.
 
 * **Key.**  The analyst object and the view's :class:`ViewSignature`.
-* **Validity.**  One ``(graph.version, model.stats.version)``: any
-  graph or corpus-statistics change replaces the whole memo.  Epoch
-  workspaces and ``as_of`` views carry memos of their own.
+* **Validity.**  The memo lives on one workspace, whose graph and
+  model never change, so no entry goes stale.  Epoch workspaces and
+  ``as_of`` views carry memos of their own.
 * **Bound.**  An LRU of at most :data:`ANALYSIS_MEMO_CAP` entries, one
   per (analyst, view).
 * **Copies.**  Postings are stored and served as fresh
@@ -45,8 +45,7 @@ ANALYSIS_MEMO_CAP = 256
 
 
 class ViewSignature:
-    """A view's identity for the memo: ``(kind, item, items, query)``
-    at its workspace's ``(graph.version, model.stats.version)``.
+    """A view's identity for the memo: ``(kind, item, items, query)``.
 
     The items tuple can hold a whole corpus, so the hash is taken once.
     Equal predicates may still render differently (``Range`` bounds
@@ -55,14 +54,11 @@ class ViewSignature:
     ``TypeError`` or ``NotImplementedError`` for an unhashable query.
     """
 
-    __slots__ = ("version", "key", "_hash")
+    __slots__ = ("key", "_hash")
 
     def __init__(self, view):
-        workspace = view.workspace
-        self.version = (workspace.graph.version, workspace.model.stats.version)
         query = view.query
         self.key = (
-            self.version,
             view.kind,
             view.item,
             tuple(view.items),
@@ -87,8 +83,6 @@ class AnalysisMemo:
 
     def __init__(self):
         self._entries: OrderedDict = OrderedDict()
-        #: The (graph version, stats version) the entries are valid for.
-        self._version: tuple | None = None
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -108,18 +102,11 @@ class AnalysisMemo:
     def put(
         self, analyst, signature: ViewSignature, postings: Sequence[Suggestion]
     ) -> None:
-        """Store copies of what an analyst posted for a view.
-
-        A signature at another version replaces the whole memo: entries
-        of an older version could never be hit again.
-        """
+        """Store copies of what an analyst posted for a view."""
         entry = tuple(suggestion.copy() for suggestion in postings)
         key = (analyst, signature)
         evicted = 0
         with self._lock:
-            if signature.version != self._version:
-                self._entries.clear()
-                self._version = signature.version
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > ANALYSIS_MEMO_CAP:

@@ -5,9 +5,9 @@ facts about every item in view, and on a whole-corpus landing walking
 ``properties_of`` for each of them (plus re-tokenizing and re-stemming
 every text value) is nearly all of a suggestion cycle.  What each
 analyst extracts from an item depends only on the item and the graph,
-so :class:`AnalystRecords` computes it once per item and graph version,
-in two parts built apart, so that a caller of one never pays for the
-other:
+so :class:`AnalystRecords` computes it once per item of a workspace's
+sealed graph, in two parts built apart, so that a caller of one never
+pays for the other:
 
 * **Facet entries** — per (item, property), the outcome of the
   classification :func:`~.common.collection_profile` performs per value
@@ -100,20 +100,18 @@ class ItemRecord:
 class AnalystRecords:
     """Lazily filled per-item facet entries and :class:`ItemRecord` s.
 
-    One table per graph version, obtained through
-    :meth:`~repro.core.workspace.Workspace.analyst_records`, which
-    replaces it whenever the graph version moves; an epoch fold carries
-    the facet part forward with :meth:`advance`.  Built entries and
-    records are read without a lock; building (and the id and intern
-    tables it grows) is serialized, since sessions on a frozen workspace
-    share one table across threads.
+    One table per workspace, built with it and read through
+    :meth:`~repro.core.workspace.Workspace.analyst_records`; an epoch
+    fold carries the facet part forward with :meth:`advance`.  Built
+    entries and records are read without a lock; building (and the id
+    and intern tables it grows) is serialized, since sessions on one
+    workspace share one table across threads.
     """
 
     def __init__(self, graph: Graph, schema: Schema, analyzer: Analyzer):
         self.graph = graph
         self.schema = schema
         self.analyzer = analyzer
-        self.version = graph.version
         self._records: dict[Node, ItemRecord] = {}
         self._build_lock = threading.Lock()
         #: item -> facet entries, in ``properties_of`` order
@@ -377,6 +375,6 @@ class AnalystRecords:
 
     def __repr__(self) -> str:
         return (
-            f"<AnalystRecords version={self.version} "
-            f"facets={len(self._facets)} items={len(self._records)}>"
+            f"<AnalystRecords facets={len(self._facets)} "
+            f"items={len(self._records)}>"
         )

@@ -1,9 +1,10 @@
 """Epoch-based snapshot workspaces: live ingestion under traffic.
 
-``Workspace.freeze()`` seals a corpus forever — perfect for lock-free
-concurrent reads, useless for a corpus that keeps growing while users
-browse.  This module adds the missing MVCC-style write side without
-giving up a single read guarantee:
+A :class:`~repro.core.workspace.Workspace` is sealed when it is built —
+perfect for lock-free concurrent reads, useless on its own for a corpus
+that keeps growing while users browse.  This module is the one path by
+which new data reaches a serving process: an MVCC-style write side that
+gives up no read guarantee:
 
 * **Writers** append datoms to a mutable *head* graph (and, when a
   durable :class:`~repro.store.segments.LogStore` is attached, to disk)
@@ -11,8 +12,9 @@ giving up a single read guarantee:
   sessions.
 * A **reindexer** (the background thread, or an explicit
   :meth:`EpochManager.publish`) folds the accumulated delta into the
-  next epoch: the previous epoch's graph is forked copy-on-write, the
-  delta is replayed onto it, and the derived substrates are advanced:
+  next epoch, a new sealed workspace: the previous epoch's graph is
+  forked copy-on-write, the delta is replayed onto it, and the derived
+  substrates are advanced:
   the vector model, text index, per-item facet entries and
   facet-profile memo incrementally, the vector store by one build at
   the new statistics.
@@ -118,7 +120,6 @@ class EpochManager:
         obs: Observability | None = None,
         store=None,
     ):
-        workspace.freeze()
         self.obs = obs if obs is not None else workspace.obs
         #: Optional LogStore; every ingested transaction is sealed into
         #: a segment *before* the ingest call returns, so a crash mid
@@ -279,9 +280,7 @@ class EpochManager:
         suggestions must be bit-identical to this build's.
         """
         view = self._head.as_of(watermark)
-        graph = Graph.from_datoms(view.log)
-        graph.freeze()
-        return Workspace(graph, obs=self.obs).freeze()
+        return Workspace(Graph.from_datoms(view.log), obs=self.obs)
 
     def ingest_ntriples(self, text: str) -> dict:
         """Ingest a streamed N-Triples payload as one transaction.
@@ -345,13 +344,11 @@ class EpochManager:
             # the incremental carry would be unsound.  Cold-build the
             # epoch over the forked graph (history intact, so the
             # as_of oracle still holds).
-            view = Workspace(
+            return Workspace(
                 graph,
                 use_compositions=prev.model.use_compositions,
                 obs=self.obs,
             )
-            view.freeze()
-            return view
 
         schema = Schema(graph)
         items = sorted(
@@ -398,15 +395,13 @@ class EpochManager:
         # concurrently; iterate a snapshot taken under the memo's lock.
         with prev._profile_lock:
             memo = list(prev._facet_profiles.items())
-        carried_profiles = {}
-        for key, profile in memo:
-            version, collection = key
-            if version != prev.graph.version:
-                continue
-            if dirty.isdisjoint(collection):
-                carried_profiles[(graph.version, collection)] = profile
+        carried_profiles = {
+            collection: profile
+            for collection, profile in memo
+            if dirty.isdisjoint(collection)
+        }
 
-        ws = Workspace.from_substrates(
+        return Workspace.from_substrates(
             graph,
             schema,
             items,
@@ -417,8 +412,6 @@ class EpochManager:
             analyst_records=records,
             carried_profiles=carried_profiles,
         )
-        ws.freeze()
-        return ws
 
     def _composition_dirty(
         self, prev: Workspace, graph: Graph, delta: Sequence

@@ -6,13 +6,15 @@ index, and the query engine — everything analysts consult.  It is the
 integration point the Haystack environment provided in the original
 system.
 
-For concurrent serving the workspace is treated as a shared,
-read-mostly artifact: :meth:`Workspace.freeze` seals it (mutation
-raises :class:`FrozenWorkspaceError`), after which any number of
-sessions may read it from multiple threads — the extent cache, the
-facet-profile memo, the analysis memo, and the intern table keep exact
-counters under that load.  Unfrozen mutation is serialized by an
-internal lock.
+A workspace is one immutable snapshot from the moment it is built: its
+query context seals the graph, so a later ``add`` or ``remove`` raises
+:class:`FrozenWorkspaceError`.  Any number of sessions may read it from
+multiple threads, and no derived cache (the extent cache, the
+facet-profile memo, the analyst records, the analysis memo) needs a
+version key or an invalidation path; they keep exact counters under
+that load.  New data reaches a serving process as a new workspace:
+:class:`~repro.core.epochs.EpochManager` folds ingested transactions
+into the next epoch.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class FrozenWorkspaceError(RuntimeError):
     """Raised when a sealed workspace (or its graph) is mutated.
 
     Carries the attempted ``operation`` name (``"add"``, ``"remove"``,
-    ``"add_item"``, ...) so the message — and programmatic handlers —
+    ``"replay"``, ...) so the message — and programmatic handlers —
     can say *what* was refused, not just that something was.
     """
 
@@ -118,7 +120,7 @@ class Workspace:
         over the advanced model, then wires them into a fresh workspace
         here — skipping the cold
         ``index_items`` pass entirely.  ``carried_profiles`` seeds the
-        facet-profile memo (already re-keyed to the new graph version).
+        facet-profile memo with the collections the delta left untouched.
         """
         ws = cls.__new__(cls)
         ws._assemble(
@@ -150,8 +152,12 @@ class Workspace:
         """Wire the substrates, the query layer and every derived cache.
 
         The one place a workspace's caches are set up, so a cold build
-        and an epoch fold cannot drift apart on which ones exist.
+        and an epoch fold cannot drift apart on which ones exist.  The
+        query context seals the graph; the universe mask is built here,
+        so the first concurrent queries do not race to build it.
         """
+        from .analysts.records import AnalystRecords
+
         #: Shared tracing + metrics context; tracing is off by default
         #: (no-op tracer), telemetry gauges are wired regardless.
         self.obs = obs
@@ -167,29 +173,27 @@ class Workspace:
             text_index=text_index,
             universe=set(items),
         )
+        self.query_context.universe_bits()
         self.query_engine = QueryEngine(self.query_context, obs=obs)
-        #: (graph version, collection) -> CollectionProfile, small FIFO
+        #: collection -> CollectionProfile, small FIFO
         self._facet_profiles: dict = dict(carried_profiles or {})
         self.facet_profile_stats = CacheStats()
-        self._frozen = False
-        #: Set by :meth:`freeze`: whether ``items`` lists the universe.
-        self._items_are_universe = False
         #: Set on views produced by :meth:`as_of`: the pinned tx.
         self._historical_tx: int | None = None
         #: tx -> historical Workspace view, small FIFO (time-travel
         #: sessions tend to cluster on a few interesting txs).
         self._as_of_views: dict[int, "Workspace"] = {}
-        #: Serializes the unfrozen mutation path (add_item).
-        self._mutation_lock = threading.RLock()
+        self._as_of_lock = threading.Lock()
         #: Held across the facet-memo check/compute/store so the memo's
         #: hit/miss counters stay exact under concurrent readers.
         self._profile_lock = threading.Lock()
-        #: Per-item facet entries and analyst records of one graph
-        #: version, built lazily.
-        self._analyst_records = analyst_records
-        self._records_lock = threading.Lock()
-        #: Postings of view-pure analysts per (analyst, view), valid for
-        #: one (graph version, stats version).
+        #: Per-item facet entries and analyst records, filled lazily.
+        self._analyst_records = (
+            analyst_records
+            if analyst_records is not None
+            else AnalystRecords(graph, schema, text_index.analyzer)
+        )
+        #: Postings of view-pure analysts per (analyst, view).
         self.analysis_memo = AnalysisMemo()
         self._wire_metrics()
 
@@ -204,9 +208,6 @@ class Workspace:
         cache = self.query_context.cache_stats
         metrics.gauge_fn("query.extent_cache.hits", lambda: cache.hits)
         metrics.gauge_fn("query.extent_cache.misses", lambda: cache.misses)
-        metrics.gauge_fn(
-            "query.extent_cache.invalidations", lambda: cache.invalidations
-        )
         metrics.gauge_fn(
             "query.extent_cache.evictions", lambda: cache.evictions
         )
@@ -233,42 +234,16 @@ class Workspace:
         )
         metrics.gauge_fn("graph.version", lambda: self.graph.version)
 
-    # ------------------------------------------------------------------
-    # Sealing (shared read-mostly serving)
-    # ------------------------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        """True once :meth:`freeze` has sealed the workspace."""
-        return self._frozen
-
     def freeze(self) -> "Workspace":
-        """Seal the workspace for concurrent read-only serving.
-
-        Idempotent.  Locks the graph and the workspace mutation path
-        (:class:`FrozenWorkspaceError` from then on) and pre-warms the
-        universe bitmask so the first concurrent queries do not race to
-        build it.  Returns ``self`` for chaining.
-        """
-        with self._mutation_lock:
-            if self._frozen:
-                return self
-            self.graph.freeze()
-            context = self.query_context
-            context.universe_bits()
-            self._items_are_universe = set(self.items) == context.universe
-            self._frozen = True
+        """Return ``self``: a workspace is sealed when it is built."""
         return self
 
-    def landing_bits(self) -> int | None:
-        """The mask of a landing view (a copy of ``items``), if known.
+    def landing_bits(self) -> int:
+        """The mask of a landing view (a copy of ``items``).
 
-        On a frozen workspace whose ``items`` list the universe, that is
-        the cached universe mask; otherwise None, and the view interns
-        its items on first use.
+        The query context's universe is the set of ``items``, so that
+        is the universe mask built with the workspace.
         """
-        if not self._items_are_universe:
-            return None
         return self.query_context.universe_bits()
 
     @property
@@ -283,13 +258,11 @@ class Workspace:
         graph and builds every substrate — schema view, vector model,
         text index, query engine — over it, exactly as a cold build at
         that point in history would have: suggestions over the view are
-        bit-identical to a fresh build at that tx.  The view is sealed
-        (writes raise :class:`HistoricalWorkspaceError` with the
-        operation and tx) and carries its own version-pinned caches
-        keyed by the historical graph's ``(version, tx)``.  Views are
-        memoized per tx, so many sessions can pin the same epoch
-        cheaply.  Composes with :meth:`freeze`: the base workspace may
-        be frozen or live.
+        bit-identical to a fresh build at that tx.  Like every workspace
+        the view is sealed (writes raise :class:`HistoricalWorkspaceError`
+        with the operation and tx) and carries caches of its own.  Views
+        are memoized per tx, so many sessions can pin the same epoch
+        cheaply.
         """
         if not isinstance(tx, int) or isinstance(tx, bool):
             raise ValueError(f"as_of tx must be an integer, got {tx!r}")
@@ -297,7 +270,7 @@ class Workspace:
             raise ValueError(
                 f"as_of tx {tx} out of range 0..{self.graph.last_tx}"
             )
-        with self._mutation_lock:
+        with self._as_of_lock:
             view = self._as_of_views.get(tx)
             if view is not None:
                 return view
@@ -312,33 +285,11 @@ class Workspace:
                 obs=self.obs,
             )
             view._historical_tx = tx
-            view.freeze()
-        with self._mutation_lock:
+        with self._as_of_lock:
             self._as_of_views.setdefault(tx, view)
             while len(self._as_of_views) > 4:
                 self._as_of_views.pop(next(iter(self._as_of_views)))
             return self._as_of_views[tx]
-
-    def add_item(self, item: Node) -> None:
-        """Index a newly arrived item across every substrate (§5.2)."""
-        with self._mutation_lock:
-            if self._historical_tx is not None:
-                raise HistoricalWorkspaceError(
-                    f"workspace is a historical as-of view at tx "
-                    f"{self._historical_tx}; cannot add_item",
-                    operation="add_item",
-                    tx=self._historical_tx,
-                )
-            if self._frozen:
-                raise FrozenWorkspaceError(
-                    "workspace is frozen; cannot add_item",
-                    operation="add_item",
-                )
-            if item not in self.model:
-                self.items.append(item)
-            self.model.add_item(item)
-            self.text_index.index_item(item)
-            self.query_context.universe.add(item)
 
     def label(self, node: Node) -> str:
         """Display name via schema annotations."""
@@ -348,12 +299,10 @@ class Workspace:
         """The collection's single-pass metadata profile, memoized.
 
         Facet overviews, refinement analysts, and range analysts all
-        consult the same profile for a given (collection, graph version)
-        pair, so arriving at a view computes it once however many
-        consumers render it.  Keyed on the graph's mutation version, the
-        memo self-invalidates on any repository change.
+        consult the same profile for a given collection, so arriving at
+        a view computes it once however many consumers render it.
         """
-        key = (self.graph.version, tuple(items))
+        key = tuple(items)
         with self._profile_lock:
             profile = self._facet_profiles.get(key)
             if profile is not None:
@@ -368,27 +317,14 @@ class Workspace:
             return profile
 
     def analyst_records(self):
-        """The per-item facet entries and analyst records of the current
-        graph version.
+        """The workspace's per-item facet entries and analyst records.
 
         Facet profiles and the collection analysts aggregate these
         instead of walking the graph on every view.  The table starts
         empty (or, on an epoch, with the facet entries the fold carried)
-        and fills as views touch items; it is replaced when the graph
-        version moves, so a profile or cycle after any graph change on
-        an unfrozen workspace sees the change.
+        and fills as views touch items.
         """
-        from .analysts.records import AnalystRecords
-
-        version = self.graph.version
-        with self._records_lock:
-            records = self._analyst_records
-            if records is None or records.version != version:
-                records = AnalystRecords(
-                    self.graph, self.schema, self.text_index.analyzer
-                )
-                self._analyst_records = records
-            return records
+        return self._analyst_records
 
     # ------------------------------------------------------------------
     # Persistence

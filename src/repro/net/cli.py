@@ -1,10 +1,11 @@
 """``python -m repro serve``.
 
 ``serve`` loads a corpus exactly like the interactive browser (bundled
-datasets or --ntriples/--turtle), freezes the workspace for concurrent
-reads, and runs a :class:`~repro.net.server.NavigationServer` until
-interrupted, draining gracefully (and saving every session when
-``--save-dir`` is given).  With ``--procs N`` (N > 1) it instead runs
+datasets or --ntriples/--turtle) into a workspace, which is sealed for
+concurrent reads when built, and runs a
+:class:`~repro.net.server.NavigationServer` until interrupted,
+draining gracefully (and saving every session when ``--save-dir`` is
+given).  With ``--procs N`` (N > 1) it instead runs
 the multi-process tier — N worker processes, each with its own GIL and
 workspace replica, behind a :class:`~repro.net.router.ShardedServer`
 session-affinity front.  ``--selftest`` is the CI smoke mode: start,
@@ -132,7 +133,6 @@ def _build_server(args: argparse.Namespace):
 
     obs = Observability(tracing=False)
     workspace = _load_workspace(args, obs)
-    workspace.freeze()
     manager = SessionManager(workspace)
     if config.ingest:
         from ..core.epochs import EpochManager

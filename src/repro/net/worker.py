@@ -8,7 +8,7 @@ requests by session affinity.
 
 Two ways a child gets its workspace:
 
-* **fork** (the Linux default): the parent builds and freezes the
+* **fork** (the Linux default): the parent builds the sealed
   workspace once, forks, and every child inherits the frozen replica
   copy-on-write — zero rebuild cost, identical data by construction.
 * **spawn / forkserver**: nothing is inherited, so the parent hands the
@@ -63,7 +63,7 @@ class DatasetSpec:
     annotated: bool = False
 
     def build_workspace(self):
-        """Build (and freeze) the workspace this spec describes."""
+        """Build the (sealed) workspace this spec describes."""
         from ..core.workspace import Workspace
         from ..obs import Observability
 
@@ -71,24 +71,24 @@ class DatasetSpec:
         if self.kind == "check_corpus":
             from ..check.corpus import random_corpus
 
-            return random_corpus(self.seed).workspace  # built frozen
+            return random_corpus(self.seed).workspace
         if self.kind == "ntriples":
             from ..rdf.ntriples import parse_ntriples
 
             with open(str(self.path), encoding="utf-8") as handle:
                 graph = parse_ntriples(handle.read())
-            return Workspace(graph, obs=obs).freeze()
+            return Workspace(graph, obs=obs)
         if self.kind == "turtle":
             from ..rdf.turtle import parse_turtle
 
             with open(str(self.path), encoding="utf-8") as handle:
                 graph = parse_turtle(handle.read())
-            return Workspace(graph, obs=obs).freeze()
+            return Workspace(graph, obs=obs)
         if self.kind == "store":
             from ..store.segments import LogStore
 
             graph = LogStore.open(str(self.path)).replay_graph(obs=obs)
-            return Workspace(graph, obs=obs).freeze()
+            return Workspace(graph, obs=obs)
         if self.kind == "recipes":
             from ..datasets import recipes
 
@@ -107,10 +107,9 @@ class DatasetSpec:
             corpus = factbook.build_corpus(annotated=self.annotated)
         else:
             raise ValueError(f"unknown dataset spec kind {self.kind!r}")
-        workspace = Workspace(
+        return Workspace(
             corpus.graph, schema=corpus.schema, items=corpus.items, obs=obs
         )
-        return workspace.freeze()
 
     @classmethod
     def from_args(cls, args: Any) -> "DatasetSpec":

@@ -5,7 +5,7 @@ attributes, and tests/benchmarks read them to prove a cache actually hit
 or an index update actually stayed incremental.
 
 :class:`CacheStats` additionally offers ``record_*`` increments guarded
-by a lock: a frozen workspace is read concurrently by many sessions, and
+by a lock: a sealed workspace is read concurrently by many sessions, and
 `x += 1` on a shared counter is a read-modify-write that loses updates
 under races.  The concurrency stress tests assert exact counts, so the
 shared-cache call sites use the locked path.
@@ -19,14 +19,13 @@ __all__ = ["CacheStats", "IndexMaintenanceStats"]
 
 
 class CacheStats:
-    """Hit/miss/invalidation/eviction counters for a versioned cache."""
+    """Hit/miss/eviction counters for a cache."""
 
-    __slots__ = ("hits", "misses", "invalidations", "evictions", "_lock")
+    __slots__ = ("hits", "misses", "evictions", "_lock")
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
         self.evictions = 0
         self._lock = threading.Lock()
 
@@ -40,11 +39,6 @@ class CacheStats:
         with self._lock:
             self.misses += 1
 
-    def record_invalidation(self) -> None:
-        """Atomically count an invalidation."""
-        with self._lock:
-            self.invalidations += 1
-
     def record_eviction(self) -> None:
         """Atomically count an entry dropped to stay within capacity."""
         with self._lock:
@@ -54,7 +48,6 @@ class CacheStats:
         with self._lock:
             self.hits = 0
             self.misses = 0
-            self.invalidations = 0
             self.evictions = 0
 
     @property
@@ -70,14 +63,12 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "invalidations": self.invalidations,
             "evictions": self.evictions,
         }
 
     def __repr__(self) -> str:
         return (
             f"<CacheStats hits={self.hits} misses={self.misses} "
-            f"invalidations={self.invalidations} "
             f"evictions={self.evictions}>"
         )
 

@@ -78,20 +78,20 @@ EXTENT_CACHE_CAP = 1024
 class QueryContext:
     """Everything a predicate may consult during evaluation.
 
+    A context is built over one unchanging graph: construction seals
+    it (:meth:`~repro.rdf.graph.Graph.freeze`), so a later ``add`` or
+    ``remove`` raises instead of leaving a cache stale.  New data
+    reaches a serving process as a new epoch, with a context of its
+    own.
+
     The context also owns the **extent cache** of the performance layer:
     predicate extents are stored as bitmasks over the graph's intern
-    table, keyed on the predicate (hashable by construction), the
-    graph's mutation version and the universe size.  Every mutation —
-    and every in-place universe growth (``Workspace.add_item``), which
-    changes complements and empty conjunctions — invalidates lazily:
-    stale entries are simply recomputed on the next lookup, so repeated
-    query previews over an unchanged corpus stop re-deriving the same
-    extents.  The cache is an LRU capped at :data:`EXTENT_CACHE_CAP`
-    entries.
+    table, keyed on the predicate (hashable by construction), so
+    repeated query previews stop re-deriving the same extents.  The
+    cache is an LRU capped at :data:`EXTENT_CACHE_CAP` entries.
 
     ``Range`` leaves read a per-property :class:`RangeIndex`, built on
-    first use for that property and dropped when the graph version
-    moves (:meth:`range_index`).
+    first use for that property (:meth:`range_index`).
     """
 
     def __init__(
@@ -101,27 +101,23 @@ class QueryContext:
         text_index: TextIndex | None = None,
         universe: Optional[set[Node]] = None,
     ):
+        graph.freeze()
         self.graph = graph
         self.schema = schema if schema is not None else Schema(graph)
         self.text_index = text_index
         self._universe = universe
-        #: predicate -> ((graph version, universe size), bitmask | None),
-        #: least recently used first.
-        self._extent_cache: OrderedDict[
-            Predicate, tuple[tuple[int, int], int | None]
-        ] = OrderedDict()
+        #: predicate -> bitmask | None, least recently used first.
+        self._extent_cache: OrderedDict[Predicate, int | None] = OrderedDict()
         self._extent_lock = threading.Lock()
-        #: (graph version, property -> RangeIndex)
-        self._range_indexes: tuple[int, dict[Resource, RangeIndex]] = (-1, {})
+        #: property -> RangeIndex
+        self._range_indexes: dict[Resource, RangeIndex] = {}
         self._range_lock = threading.Lock()
-        self._universe_bits: tuple[tuple[int, int], int] | None = None
+        self._universe_bits: int | None = None
         self.cache_stats = CacheStats()
-        #: Path predicate -> ((graph version, universe size), frozen
-        #: extent).  Path extents are the product of a whole reachability
-        #: walk, so they get their own memo beneath the extent cache.
-        self._path_cache: dict[
-            Predicate, tuple[tuple[int, int], frozenset[Node]]
-        ] = {}
+        #: Path predicate -> frozen extent.  Path extents are the product
+        #: of a whole reachability walk, so they get their own memo
+        #: beneath the extent cache.
+        self._path_cache: dict[Predicate, frozenset[Node]] = {}
         self.path_stats = CacheStats()
 
     @property
@@ -154,50 +150,35 @@ class QueryContext:
         """The nodes of a bitmask in view order: ``sorted(..., key=n3)``."""
         return self.graph.interner.ordered(mask, _N3_KEY)
 
-    def _cache_key(self) -> tuple[int, int]:
-        """(graph version, universe size): what every extent depends on.
-
-        Graph mutations bump the version; ``Workspace.add_item`` grows
-        the universe in place without one, which moves complements and
-        empty conjunctions all the same.
-        """
-        return (self.graph.version, len(self.universe))
-
     def universe_bits(self) -> int:
-        """The universe as a cached bitmask, keyed like the extent cache."""
-        key = self._cache_key()
-        cached = self._universe_bits
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        bits = self.bits_of(self.universe)
-        self._universe_bits = (key, bits)
+        """The universe as a bitmask, built on first use."""
+        bits = self._universe_bits
+        if bits is None:
+            bits = self._universe_bits = self.bits_of(self.universe)
         return bits
 
     def cached_extent_bits(self, predicate: "Predicate"):
         """A cached extent bitmask, ``None`` (cached no-extent), or _MISS."""
         try:
             with self._extent_lock:
-                entry = self._extent_cache.get(predicate)
-                if entry is not None:
+                bits = self._extent_cache.get(predicate, _MISS)
+                if bits is not _MISS:
                     self._extent_cache.move_to_end(predicate)
         except (TypeError, NotImplementedError):
             # Unhashable custom predicate: evaluable, just not cacheable.
             return _MISS
-        if entry is not None:
-            if entry[0] == self._cache_key():
-                self.cache_stats.record_hit()
-                return entry[1]
-            self.cache_stats.record_invalidation()
-        self.cache_stats.record_miss()
-        return _MISS
+        if bits is _MISS:
+            self.cache_stats.record_miss()
+        else:
+            self.cache_stats.record_hit()
+        return bits
 
     def store_extent_bits(self, predicate: "Predicate", bits: int | None) -> None:
-        """Record a predicate's extent bitmask for the current key."""
-        entry = (self._cache_key(), bits)
+        """Record a predicate's extent bitmask."""
         cache = self._extent_cache
         try:
             with self._extent_lock:
-                cache[predicate] = entry
+                cache[predicate] = bits
                 cache.move_to_end(predicate)
                 evict = len(cache) > EXTENT_CACHE_CAP
                 if evict:
@@ -207,60 +188,35 @@ class QueryContext:
         if evict:
             self.cache_stats.record_eviction()
 
-    def clear_extent_cache(self) -> None:
-        """Drop every cached extent (stats counters are kept)."""
-        with self._extent_lock:
-            self._extent_cache.clear()
-        self._universe_bits = None
-        self._path_cache.clear()
-        with self._range_lock:
-            self._range_indexes = (-1, {})
-
     def range_index(self, prop: Resource) -> "RangeIndex":
         """The sorted numeric readings of ``prop``, built on first use.
 
-        Only properties a ``Range`` is evaluated on are indexed.  Every
-        index is keyed on the graph version: once it moves, all of them
-        are dropped together and each property is rebuilt by its next
-        ``Range``.  Builds run under a lock, so concurrent readers of a
-        frozen workspace build a property once.
+        Only properties a ``Range`` is evaluated on are indexed.  Builds
+        run under a lock, so concurrent readers build a property once.
         """
-        version = self.graph.version
-        built_at, indexes = self._range_indexes
-        if built_at == version:
-            index = indexes.get(prop)
-            if index is not None:
-                return index
+        index = self._range_indexes.get(prop)
+        if index is not None:
+            return index
         with self._range_lock:
-            built_at, indexes = self._range_indexes
-            if built_at != version:
-                indexes = {}
-                self._range_indexes = (version, indexes)
-            index = indexes.get(prop)
+            index = self._range_indexes.get(prop)
             if index is None:
-                index = RangeIndex.build(self.graph, prop)
-                indexes[prop] = index
+                index = self._range_indexes[prop] = RangeIndex.build(
+                    self.graph, prop
+                )
         return index
 
     def path_extent(self, path: "Path") -> set[Node]:
-        """The exact extent of a :class:`Path`, memoized per cache key.
+        """The exact extent of a :class:`Path`, memoized per predicate.
 
-        Keyed on (predicate, graph version, universe size) like the
-        extent cache, so epoch publishes (each epoch carries a fresh
-        context), in-place mutation (version bump) and universe growth
-        (the walk is clipped to the universe) invalidate stale walks
-        naturally.  Returns a fresh set; the memo itself is immutable.
+        Returns a fresh set; the memo itself is immutable.
         """
-        key = self._cache_key()
-        entry = self._path_cache.get(path)
-        if entry is not None:
-            if entry[0] == key:
-                self.path_stats.record_hit()
-                return set(entry[1])
-            self.path_stats.record_invalidation()
+        extent = self._path_cache.get(path)
+        if extent is not None:
+            self.path_stats.record_hit()
+            return set(extent)
         self.path_stats.record_miss()
         extent = path._compute_extent(self)
-        self._path_cache[path] = (key, frozenset(extent))
+        self._path_cache[path] = frozenset(extent)
         return extent
 
 
@@ -619,7 +575,7 @@ class Path(Predicate):
     ``matches`` walks forward from the item; ``candidates`` evaluates
     the *pre-image* backward from the value over the POS/SPO indexes —
     one walk for the whole extent instead of one per item — and is
-    memoized per graph version via :meth:`QueryContext.path_extent`, so
+    memoized on the context via :meth:`QueryContext.path_extent`, so
     repeated evaluation answers from the cached walk once warmed.
     """
 

@@ -8,13 +8,13 @@ the paper's mechanism for "a uniform interface to query both metadata
 ... and other attribute value types".
 
 Evaluation runs over **bitset extents**: leaf extents are interned into
-Python-int bitmasks and cached on the context keyed by (predicate,
-graph version, universe size), so And/Or/Not combine as single bitwise
-operations and repeated refinement clicks reuse prior work instead of
-re-deriving the same sets.  ``Path`` leaves enumerate exactly — their
-backward reachability walk is memoized on the context
-(:meth:`QueryContext.path_extent`) and lands in the same bitmask cache
-as any other leaf.  Predicates that cannot enumerate an extent
+Python-int bitmasks and cached on the context keyed by predicate (a
+context's graph is sealed, so an entry never goes stale), so And/Or/Not
+combine as single bitwise operations and repeated refinement clicks
+reuse prior work instead of re-deriving the same sets.  ``Path``
+leaves enumerate exactly — their backward reachability walk is memoized
+on the context (:meth:`QueryContext.path_extent`) and lands in the same
+bitmask cache as any other leaf.  Predicates that cannot enumerate an extent
 (extension-only predicates such as ``PathValue``/``Cardinality``, or
 trees containing them) fall back to per-item filtering; results are the
 same either way, only the time to produce them changes.
@@ -188,7 +188,7 @@ class QueryEngine:
 
         Extension evaluators are consulted only for the root predicate,
         and their results are never cached — extension closures may
-        depend on state the graph version cannot see.
+        depend on state the context cannot see.
         """
         evaluator = self._extensions.get(type(predicate))
         if evaluator is not None:

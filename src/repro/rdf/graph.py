@@ -98,8 +98,8 @@ class Graph:
     def version(self) -> int:
         """Monotonic mutation counter; bumps on every effective add/remove.
 
-        Caches over the graph (query extents, facet profiles) key on this
-        value to detect staleness without subscribing to mutations.
+        A fork carries it over, so a fork that replays a delta ends at
+        the version a cold replay of the whole log reaches.
         """
         return self._version
 
@@ -131,8 +131,10 @@ class Graph:
         """Seal the graph: any further add/remove raises.
 
         Freezing is what makes lock-free concurrent reads sound — the
-        nested-dict indexes never change shape again, and version-keyed
-        caches can never be invalidated.  Idempotent; returns ``self``.
+        nested-dict indexes never change shape again, so the caches a
+        query context derives from them never go stale.  Building a
+        ``QueryContext`` (hence a ``Workspace``) seals its graph.
+        Idempotent; returns ``self``.
         """
         self._frozen = True
         return self

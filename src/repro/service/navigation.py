@@ -85,8 +85,7 @@ class NavigationService:
             session_id=session_id,
         )
         landing = workspace.landing_bits()
-        if landing is not None:
-            state.view.keep_bits(workspace.graph.interner, landing)
+        state.view.keep_bits(workspace.graph.interner, landing)
         return state
 
     def history_of(self, state: SessionState) -> NavigationHistory:

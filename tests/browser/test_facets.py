@@ -9,8 +9,7 @@ from repro.rdf import Graph, Literal, Namespace, RDF, Schema, ValueType
 EX = Namespace("http://f.example/")
 
 
-@pytest.fixture()
-def workspace():
+def _graph():
     g = Graph()
     schema = Schema(g)
     schema.set_label(EX.kind, "kind")
@@ -22,7 +21,12 @@ def workspace():
         g.add(item, EX.size, Literal(i))
         if i < 4:
             g.add(item, EX.rare, EX.x)
-    return Workspace(g)
+    return g
+
+
+@pytest.fixture()
+def workspace():
+    return Workspace(_graph())
 
 
 class TestFacetSummary:
@@ -57,10 +61,11 @@ class TestFacetSummary:
         assert facet.range_preview.low == 0.0
         assert facet.range_preview.high == 9.0
 
-    def test_truncation_flag(self, workspace):
-        g = workspace.graph
+    def test_truncation_flag(self):
+        g = _graph()
         for i in range(10):
             g.add(EX[f"d{i}"], EX.many, EX[f"v{i}"])
+        workspace = Workspace(g)
         summary = FacetSummary.of_collection(
             workspace, workspace.items, max_values=3
         )
@@ -69,8 +74,10 @@ class TestFacetSummary:
         assert len(facet.values) == 3
         assert facet.total_values == 10
 
-    def test_hidden_properties_excluded(self, workspace):
-        workspace.schema.hide_property(EX.rare)
+    def test_hidden_properties_excluded(self):
+        g = _graph()
+        Schema(g).hide_property(EX.rare)
+        workspace = Workspace(g)
         summary = FacetSummary.of_collection(workspace, workspace.items)
         assert summary.facet_for(EX.rare) is None
 

@@ -17,8 +17,7 @@ from repro.rdf import Graph, Literal, Namespace, RDF, Schema
 EX = Namespace("http://rr.example/")
 
 
-@pytest.fixture()
-def workspace():
+def _graph():
     g = Graph()
     schema = Schema(g)
     schema.set_label(EX.cuisine, "cuisine")
@@ -32,7 +31,12 @@ def workspace():
         g.add(item, RDF.type, EX.Recipe)
         g.add(item, EX.cuisine, cuisine)
         g.add(item, EX.title, Literal(title))
-    return Workspace(g, schema=schema)
+    return g
+
+
+@pytest.fixture()
+def workspace():
+    return Workspace(_graph())
 
 
 class TestNavigationPane:
@@ -64,12 +68,13 @@ class TestNavigationPane:
         if session.last_was_fuzzy:
             assert "fuzzy" in render_navigation_pane(session)
 
-    def test_overflow_markers(self, workspace):
-        g = workspace.graph
+    def test_overflow_markers(self):
+        g = _graph()
         for i in range(9):
             g.add(EX.r1, EX.tag, EX[f"t{i}"])
             g.add(EX.r2, EX.tag, EX[f"t{i}"])
             g.add(EX.r3, EX.tag, EX[f"u{i}"])
+        workspace = Workspace(g)
         session = Session(workspace)
         session.go_collection(workspace.items, "all")
         pane = render_navigation_pane(session)
@@ -83,10 +88,11 @@ class TestOverview:
         assert "COLLECTION OVERVIEW — 3 items" in text
         assert "cuisine" in text
 
-    def test_range_line_for_continuous(self, workspace):
-        g = workspace.graph
+    def test_range_line_for_continuous(self):
+        g = _graph()
         for i, name in enumerate(["r1", "r2", "r3"]):
             g.add(EX[name], EX.minutes, Literal(10 * (i + 1)))
+        workspace = Workspace(g)
         summary = FacetSummary.of_collection(workspace, workspace.items)
         text = render_overview(summary)
         assert "range 10 .. 30" in text
@@ -98,10 +104,11 @@ class TestItemSheet:
         assert "cuisine: Greek" in text
         assert "salad one" in text
 
-    def test_multivalued_bulleted(self, workspace):
-        g = workspace.graph
+    def test_multivalued_bulleted(self):
+        g = _graph()
         g.add(EX.r1, EX.tag, EX.x)
         g.add(EX.r1, EX.tag, EX.y)
+        workspace = Workspace(g)
         text = render_item(workspace, EX.r1)
         assert "- x" in text and "- y" in text
 

@@ -20,8 +20,7 @@ from repro.rdf import Graph, Literal, Namespace, RDF, Schema, ValueType
 EX = Namespace("http://ss.example/")
 
 
-@pytest.fixture()
-def workspace():
+def _graph():
     g = Graph()
     schema = Schema(g)
     schema.set_value_type(EX.serves, ValueType.INTEGER)
@@ -40,7 +39,12 @@ def workspace():
             g.add(item, EX.ingredient, ing)
         g.add(item, EX.serves, Literal(serves))
         g.add(item, EX.title, Literal(title))
-    return Workspace(g)
+    return g
+
+
+@pytest.fixture()
+def workspace():
+    return Workspace(_graph())
 
 
 @pytest.fixture()
@@ -263,10 +267,12 @@ class TestSubcollectionApply:
         )
         assert set(view.items) == {EX.r3, EX.r4}
 
-    def test_items_without_property_skipped(self, session, workspace):
-        g = workspace.graph
+    def test_items_without_property_skipped(self):
+        g = _graph()
         g.add(EX.bare, RDF.type, EX.Recipe)
-        workspace.add_item(EX.bare)
+        workspace = Workspace(g)
+        session = Session(workspace)
+        assert EX.bare in workspace.items
         session.go_collection(workspace.items, "all")
         view = session.apply_subcollection(
             EX.ingredient, list(g.objects(None, EX.ingredient)),

@@ -14,6 +14,7 @@ from repro.core import analysis_memo
 from repro.core.advisors import RELATED_ITEMS
 from repro.core.analysts import Analyst, standard_analysts
 from repro.core.engine import NavigationEngine
+from repro.core.epochs import EpochManager
 from repro.core.suggestions import Invoke
 from repro.core.view import View
 from repro.core.workspace import Workspace
@@ -23,6 +24,7 @@ from repro.query.ast import HasValue, Range
 from repro.rdf import Graph, Literal, Namespace, RDF
 from repro.service import commands as cmd
 from repro.service.manager import SessionManager
+from repro.store.datom import OP_ASSERT
 
 EX = Namespace("http://memo.example/")
 
@@ -174,24 +176,34 @@ class TestSharedLanding:
 
 class TestInvalidation:
     def test_add_item_matches_a_fresh_workspace(self):
-        graph = _small_graph()
-        workspace = Workspace(graph)
+        # An arrival is a new epoch with a memo of its own: the old
+        # epoch's memo keeps serving its own, unchanged, pane.
+        workspace = Workspace(_small_graph())
         engine = NavigationEngine()
         view_items = list(workspace.items)
         before = engine.suggest(View.of_collection(workspace, view_items))
-        graph.add(EX.doc9, RDF.type, EX.Doc)
-        graph.add(EX.doc9, EX.color, EX.red)
-        graph.add(EX.doc9, EX.title, Literal("red pepper stew"))
-        graph.add(EX.doc9, EX.year, Literal(2020))
-        workspace.add_item(EX.doc9)
-        fresh = Workspace(graph, items=workspace.items)
-        for items in (view_items, workspace.items):
-            after = engine.suggest(View.of_collection(workspace, items))
+        epochs = EpochManager(workspace)
+        epochs.ingest(
+            [
+                (OP_ASSERT, EX.doc9, RDF.type, EX.Doc),
+                (OP_ASSERT, EX.doc9, EX.color, EX.red),
+                (OP_ASSERT, EX.doc9, EX.title, Literal("red pepper stew")),
+                (OP_ASSERT, EX.doc9, EX.year, Literal(2020)),
+            ]
+        )
+        epoch = epochs.publish()
+        grown = epoch.workspace
+        assert EX.doc9 in grown.items
+        fresh = epochs.cold_workspace(epoch.watermark)
+        for items in (view_items, grown.items):
+            after = engine.suggest(View.of_collection(grown, items))
             cold = NavigationEngine().suggest(View.of_collection(fresh, items))
             assert _quads(after) == _quads(cold)
         # The old view's pane did change: a stale hit would have shown.
-        after = engine.suggest(View.of_collection(workspace, view_items))
+        after = engine.suggest(View.of_collection(grown, view_items))
         assert _quads(after) != _quads(before)
+        again = engine.suggest(View.of_collection(workspace, view_items))
+        assert _quads(again) == _quads(before)
 
     def test_equal_queries_that_render_differently_do_not_share(self):
         workspace = Workspace(_small_graph()).freeze()

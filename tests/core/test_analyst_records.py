@@ -1,10 +1,10 @@
 """Lifecycle of the per-item analyst records behind the collection analysts.
 
-Records are filled lazily by suggestion cycles and keyed on the graph
-version: graph changes must never leave a cycle reading stale records,
-new epochs and ``as_of`` views start with none, and the paths that
-never suggest (facet profiles, previews) must never build them — they
-build facet entries only.
+Records are filled lazily by suggestion cycles, one table per sealed
+workspace: a graph change arrives as a new epoch whose table must never
+serve a cycle stale records, new epochs and ``as_of`` views start with
+none, and the paths that never suggest (facet profiles, previews) must
+never build them — they build facet entries only.
 """
 
 from repro.core.epochs import EpochManager
@@ -41,17 +41,23 @@ def test_unfrozen_add_item_matches_a_fresh_workspace():
         sorted(graph.objects(donor, props["ingredient"]), key=lambda n: n.n3()),
         key=lambda n: graph.count_subjects(props["ingredient"], n),
     )
-    graph.add(ingredient, props["origin"], Literal("Africa"))
+    ops = [(OP_ASSERT, ingredient, props["origin"], Literal("Africa"))]
     newcomer = Resource(donor.uri + "-copy")
     for prop, values in graph.properties_of(donor).items():
         for value in values:
-            graph.add(newcomer, prop, value)
-    graph.add(newcomer, props["title"], Literal("atlantis walnut stew"))
-    workspace.add_item(newcomer)
+            ops.append((OP_ASSERT, newcomer, prop, value))
+    title = Literal("atlantis walnut stew")
+    ops.append((OP_ASSERT, newcomer, props["title"], title))
+    epochs = EpochManager(workspace)
+    epochs.ingest(ops)
+    epoch = epochs.publish()
+    grown = epoch.workspace
+    assert newcomer in grown.items
 
-    after = _landing(workspace)
-    assert workspace.analyst_records() is not before
-    fresh = Workspace(graph, schema=corpus.schema, items=list(workspace.items))
+    after = _landing(grown)
+    assert grown.analyst_records() is not before
+    assert workspace.analyst_records() is before
+    fresh = epochs.cold_workspace(epoch.watermark)
     assert after == _landing(fresh)
 
 
@@ -61,7 +67,7 @@ def test_as_of_views_start_with_empty_records():
     _landing(workspace)
     assert len(workspace.analyst_records()) == len(workspace.items)
     view = workspace.as_of(workspace.graph.last_tx)
-    assert view._analyst_records is None
+    assert len(view.analyst_records()) == 0
     _landing(view)
     assert len(view.analyst_records()) == len(view.items)
     assert view.analyst_records() is not workspace.analyst_records()

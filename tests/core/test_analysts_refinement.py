@@ -12,7 +12,7 @@ from repro.rdf import Graph, Literal, Namespace, RDF, Schema, ValueType
 EX = Namespace("http://ra.example/")
 
 
-def build_workspace():
+def build_graph():
     g = Graph()
     schema = Schema(g)
     schema.set_value_type(EX.body, ValueType.TEXT)
@@ -24,7 +24,11 @@ def build_workspace():
         g.add(item, EX.body, Literal(
             "shared words plus " + ("apple tart" if i < 3 else "beef stew")
         ))
-    return Workspace(g, schema=schema)
+    return g
+
+
+def build_workspace():
+    return Workspace(build_graph())
 
 
 @pytest.fixture()
@@ -82,8 +86,10 @@ class TestRefinementAnalyst:
         view = View.of_collection(workspace, [EX.d0])
         assert not RefinementAnalyst().triggers_on(view)
 
-    def test_hidden_property_excluded(self, workspace):
-        workspace.schema.hide_property(EX.color)
+    def test_hidden_property_excluded(self):
+        g = build_graph()
+        Schema(g).hide_property(EX.color)
+        workspace = Workspace(g)
         view = View.of_collection(workspace, workspace.items)
         board = run(RefinementAnalyst(), view)
         assert not any("red" in s.title for s in board.entries)
@@ -108,10 +114,11 @@ class TestRefinementAnalyst:
         ]
         assert PathValue((EX.body_link, EX.kind), Literal("plain")) in composed
 
-    def test_weights_peak_at_mid_coverage(self, workspace):
-        g = workspace.graph
+    def test_weights_peak_at_mid_coverage(self):
+        g = build_graph()
         # one very rare value: should weigh less than the 4/6 red
         g.add(EX.d0, EX.color, EX.green)
+        workspace = Workspace(g)
         view = View.of_collection(workspace, workspace.items)
         board = run(RefinementAnalyst(), view)
         weights = {

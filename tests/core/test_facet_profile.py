@@ -10,8 +10,10 @@ from repro.core.analysts.common import (
     collection_profile,
     is_facetable_value,
 )
+from repro.core.epochs import EpochManager
 from repro.core.workspace import Workspace
 from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.store.datom import OP_ASSERT
 
 
 EX = Namespace("http://profile.example/")
@@ -129,13 +131,18 @@ class TestWorkspaceMemo:
         assert workspace.facet_profile_stats.hits == 1
 
     def test_graph_mutation_invalidates(self):
+        # A change arrives as the next epoch, which carries no profile
+        # of a collection the delta touched; the old epoch keeps its own.
         workspace = self._workspace()
         items = list(workspace.items)
         first = workspace.facet_profile(items)
-        workspace.graph.add(EX.d0, EX.color, EX.green)
-        second = workspace.facet_profile(items)
+        epochs = EpochManager(workspace)
+        epochs.ingest([(OP_ASSERT, EX.d0, EX.color, EX.green)])
+        grown = epochs.publish().workspace
+        second = grown.facet_profile(items)
         assert second is not first
         assert second.facet_counts()[EX.color][EX.green] == 1
+        assert workspace.facet_profile(items) is first
 
     def test_distinct_collections_get_distinct_profiles(self):
         workspace = self._workspace()

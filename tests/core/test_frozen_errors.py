@@ -55,25 +55,6 @@ def test_historical_graph_messages_carry_operation_and_tx():
     assert info.value.tx == 1
 
 
-def test_frozen_workspace_add_item_message():
-    workspace = _workspace_with_history().freeze()
-    with pytest.raises(FrozenWorkspaceError) as info:
-        workspace.add_item(Resource("urn:new"))
-    assert str(info.value) == "workspace is frozen; cannot add_item"
-    assert info.value.operation == "add_item"
-
-
-def test_historical_workspace_add_item_message():
-    view = _workspace_with_history().as_of(2)
-    with pytest.raises(HistoricalWorkspaceError) as info:
-        view.add_item(Resource("urn:new"))
-    assert str(info.value) == (
-        "workspace is a historical as-of view at tx 2; cannot add_item"
-    )
-    assert info.value.operation == "add_item"
-    assert info.value.tx == 2
-
-
 def test_historical_error_is_a_frozen_error():
     assert issubclass(HistoricalWorkspaceError, FrozenWorkspaceError)
     assert issubclass(FrozenWorkspaceError, RuntimeError)

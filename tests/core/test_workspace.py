@@ -2,8 +2,10 @@
 
 from repro.check.reference import naive_extent
 from repro.core import Workspace
+from repro.core.epochs import EpochManager
 from repro.query import And, HasValue, Not, Path
 from repro.rdf import Graph, Literal, Namespace, RDF, Schema
+from repro.store.datom import OP_ASSERT
 
 EX = Namespace("http://w.example/")
 
@@ -47,57 +49,72 @@ class TestConstruction:
         assert workspace.label(EX.a) == "Document A"
 
 
+def _publish(workspace, *triples):
+    """The next epoch after one transaction asserting ``triples``."""
+    epochs = EpochManager(workspace)
+    epochs.ingest([(OP_ASSERT, s, p, o) for s, p, o in triples])
+    epochs.publish()
+    return epochs.current.workspace
+
+
 class TestIncrementalArrival:
+    """Items arrive through an ingested transaction and a publish."""
+
     def test_add_item_reaches_every_substrate(self):
-        workspace = Workspace(build_graph())
-        g = workspace.graph
-        g.add(EX.c, RDF.type, EX.Doc)
-        g.add(EX.c, EX.body, Literal("delta alpha"))
-        workspace.add_item(EX.c)
+        workspace = _publish(
+            Workspace(build_graph()),
+            (EX.c, RDF.type, EX.Doc),
+            (EX.c, EX.body, Literal("delta alpha")),
+        )
         assert EX.c in workspace.model
         assert EX.c in workspace.text_index.search("delta")
         assert EX.c in workspace.query_context.universe
         assert EX.c in workspace.items
 
     def test_add_item_searchable_via_vector_store(self):
-        workspace = Workspace(build_graph())
-        g = workspace.graph
-        g.add(EX.c, RDF.type, EX.Doc)
-        g.add(EX.c, EX.body, Literal("zeta eta"))
-        workspace.add_item(EX.c)
+        workspace = _publish(
+            Workspace(build_graph()),
+            (EX.c, RDF.type, EX.Doc),
+            (EX.c, EX.body, Literal("zeta eta")),
+        )
         hits = workspace.vector_store.search_text("zeta", 5)
         assert [h.item for h in hits] == [EX.c]
 
     def test_re_add_does_not_duplicate(self):
-        workspace = Workspace(build_graph())
-        workspace.add_item(EX.a)
+        workspace = _publish(
+            Workspace(build_graph()),
+            (EX.a, RDF.type, EX.Doc),
+            (EX.a, EX.body, Literal("alpha again")),
+        )
         assert workspace.items.count(EX.a) == 1
 
     def test_add_item_refreshes_cached_complements(self):
-        # Extents cached between graph.add and add_item must not outlive
-        # the universe growth: add_item moves no graph version.
+        # Extents cached on one epoch must not leak into the next: the
+        # universe grows, which moves complements and empty conjunctions.
         g = build_graph()
         g.add(EX.a, EX.color, EX.red)
-        workspace = Workspace(g)
-        g.add(EX.c, RDF.type, EX.Doc)
-        g.add(EX.c, EX.color, EX.blue)
+        before = Workspace(g)
         predicate = Not(HasValue(EX.color, EX.red))
-        assert workspace.query_engine.evaluate(predicate) == {EX.b}
-        workspace.add_item(EX.c)
+        assert before.query_engine.evaluate(predicate) == {EX.b}
+        workspace = _publish(
+            before, (EX.c, RDF.type, EX.Doc), (EX.c, EX.color, EX.blue)
+        )
         context = workspace.query_context
         expected = naive_extent(predicate, set(context.universe), context)
         assert expected == {EX.b, EX.c}
         assert workspace.query_engine.evaluate(predicate) == expected
         assert workspace.query_engine.count(predicate) == 2
         assert workspace.query_engine.evaluate(And([])) == {EX.a, EX.b, EX.c}
+        assert before.query_engine.evaluate(predicate) == {EX.b}
 
     def test_add_item_refreshes_cached_path_extents(self):
         g = build_graph()
         g.add(EX.a, EX.cites, EX.b)
-        workspace = Workspace(g)
-        g.add(EX.c, RDF.type, EX.Doc)
-        g.add(EX.c, EX.cites, EX.b)
+        before = Workspace(g)
         predicate = Path((EX.cites,), EX.b)
-        assert workspace.query_engine.evaluate(predicate) == {EX.a}
-        workspace.add_item(EX.c)
+        assert before.query_engine.evaluate(predicate) == {EX.a}
+        workspace = _publish(
+            before, (EX.c, RDF.type, EX.Doc), (EX.c, EX.cites, EX.b)
+        )
         assert workspace.query_engine.evaluate(predicate) == {EX.a, EX.c}
+        assert before.query_engine.evaluate(predicate) == {EX.a}

@@ -114,14 +114,18 @@ class TestCyclicStructure:
 
 
 class TestQueryEdges:
-    @pytest.fixture()
-    def workspace(self):
+    @staticmethod
+    def _graph():
         g = Graph()
         for i in range(3):
             item = EX[f"q{i}"]
             g.add(item, RDF.type, EX.Doc)
             g.add(item, EX.n, Literal(i))
-        return Workspace(g)
+        return g
+
+    @pytest.fixture()
+    def workspace(self):
+        return Workspace(self._graph())
 
     def test_refining_an_empty_collection(self, workspace):
         session = Session(workspace)
@@ -140,9 +144,9 @@ class TestQueryEdges:
         view = session.negate_constraint(0)
         assert len(view.items) == 3
 
-    def test_text_match_is_case_insensitive(self, workspace):
-        g = workspace.graph
+    def test_text_match_is_case_insensitive(self):
+        g = self._graph()
         g.add(EX.q0, EX.title, Literal("MixedCase Words"))
-        workspace.text_index.index_item(EX.q0)
+        workspace = Workspace(g)
         found = workspace.query_engine.evaluate(TextMatch("mixedcase"))
         assert EX.q0 in found

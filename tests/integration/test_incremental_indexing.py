@@ -1,9 +1,17 @@
-"""Integration: data arriving over time stays searchable everywhere."""
+"""Integration: data arriving over time stays searchable everywhere.
+
+Arrivals take the path that serves them: a transaction ingested into an
+:class:`~repro.core.epochs.EpochManager` and folded into the next epoch
+by ``publish``; a session moves onto it through ``sync_session``.
+"""
 
 from repro.browser import Session
 from repro.core import Workspace
-from repro.query import HasValue, TextMatch
+from repro.core.epochs import EpochManager
+from repro.query import HasValue
 from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.service.manager import SessionManager
+from repro.store.datom import OP_ASSERT
 
 EX = Namespace("http://inc.example/")
 
@@ -16,30 +24,55 @@ def make_item(graph, name, tag, text):
     return item
 
 
+def ingest_item(epochs, name, tag, text):
+    """Ingest one new item as one transaction; returns the item."""
+    item = EX[name]
+    epochs.ingest(
+        [
+            (OP_ASSERT, item, RDF.type, EX.Doc),
+            (OP_ASSERT, item, EX.tag, tag),
+            (OP_ASSERT, item, EX.body, Literal(text)),
+        ]
+    )
+    return item
+
+
+def arrive(epochs, name, tag, text):
+    """Ingest one new item and publish it; returns the item."""
+    item = ingest_item(epochs, name, tag, text)
+    epochs.publish()
+    return item
+
+
 class TestArrivals:
     def test_stream_of_arrivals(self):
         g = Graph()
         first = make_item(g, "d1", EX.red, "alpha words here")
-        workspace = Workspace(g)
-        session = Session(workspace)
+        epochs = EpochManager(Workspace(g))
+        manager = SessionManager(epochs.current.workspace)
+        manager.attach_epochs(epochs)
+        session = manager.create("reader")
         assert session.search("alpha").items == [first]
 
-        second = make_item(g, "d2", EX.red, "alpha and beta words")
-        workspace.add_item(second)
+        second = arrive(epochs, "d2", EX.red, "alpha and beta words")
+        session = manager.sync_session("reader")
         assert set(session.search("alpha").items) == {first, second}
 
-        third = make_item(g, "d3", EX.blue, "gamma text entirely")
-        workspace.add_item(third)
+        third = arrive(epochs, "d3", EX.blue, "gamma text entirely")
+        session = manager.sync_session("reader")
         assert session.search("gamma").items == [third]
 
     def test_arrivals_join_facets(self):
         g = Graph()
         make_item(g, "d1", EX.red, "one")
-        workspace = Workspace(g)
+        epochs = EpochManager(Workspace(g))
         for i in range(2, 6):
-            workspace.add_item(
-                make_item(g, f"d{i}", EX.blue if i % 2 else EX.red, f"body {i}")
+            ingest_item(
+                epochs, f"d{i}", EX.blue if i % 2 else EX.red, f"body {i}"
             )
+        epochs.publish()
+        workspace = epochs.current.workspace
+        assert len(workspace.items) == 5
         session = Session(workspace)
         session.go_collection(workspace.items, "all")
         result = session.suggestions()
@@ -50,27 +83,25 @@ class TestArrivals:
     def test_arrivals_reachable_by_similarity(self):
         g = Graph()
         a = make_item(g, "d1", EX.red, "apple tart sweet")
-        workspace = Workspace(g)
-        b = make_item(g, "d2", EX.red, "apple pie sweet")
-        c = make_item(g, "d3", EX.blue, "steel beam bridge")
-        workspace.add_item(b)
-        workspace.add_item(c)
-        hits = workspace.vector_store.similar_to_item(a, 2)
+        epochs = EpochManager(Workspace(g))
+        b = ingest_item(epochs, "d2", EX.red, "apple pie sweet")
+        ingest_item(epochs, "d3", EX.blue, "steel beam bridge")
+        epochs.publish()
+        hits = epochs.current.workspace.vector_store.similar_to_item(a, 2)
         assert hits[0].item == b
 
     def test_arrivals_counted_in_idf(self):
         g = Graph()
-        a = make_item(g, "d1", EX.red, "unique snowflake")
-        workspace = Workspace(g)
-        before_df = workspace.model.stats.num_docs
-        workspace.add_item(make_item(g, "d2", EX.red, "common words"))
-        assert workspace.model.stats.num_docs == before_df + 1
+        make_item(g, "d1", EX.red, "unique snowflake")
+        epochs = EpochManager(Workspace(g))
+        before_df = epochs.current.workspace.model.stats.num_docs
+        arrive(epochs, "d2", EX.red, "common words")
+        assert epochs.current.workspace.model.stats.num_docs == before_df + 1
 
     def test_queries_see_new_universe(self):
         g = Graph()
         make_item(g, "d1", EX.red, "one")
-        workspace = Workspace(g)
-        new = make_item(g, "d2", EX.blue, "two")
-        workspace.add_item(new)
-        found = workspace.query_engine.evaluate(HasValue(EX.tag, EX.blue))
-        assert found == {new}
+        epochs = EpochManager(Workspace(g))
+        new = arrive(epochs, "d2", EX.blue, "two")
+        engine = epochs.current.workspace.query_engine
+        assert engine.evaluate(HasValue(EX.tag, EX.blue)) == {new}

@@ -81,7 +81,6 @@ class TestGoldenTinyFlow:
                 "query.extent_cache.evictions": 0,
                 "query.extent_cache.hit_rate": 0.5,
                 "query.extent_cache.hits": 1,
-                "query.extent_cache.invalidations": 0,
                 "query.extent_cache.misses": 1,
                 "store.full_rebuilds": 0,
                 "store.items_reindexed": 0,

@@ -209,7 +209,6 @@ class TestCacheTelemetryOracle:
         stats = context.cache_stats
         assert stats.misses == 1
         assert stats.hits == n - 1
-        assert stats.invalidations == 0
         assert stats.lookups == n
         assert stats.hit_rate == pytest.approx((n - 1) / n)
 
@@ -224,35 +223,20 @@ class TestCacheTelemetryOracle:
         assert stats.misses == 1
         assert stats.hits == 5
 
-    def test_mutation_records_exactly_one_invalidation(self):
-        graph = _tagged_graph()
-        context = QueryContext(graph)
-        engine = QueryEngine(context)
-        predicate = HasValue(EX.tag, EX.even)
-        assert len(engine.evaluate(predicate)) == 4
-        graph.add(EX.d9, RDF.type, EX.Doc)
-        graph.add(EX.d9, EX.tag, EX.even)
-        context.universe.add(EX.d9)
-        assert len(engine.evaluate(predicate)) == 5
-        stats = context.cache_stats
-        assert stats.invalidations == 1
-        assert stats.misses == 2
-        assert stats.hits == 0
-        # The refreshed entry serves hits again at the new version.
-        assert len(engine.evaluate(predicate)) == 5
-        assert stats.invalidations == 1
-        assert stats.hits == 1
-
     def test_noop_mutation_invalidates_nothing(self):
+        from repro.core.workspace import FrozenWorkspaceError
+
         graph = _tagged_graph()
         context = QueryContext(graph)
         engine = QueryEngine(context)
         predicate = HasValue(EX.tag, EX.even)
         engine.evaluate(predicate)
-        # Re-adding an existing triple does not bump the version.
-        assert not graph.add(EX.d0, EX.tag, EX.even)
+        # The context sealed the graph: even re-adding an existing
+        # triple is refused, and the cached extent keeps serving.
+        with pytest.raises(FrozenWorkspaceError):
+            graph.add(EX.d0, EX.tag, EX.even)
         engine.evaluate(predicate)
-        assert context.cache_stats.invalidations == 0
+        assert context.cache_stats.misses == 1
         assert context.cache_stats.hits == 1
 
     def test_workspace_gauges_report_the_oracle_counts(self):
@@ -267,20 +251,28 @@ class TestCacheTelemetryOracle:
         snapshot = session.metrics.snapshot()
         assert snapshot["gauges"]["query.extent_cache.hits"] == n - 1
         assert snapshot["gauges"]["query.extent_cache.misses"] == 1
-        assert snapshot["gauges"]["query.extent_cache.invalidations"] == 0
         assert snapshot["counters"]["session.preview_counts"] == n
 
     def test_workspace_gauges_track_graph_mutation(self):
-        from repro.browser.session import Session
+        # A change is published as the next epoch, whose workspace
+        # re-wires the gauges of the shared registry to its own caches.
+        from repro.core.epochs import EpochManager
         from repro.core.workspace import Workspace
+        from repro.service.manager import SessionManager
+        from repro.store.datom import OP_ASSERT
 
-        graph = _tagged_graph()
-        workspace = Workspace(graph)
-        session = Session(workspace)
+        epochs = EpochManager(Workspace(_tagged_graph()))
+        manager = SessionManager(epochs.current.workspace)
+        manager.attach_epochs(epochs)
+        session = manager.create("reader")
         predicate = HasValue(EX.tag, EX.even)
         session.preview_count(predicate)
-        graph.add(EX.d0, EX.note, Literal("updated"))
+        session.preview_count(predicate)
+        epochs.ingest([(OP_ASSERT, EX.d0, EX.note, Literal("updated"))])
+        graph = epochs.publish().workspace.graph
+        session = manager.sync_session("reader")
         session.preview_count(predicate)
         snapshot = session.metrics.snapshot()
-        assert snapshot["gauges"]["query.extent_cache.invalidations"] == 1
+        assert snapshot["gauges"]["query.extent_cache.misses"] == 1
+        assert snapshot["gauges"]["query.extent_cache.hits"] == 0
         assert snapshot["gauges"]["graph.version"] == graph.version

@@ -103,9 +103,8 @@ def test_facet_memo_carries_only_clean_collections():
     epoch = manager.publish()
 
     carried = epoch.workspace._facet_profiles
-    version = epoch.workspace.graph.version
-    assert carried == {(version, clean): profile_clean}
-    assert carried[(version, clean)] is profile_clean
+    assert carried == {clean: profile_clean}
+    assert carried[clean] is profile_clean
     # A memo miss on the dirtied collection recomputes, not resurrects.
     stats = epoch.workspace.facet_profile_stats
     epoch.workspace.facet_profile(dirty)
@@ -117,13 +116,13 @@ def test_facet_memo_carries_only_clean_collections():
 def test_touched_non_item_node_is_swept_again():
     """Facet entries and memoized profiles exist for nodes outside the
     item universe too, so a delta naming one must not carry either."""
-    ws = _big_workspace()
-    ws.graph.add(EX.loose, EX.color, EX.c1)
+    manager = EpochManager(_big_workspace())
+    manager.ingest([(OP_ASSERT, EX.loose, EX.color, EX.c1)])
+    ws = manager.publish().workspace
     assert EX.loose not in ws.query_context.universe
     before = ws.facet_profile([EX.loose])
     assert list(before.properties[EX.color].counts) == [EX.c1]
 
-    manager = EpochManager(ws)
     manager.ingest([(OP_ASSERT, EX.loose, EX.color, EX.c2)])
     epoch = manager.publish()
 

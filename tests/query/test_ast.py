@@ -22,8 +22,7 @@ from repro.rdf import Graph, Literal, Namespace, RDF, Schema
 EX = Namespace("http://q.example/")
 
 
-@pytest.fixture()
-def context():
+def _graph():
     g = Graph()
     for name, cuisine, ings, serves, title in [
         ("r1", EX.greek, [EX.parsley, EX.feta], 4, "greek salad"),
@@ -38,9 +37,18 @@ def context():
         g.add(item, EX.serves, Literal(serves))
         g.add(item, EX.title, Literal(title))
     g.add(EX.r1, EX.origin, EX.r3)  # an object link for PathValue tests
+    return g
+
+
+def _context(g):
     text_index = TextIndex(g)
     text_index.index_items([EX.r1, EX.r2, EX.r3])
     return QueryContext(g, text_index=text_index)
+
+
+@pytest.fixture()
+def context():
+    return _context(_graph())
 
 
 class TestLeafPredicates:
@@ -198,8 +206,10 @@ class TestDescribe:
     def test_has_value(self, context):
         assert HasValue(EX.cuisine, EX.greek).describe(context) == "cuisine: greek"
 
-    def test_labels_used_when_available(self, context):
-        Schema(context.graph).set_label(EX.cuisine, "Cuisine Kind")
+    def test_labels_used_when_available(self):
+        g = _graph()
+        Schema(g).set_label(EX.cuisine, "Cuisine Kind")
+        context = _context(g)
         assert "Cuisine Kind" in HasValue(EX.cuisine, EX.greek).describe(context)
 
     def test_type_is(self, context):

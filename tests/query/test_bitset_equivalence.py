@@ -31,6 +31,7 @@ from repro.query import (
     ValueIn,
 )
 from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.store.datom import OP_ASSERT, OP_RETRACT
 
 EX = Namespace("http://bitset.example/")
 
@@ -316,52 +317,69 @@ class TestErrorSurfacing:
 
 
 class TestCacheInvalidation:
+    """A changed graph is a fork with a context of its own.
+
+    Its extents see the change; the sealed graph's context keeps
+    answering from its cache.
+    """
+
     @pytest.fixture()
     def small(self):
         graph = _tagged_graph(8)
         context = QueryContext(graph)
         return graph, context, QueryEngine(context)
 
+    @staticmethod
+    def _changed(graph, ops):
+        grown = graph.fork()
+        grown.transact(ops)
+        return QueryEngine(QueryContext(grown))
+
     def test_graph_mutation_refreshes_extents(self, small):
         graph, context, engine = small
         predicate = HasValue(EX.tag, EX.even)
         assert len(engine.evaluate(predicate)) == 4
-        graph.add(EX.d9, RDF.type, EX.Doc)
-        graph.add(EX.d9, EX.tag, EX.even)
-        context.universe.add(EX.d9)
-        result = engine.evaluate(predicate)
+        changed = self._changed(
+            graph,
+            [
+                (OP_ASSERT, EX.d9, RDF.type, EX.Doc),
+                (OP_ASSERT, EX.d9, EX.tag, EX.even),
+            ],
+        )
+        result = changed.evaluate(predicate)
         assert EX.d9 in result and len(result) == 5
-        assert context.cache_stats.invalidations >= 1
-
-    def test_mutation_invalidates_cache_exactly_once(self):
-        graph = _tagged_graph()
-        context = QueryContext(graph)
-        engine = QueryEngine(context)
-        predicate = HasValue(EX.tag, EX.even)
-        assert len(engine.evaluate(predicate)) == 5
-        graph.add(EX.d10, RDF.type, EX.Doc)
-        graph.add(EX.d10, EX.tag, EX.even)
-        context.universe.add(EX.d10)
-        assert len(engine.evaluate(predicate)) == 6
-        assert context.cache_stats.invalidations == 1
+        assert len(engine.evaluate(predicate)) == 4
+        assert context.cache_stats.hits >= 1
 
     def test_removal_refreshes_extents(self, small):
         graph, context, engine = small
         predicate = Not(HasValue(EX.tag, EX.odd))
         before = engine.evaluate(predicate)
         assert len(before) == 4
-        graph.remove(EX.d0, EX.tag, EX.even)
-        graph.add(EX.d0, EX.tag, EX.odd)
-        after = engine.evaluate(predicate)
+        changed = self._changed(
+            graph,
+            [
+                (OP_RETRACT, EX.d0, EX.tag, EX.even),
+                (OP_ASSERT, EX.d0, EX.tag, EX.odd),
+            ],
+        )
+        after = changed.evaluate(predicate)
         assert after == before - {EX.d0}
+        assert engine.evaluate(predicate) == before
 
     def test_range_extent_tracks_updates(self, small):
         graph, context, engine = small
         predicate = Range(EX.size, low=3, high=None)
         assert len(engine.evaluate(predicate)) == 5
-        graph.remove(EX.d7, EX.size, Literal(7))
-        graph.add(EX.d7, EX.size, Literal(0))
-        assert len(engine.evaluate(predicate)) == 4
+        changed = self._changed(
+            graph,
+            [
+                (OP_RETRACT, EX.d7, EX.size, Literal(7)),
+                (OP_ASSERT, EX.d7, EX.size, Literal(0)),
+            ],
+        )
+        assert len(changed.evaluate(predicate)) == 4
+        assert len(engine.evaluate(predicate)) == 5
 
 
 class TestWorkspacePreviewCounts:

@@ -28,8 +28,7 @@ def _context(graph, items=None):
     return QueryContext(graph, universe=universe)
 
 
-@pytest.fixture()
-def papers():
+def _papers_graph():
     """A small citation graph: papers → authors → affiliations."""
     g = Graph()
     items = []
@@ -44,8 +43,13 @@ def papers():
     for i in range(1, 6):
         g.add(EX[f"p{i}"], EX.cites, EX[f"p{i - 1}"])
     g.add(EX.p0, EX.cites, EX.p5)
-    context = _context(g, items)
-    return g, context, items
+    return g, items
+
+
+@pytest.fixture()
+def papers():
+    g, items = _papers_graph()
+    return g, _context(g, items), items
 
 
 class TestPathStep:
@@ -77,10 +81,10 @@ class TestMatches:
         assert cited_by_p1.matches(EX.p0, context)
         assert not cited_by_p1.matches(EX.p2, context)
 
-    def test_existence_when_value_omitted(self, papers):
-        g, context, _items = papers
+    def test_existence_when_value_omitted(self):
+        g, items = _papers_graph()
         g.add(EX.orphan, RDF.type, EX.Paper)
-        context.universe.add(EX.orphan)
+        context = _context(g, items + [EX.orphan])
         has_affil = Path((EX.author, EX.affiliation))
         assert has_affil.matches(EX.p0, context)
         assert not has_affil.matches(EX.orphan, context)
@@ -92,10 +96,10 @@ class TestMatches:
         for item in (EX.p1, EX.p3, EX.p5, EX.p0):
             assert reaches_p0.matches(item, context)
 
-    def test_star_includes_zero_applications(self, papers):
-        g, context, _items = papers
+    def test_star_includes_zero_applications(self):
+        g, items = _papers_graph()
         g.add(EX.island, RDF.type, EX.Paper)
-        context.universe.add(EX.island)
+        context = _context(g, items + [EX.island])
         star = Path((PathStep(EX.cites, closure="*"),), EX.island)
         plus = Path((PathStep(EX.cites, closure="+"),), EX.island)
         assert star.matches(EX.island, context)
@@ -166,10 +170,14 @@ class TestEngineAgreement:
         hits = context.path_stats.hits
         assert context.path_extent(predicate) == first
         assert context.path_stats.hits > hits
-        g.add(EX.p9, EX.cites, EX.p0)
-        g.add(EX.p9, RDF.type, EX.Paper)
-        context.universe.add(EX.p9)
-        assert EX.p9 in context.path_extent(predicate)
+        # The graph changes as a fork with a context of its own; the
+        # sealed graph and its memo are untouched.
+        grown = g.fork()
+        grown.add(EX.p9, EX.cites, EX.p0)
+        grown.add(EX.p9, RDF.type, EX.Paper)
+        grown_context = _context(grown, [*_items, EX.p9])
+        assert EX.p9 in grown_context.path_extent(predicate)
+        assert context.path_extent(predicate) == first
 
 
 FIELDS = {

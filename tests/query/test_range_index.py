@@ -19,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.reference import naive_extent
+from repro.core.epochs import EpochManager
 from repro.core.workspace import Workspace
 from repro.query import QueryContext, QueryEngine, Range
 from repro.perf.bitset import bits_from_ids
 from repro.query.ast import RangeIndex
 from repro.rdf import Graph, Literal, Namespace, RDF
 from repro.rdf.terms import XSD_DECIMAL
+from repro.store.datom import OP_ASSERT
 
 EX = Namespace("http://ri.example/")
 
@@ -167,27 +169,40 @@ class TestAgainstNaiveExtent:
 
 
 class TestInvalidation:
+    """A changed graph is a new sealed snapshot with indexes of its own."""
+
     def test_add_and_remove_rebuild(self):
         g = _graph()
-        engine = QueryEngine(QueryContext(g))
-        context = engine.context
+        context = QueryContext(g)
         wide = Range(EX.size, low=0.0, high=10.0)
         before = context.range_index(EX.size)
         assert EX.z not in wide.candidates(context)
 
-        # The context's universe is fixed once read (only
-        # Workspace.add_item grows it), so look at the raw extent.
-        g.add(EX.z, EX.size, Literal(6))
-        assert context.range_index(EX.size) is not before
-        assert EX.z in wide.candidates(context)
-        assert engine.evaluate(wide) == naive_extent(wide, context.universe, context)
+        # A fork takes the writes.  Its context's universe is the typed
+        # subjects, so look at the raw extent for the untyped EX.z.
+        grown = g.fork()
+        grown.add(EX.z, EX.size, Literal(6))
+        engine = QueryEngine(QueryContext(grown))
+        added = engine.context
+        assert added.range_index(EX.size) is not before
+        assert EX.z in wide.candidates(added)
+        assert engine.evaluate(wide) == naive_extent(
+            wide, added.universe, added
+        )
 
-        built = context.range_index(EX.size)
-        g.remove(EX.b, EX.size, Literal(7))
-        g.remove(EX.b, EX.size, Literal(1))
-        assert context.range_index(EX.size) is not built
+        built = added.range_index(EX.size)
+        shrunk = grown.fork()
+        shrunk.remove(EX.b, EX.size, Literal(7))
+        shrunk.remove(EX.b, EX.size, Literal(1))
+        engine = QueryEngine(QueryContext(shrunk))
+        removed = engine.context
+        assert removed.range_index(EX.size) is not built
         assert EX.b not in engine.evaluate(wide)
-        assert engine.evaluate(wide) == naive_extent(wide, context.universe, context)
+        assert engine.evaluate(wide) == naive_extent(
+            wide, removed.universe, removed
+        )
+        assert context.range_index(EX.size) is before
+        assert EX.z not in wide.candidates(context)
 
     def test_unchanged_graph_reuses_the_index(self, engine):
         context = engine.context
@@ -197,44 +212,39 @@ class TestInvalidation:
         assert context.range_index(EX.size) is first
 
     def test_workspace_add_item(self):
-        g = _graph()
-        workspace = Workspace(g)
-        engine = workspace.query_engine
-        context = workspace.query_context
+        workspace = Workspace(_graph())
         wide = Range(EX.size, low=0.0)
-        assert EX.z not in engine.evaluate(wide)
-        before = context.range_index(EX.size)
+        assert EX.z not in workspace.query_engine.evaluate(wide)
+        before = workspace.query_context.range_index(EX.size)
 
-        g.add(EX.z, RDF.type, EX.Doc)
-        g.add(EX.z, EX.size, Literal(9))
-        workspace.add_item(EX.z)
+        epochs = EpochManager(workspace)
+        epochs.ingest(
+            [
+                (OP_ASSERT, EX.z, RDF.type, EX.Doc),
+                (OP_ASSERT, EX.z, EX.size, Literal(9)),
+            ]
+        )
+        grown = epochs.publish().workspace
+        engine = grown.query_engine
+        context = grown.query_context
         assert EX.z in engine.evaluate(wide)
         assert context.range_index(EX.size) is not before
         assert engine.evaluate(wide) == naive_extent(
             wide, context.universe, context
         )
 
-    def test_clear_extent_cache_drops_indexes(self, engine):
-        context = engine.context
-        first = context.range_index(EX.size)
-        context.clear_extent_cache()
-        assert context.range_index(EX.size) is not first
-
 
 class TestLaziness:
     def test_only_range_filtered_properties_get_an_index(self, engine):
         context = engine.context
         engine.evaluate(Range(EX.size, low=1.0))
-        _version, indexes = context._range_indexes
-        assert set(indexes) == {EX.size}
+        assert set(context._range_indexes) == {EX.size}
         engine.count(Range(EX.sent, high=_day(2004, 1, 1)))
-        _version, indexes = context._range_indexes
-        assert set(indexes) == {EX.size, EX.sent}
+        assert set(context._range_indexes) == {EX.size, EX.sent}
 
     def test_nothing_built_before_the_first_range(self):
         workspace = Workspace(_graph())
-        _version, indexes = workspace.query_context._range_indexes
-        assert indexes == {}
+        assert workspace.query_context._range_indexes == {}
 
 
 class TestConcurrency:

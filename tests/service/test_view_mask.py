@@ -130,12 +130,18 @@ class TestSeeding:
         assert state.view.bits(frozen.graph.interner) is context.universe_bits()
         assert service.preview_count(frozen, state, red) == 20
 
-    def test_unfrozen_landing_interns_lazily(self):
-        workspace = Workspace(_graph())
-        state = NavigationService().initial_state(workspace)
-        assert "_bits" not in state.view.__dict__
+    def test_landing_over_an_items_subset_reads_its_universe(self):
+        # ``items=`` is the universe its query context ranges over.
+        items = [EX[f"it{i:02d}"] for i in range(0, 60, 2)]
+        workspace = Workspace(_graph(), items=items)
+        service = NavigationService()
+        state = service.initial_state(workspace)
+        interner = workspace.graph.interner
+        universe = workspace.query_context.universe_bits()
+        assert state.view.bits(interner) is universe
         red = HasValue(EX.color, EX.red)
-        assert NavigationService().preview_count(workspace, state, red) == 20
+        count = service.preview_count(workspace, state, red)
+        assert count == _naive_count(workspace, red, items) == 10
 
     def test_a_refine_keeps_its_result_mask(self, frozen, monkeypatch):
         service = NavigationService()
