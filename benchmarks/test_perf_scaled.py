@@ -29,8 +29,8 @@ on the shared 64k synthetic corpus (:mod:`repro.datasets.scaled`):
   items).
 
 One row records a cost and has no floor: ``epoch_fold``, the time to
-publish two new items at 8,192 and 16,384 items now that every publish
-rebuilds the vector index.
+publish two new items at 8,192 and 16,384 items; every publish builds
+a new vector index.
 
 The timings land in ``BENCH_perf_core.json``.  The tests are marked
 ``slow`` and excluded from tier-1; CI's perf job runs them with
@@ -608,13 +608,14 @@ def test_view_preview(corpus):
     )
 
 
-#: This row's fold at the commit before every publish rebuilt the vector
-#: index, when a publish under 0.01 idf drift reindexed only the changed
-#: items; ``incremental`` counts the publishes that did.  Medians of
-#: three runs on a 2-core x86_64 host under CPython 3.11.7.
+#: This row's fold at the commit before the vector model and the text
+#: index got ``advance`` constructors, when the fold cloned the prior
+#: epoch's model and text index and then removed and re-added the
+#: changed items.  Medians of five runs on a 2-core x86_64 host under
+#: CPython 3.11.7.
 EPOCH_FOLD_BEFORE = {
-    "8192": {"p50_ms": 447.5, "mean_ms": 488.1, "incremental": 3},
-    "16384": {"p50_ms": 1225.8, "mean_ms": 1404.4, "incremental": 1},
+    "8192": {"p50_ms": 399.5, "mean_ms": 521.8},
+    "16384": {"p50_ms": 689.3, "mean_ms": 944.6},
 }
 
 EPOCH_FOLD_PUBLISHES = 10

@@ -13,11 +13,10 @@ gives up no read guarantee:
 * A **reindexer** (the background thread, or an explicit
   :meth:`EpochManager.publish`) folds the accumulated delta into the
   next epoch, a new sealed workspace: the previous epoch's graph is
-  forked copy-on-write, the delta is replayed onto it, and the derived
-  substrates are advanced:
-  the vector model, text index, per-item facet entries and
-  facet-profile memo incrementally, the vector store by one build at
-  the new statistics.
+  forked copy-on-write, the delta is replayed onto it, and each derived
+  substrate is built for the new epoch by its ``advance`` constructor,
+  which reuses the prior epoch's parts for the items the delta left
+  clean and never modifies the prior epoch's.
 * **Readers** pin an immutable epoch per session.  Publishing an epoch
   is an atomic pointer swap; an old epoch is retired once its last
   session releases it.
@@ -25,17 +24,24 @@ gives up no read guarantee:
 The fold is *bit-identical* to a cold build at the epoch's watermark
 transaction: ``Workspace(graph.as_of(watermark))`` is the ready-made
 oracle, and ``repro check --ingest`` races the two continuously.  The
-parity rests on three mechanisms:
+parity rests on these rules:
 
 * the graph fork rebuilds every delta-touched index leaf by replaying
   that leaf's full op history (set layout — which leaks into float
   summation order — matches a cold replay; untouched leaves are shared);
-* the model clone re-extracts exactly the items whose direct properties
-  or composition inputs changed, then restores the profile-table order
-  and recomputes numeric ranges (removals keep incremental ranges
-  conservative; a cold build's are tight);
-* every publish rebuilds the vector store from the advanced model at
-  current statistics, after the numeric ranges are recomputed.  Any
+* the *dirty* set holds every item whose direct properties or
+  composition inputs a datom changed, plus every item that left the
+  item list;
+* ``VectorSpaceModel.advance`` walks the new item list in the cold
+  build's order, reuses the profiles of clean items and re-extracts
+  the dirty ones; numeric ranges are built from those profiles and
+  document frequencies are the prior counts less the replaced profiles
+  plus the new ones, so they equal a cold build's;
+* ``TextIndex.advance`` shares every postings set no dirty item posts
+  under or posted under, and builds the others fresh;
+* ``AnalystRecords.advance`` carries the facet entries of clean nodes,
+  and the facet-profile memo keeps the collections with no dirty member;
+* every publish builds a new vector store over the new model.  Any
   membership change moves num-docs, hence every idf and every document
   norm, and range bounds feed the unit-circle encoding, so no posting
   of the prior epoch's index is reused.
@@ -52,12 +58,14 @@ import threading
 from typing import Iterable, Sequence
 
 from ..index.store import VectorStore
+from ..index.textindex import TextIndex
 from ..obs import Observability
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rdf.terms import Node
 from ..rdf.vocab import MAGNET, RDF
 from ..store.datom import OP_ASSERT, OP_RETRACT
+from ..vsm.model import VectorSpaceModel
 from .analysts.records import AnalystRecords
 from .workspace import Workspace
 
@@ -80,6 +88,11 @@ class EpochPinError(RuntimeError):
 _SCHEMA_PREDICATES = frozenset(
     {MAGNET.valueType, MAGNET.compose, MAGNET.hidden, MAGNET.importantProperty}
 )
+
+
+#: Seconds the background reindexer sleeps between lag checks when no
+#: ingest wakes it; :meth:`EpochManager.ingest` wakes it at once.
+_REINDEX_POLL_S = 0.2
 
 
 def _n3_key(node: Node) -> str:
@@ -280,7 +293,7 @@ class EpochManager:
         suggestions must be bit-identical to this build's.
         """
         view = self._head.as_of(watermark)
-        return Workspace(Graph.from_datoms(view.log), obs=self.obs)
+        return Workspace.detached(Graph.from_datoms(view.log), obs=self.obs)
 
     def ingest_ntriples(self, text: str) -> dict:
         """Ingest a streamed N-Triples payload as one transaction.
@@ -355,37 +368,19 @@ class EpochManager:
             {s for s, _p, _o in graph.triples(None, RDF.type, None)},
             key=_n3_key,
         )
-        items_set = set(items)
-        prev_items_set = set(prev.items)
 
         touched = {d.s for d in delta}
         touched |= self._composition_dirty(prev, graph, delta)
-        removed = prev_items_set - items_set
-        reindex = (touched & items_set) | (items_set - prev_items_set)
         # Not clipped to the items: facet entries and profiles exist for
         # any node a collection named.
-        dirty = touched | removed
+        dirty = touched | (set(prev.items) - set(items))
 
-        # -- vector model + store -------------------------------------
-        model = prev.model.clone_for(graph, schema)
-        for item in sorted(removed, key=_n3_key):
-            model.remove_item(item)
-        for item in sorted(reindex, key=_n3_key):
-            model.add_item(item)
-        model.reorder_items(items)
-        model.recompute_ranges()
-        # Built after the ranges settle (they feed the unit-circle
-        # weights) and eagerly, so the first search on the new epoch
-        # finds the index ready.
+        model = VectorSpaceModel.advance(prev.model, graph, schema, items, dirty)
+        # Built eagerly, so the first search on the new epoch finds the
+        # index ready.
         store = VectorStore(model, obs=self.obs)
         store.refresh()
-
-        # -- text index -----------------------------------------------
-        text_index = prev.text_index.clone_for(graph)
-        for item in sorted(removed, key=_n3_key):
-            text_index.unindex_item(item)
-        for item in sorted(reindex, key=_n3_key):
-            text_index.index_item(item)
+        text_index = TextIndex.advance(prev.text_index, graph, items, dirty)
 
         # -- facet entries + profile memo ----------------------------
         records = AnalystRecords.advance(
@@ -453,7 +448,7 @@ class EpochManager:
     # Background reindexer
     # ------------------------------------------------------------------
 
-    def start_reindexer(self, interval: float = 0.2) -> None:
+    def start_reindexer(self) -> None:
         """Run publish() in a daemon thread whenever the head advances.
 
         Must be started in the serving process (threads do not survive
@@ -465,7 +460,7 @@ class EpochManager:
 
         def loop() -> None:
             while not self._stop.is_set():
-                self._wake.wait(timeout=interval)
+                self._wake.wait(timeout=_REINDEX_POLL_S)
                 self._wake.clear()
                 if self._stop.is_set():
                     return

@@ -77,6 +77,36 @@ class Workspace:
         use_compositions: bool = True,
         obs: Observability | None = None,
     ):
+        self._build(graph, schema, items, use_compositions, obs)
+        self._wire_metrics()
+
+    @classmethod
+    def detached(
+        cls,
+        graph: Graph,
+        *,
+        use_compositions: bool = True,
+        obs: Observability | None = None,
+    ) -> "Workspace":
+        """A cold build that leaves the registry's workspace gauges alone.
+
+        ``as_of`` views and the ingest oracle's cold builds share the
+        process's ``obs``, so their spans and histograms land in its
+        registry, but ``/metrics`` keeps reading the serving
+        workspace's caches and ``graph.version``.
+        """
+        ws = cls.__new__(cls)
+        ws._build(graph, None, None, use_compositions, obs)
+        return ws
+
+    def _build(
+        self,
+        graph: Graph,
+        schema: Schema | None,
+        items: Iterable[Node] | None,
+        use_compositions: bool,
+        obs: Observability | None,
+    ) -> None:
         from ..vsm.model import VectorSpaceModel
 
         obs = obs if obs is not None else Observability(tracing=False)
@@ -134,6 +164,7 @@ class Workspace:
             analyst_records=analyst_records,
             carried_profiles=carried_profiles,
         )
+        ws._wire_metrics()
         return ws
 
     def _assemble(
@@ -195,7 +226,6 @@ class Workspace:
         )
         #: Postings of view-pure analysts per (analyst, view).
         self.analysis_memo = AnalysisMemo()
-        self._wire_metrics()
 
     def _wire_metrics(self) -> None:
         """Expose the substrate counters as lazy snapshot-time gauges.
@@ -278,8 +308,9 @@ class Workspace:
             graph_at = self.graph.as_of(tx)
             # The view shares the parent's obs bundle so telemetry from
             # historical sessions lands in the process registry (and the
-            # server's /metrics) alongside live-session telemetry.
-            view = Workspace(
+            # server's /metrics) alongside live-session telemetry; the
+            # workspace gauges stay on the serving workspace.
+            view = Workspace.detached(
                 graph_at,
                 use_compositions=self.model.use_compositions,
                 obs=self.obs,

@@ -9,9 +9,9 @@ at least one coordinate with the query.
 Documents are interned to small integer ids, and postings are keyed by
 id: accumulating a score then hashes an int in C instead of calling an
 item's Python ``__hash__`` once per posting.  Ids never leave
-:mod:`repro.index` — every public method takes and returns items — and
-an id freed by :meth:`InvertedIndex.remove` is reused by the next
-insertion, so churn does not grow the id tables.
+:mod:`repro.index` — every public method takes and returns items.  An
+index is loaded once: a document's id is its insertion position, and
+a changed corpus gets a new index rather than an edited one.
 """
 
 from __future__ import annotations
@@ -27,50 +27,29 @@ class InvertedIndex:
     def __init__(self):
         #: coord -> {doc id: weight}
         self._postings: dict[Hashable, dict[int, float]] = {}
-        #: item -> doc id, in insertion order (re-adding moves to the end)
+        #: item -> doc id, in insertion order
         self._ids: dict[Hashable, int] = {}
-        #: doc id -> item; a freed slot holds None until reused
+        #: doc id -> item
         self._items: list[Hashable] = []
-        #: doc id -> the coordinates its postings sit on
-        self._coords: list[tuple[Hashable, ...] | None] = []
-        #: freed doc ids, reused last-freed first
-        self._free: list[int] = []
-        #: postings entries examined by retrieval (bumped by ``top_k``);
-        #: survives :meth:`clear` so rebuilds don't erase the telemetry.
+        #: postings entries examined by retrieval (bumped by ``top_k``)
         self.postings_touched = 0
-
-    def _intern(self, item: Hashable) -> int:
-        """A doc id for a new document: a freed one if any."""
-        if self._free:
-            doc = self._free.pop()
-            self._items[doc] = item
-        else:
-            doc = len(self._items)
-            self._items.append(item)
-            self._coords.append(None)
-        self._ids[item] = doc
-        return doc
-
-    def add(self, item: Hashable, entries: Iterable[tuple[Hashable, float]]) -> None:
-        """Insert a document's (coordinate, weight) pairs."""
-        self.bulk_load(((item, entries),))
 
     def bulk_load(
         self, documents: Iterable[tuple[Hashable, Iterable[tuple[Hashable, float]]]]
     ) -> int:
         """Insert many documents at once; returns the count loaded.
 
-        A document already present is replaced, as by :meth:`add`.
+        Raises ``ValueError`` for a document already loaded.
         """
         postings = self._postings
         ids = self._ids
-        doc_coords = self._coords
+        items = self._items
         count = 0
         for item, entries in documents:
             if item in ids:
-                self.remove(item)
-            doc = self._intern(item)
-            coords = []
+                raise ValueError(f"document already loaded: {item!r}")
+            doc = ids[item] = len(items)
+            items.append(item)
             for coord, weight in entries:
                 if not weight:
                     continue
@@ -78,27 +57,8 @@ class InvertedIndex:
                 if bucket is None:
                     bucket = postings[coord] = {}
                 bucket[doc] = weight
-                coords.append(coord)
-            doc_coords[doc] = tuple(coords)
             count += 1
         return count
-
-    def remove(self, item: Hashable) -> bool:
-        """Drop a document from every postings list it appears in."""
-        doc = self._ids.pop(item, None)
-        if doc is None:
-            return False
-        for coord in self._coords[doc]:
-            postings = self._postings.get(coord)
-            if postings is None:
-                continue
-            postings.pop(doc, None)
-            if not postings:
-                del self._postings[coord]
-        self._items[doc] = None
-        self._coords[doc] = None
-        self._free.append(doc)
-        return True
 
     def postings(self, coord: Hashable) -> dict[Hashable, float]:
         """The {item: weight} postings of a coordinate (a fresh dict)."""
@@ -126,13 +86,6 @@ class InvertedIndex:
 
     def vocabulary_size(self) -> int:
         return len(self._postings)
-
-    def clear(self) -> None:
-        self._postings.clear()
-        self._ids.clear()
-        self._items.clear()
-        self._coords.clear()
-        self._free.clear()
 
     def __repr__(self) -> str:
         return (

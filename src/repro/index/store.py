@@ -5,12 +5,11 @@ index over its *weighted* vectors so similarity searches ("Similar by
 Content", collection-to-item retrieval) run in sublinear time.
 
 The index is exact by construction: it is one build of every item's
-current weighted vector, taken at one ``stats.version`` of the model.
-Every weight depends on corpus statistics (log-idf and the unit-length
-document norm), so a change to the model's membership moves them all;
-the next refresh after any such change therefore rebuilds the whole
-index at current statistics.  A cold build and a store refreshed after
-any history of changes hold equal postings.
+weighted vector, taken once, on the first search or :meth:`refresh`.
+A model is itself built once (cold, or by an epoch fold's
+``VectorSpaceModel.advance``), and every weight depends on corpus
+statistics (log-idf and the unit-length document norm), so each epoch
+gets a new store over its new model and no posting is carried over.
 """
 
 from __future__ import annotations
@@ -43,11 +42,10 @@ class VectorStore:
         self.model = model
         self.obs = obs if obs is not None else NULL_OBS
         self._index = InvertedIndex()
-        #: the model's ``stats.version`` the index was built at
-        self._built_version = -1
+        self._built = False
         self.maintenance = IndexMaintenanceStats()
-        #: Serializes refresh: sessions on serving threads may run their
-        #: first search at once, and two concurrent rebuilds of one
+        #: Serializes the build: sessions on serving threads may run
+        #: their first search at once, and two concurrent loads of one
         #: index corrupt it.
         self._refresh_lock = threading.Lock()
 
@@ -56,32 +54,30 @@ class VectorStore:
     # ------------------------------------------------------------------
 
     def refresh(self) -> bool:
-        """Rebuild the index if the model changed since the last build.
+        """Build the index unless it is built; True when this call built it.
 
-        True when a rebuild ran.  Holds the refresh lock, so a
-        concurrent caller waits for the build and then finds the index
-        current.
+        Holds the refresh lock, so a concurrent caller waits for the
+        build and then finds the index ready.
         """
         with self._refresh_lock:
-            if self._built_version == self.model.stats.version:
+            if self._built:
                 return False
-            self._rebuild()
+            self._build()
+            self._built = True
             return True
 
-    def _rebuild(self) -> None:
+    def _build(self) -> None:
         model = self.model
         with self.obs.tracer.span("store.refresh", items=len(model)):
-            self._index.clear()
             count = self._index.bulk_load(
                 (item, model.vector(item).items()) for item in model.items
             )
-        self._built_version = model.stats.version
         self.maintenance.full_rebuilds += 1
         self.maintenance.items_reindexed += count
 
     @property
     def index(self) -> InvertedIndex:
-        """The (refreshed) underlying inverted index."""
+        """The underlying inverted index, built on first use."""
         self.refresh()
         return self._index
 
@@ -132,9 +128,9 @@ class VectorStore:
         "more items similar to the items in the collection".  By default
         current members are excluded so the advisor suggests *new* items;
         when they cover every indexed item nothing is left to suggest,
-        and neither the index is refreshed nor the centroid computed.
+        and neither the index is built nor the centroid computed.
         Coverage is decided on the model, whose items are the index's
-        documents after any refresh.
+        documents.
         """
         if include_members:
             return self.search(self.model.centroid(items), k)

@@ -5,11 +5,17 @@ index to support text in documents."  This is that external index: it
 maps analyzed tokens to the items whose literal values contain them,
 both corpus-wide and per property (so "words in the body or in the
 title" can be offered as separate refinement axes, §3.2).
+
+An index is built once: cold, by :meth:`TextIndex.index_items`, or for
+the next epoch by :meth:`TextIndex.advance`, which shares with the prior
+index every postings set the delta did not touch and never modifies the
+prior index, so sessions pinned to an older epoch keep resolving it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from typing import Collection, Sequence
 
 from ..rdf.graph import Graph
 from ..rdf.terms import Literal, Node, Resource
@@ -33,68 +39,82 @@ class TextIndex:
         self._by_property: dict[Resource, dict[str, set[Node]]] = defaultdict(
             lambda: defaultdict(set)
         )
-        #: item -> the (property, token) pairs it currently posts under;
-        #: consulted on reindex so stale postings are withdrawn first.
+        #: item -> the (property, token) pairs it posts under; never
+        #: mutated once stored, so an advanced index shares them.
         self._posted: dict[Node, set[tuple[Resource, str]]] = {}
-        # Copy-on-write bookkeeping for clones (see clone_for).
-        self._cow = False
-        self._owned_overall: set[str] | None = None
-        self._owned_props: set[Resource] | None = None
-        self._owned_prop_tokens: set[tuple[Resource, str]] | None = None
 
-    def clone_for(self, graph: Graph) -> "TextIndex":
-        """A mutable copy-on-write successor over ``graph``.
+    @classmethod
+    def advance(
+        cls,
+        prior: "TextIndex",
+        graph: Graph,
+        items: Sequence[Node],
+        dirty: Collection[Node],
+    ) -> "TextIndex":
+        """The text index of the next epoch: ``items`` over ``graph``.
 
-        Postings sets and per-property sub-indexes are shared with this
-        index until first mutated, so unindexing an item mid-epoch never
-        mutates the postings a pinned older epoch still resolves — the
-        aliasing bug the two-epoch regression test pins.
+        Reuses ``prior``'s postings pairs of every item it indexed that
+        is not in ``dirty`` and reads the rest from ``graph``.  Every
+        postings set that no replaced, dropped or re-read item posts
+        under is shared with ``prior``; the others are built fresh, so
+        the postings equal a cold build's over ``items`` and ``prior``
+        is not modified.
         """
-        clone = TextIndex.__new__(TextIndex)
-        clone.graph = graph
-        clone.analyzer = self.analyzer
-        clone._overall = defaultdict(set, self._overall)
-        clone._by_property = defaultdict(lambda: defaultdict(set), self._by_property)
-        # _posted value sets are replaced wholesale on reindex, never
-        # mutated in place, so sharing them is safe.
-        clone._posted = dict(self._posted)
-        clone._cow = True
-        clone._owned_overall = set()
-        clone._owned_props = set()
-        clone._owned_prop_tokens = set()
-        return clone
+        index = cls(graph, prior.analyzer)
+        carried = prior._posted
+        posted = index._posted
+        fresh: dict[Node, set[tuple[Resource, str]]] = {}
+        for item in items:
+            pairs = None if item in dirty else carried.get(item)
+            if pairs is None:
+                pairs = fresh[item] = index._pairs(item)
+            posted[item] = pairs
+        # Items whose prior postings no longer stand, and every postings
+        # key they or the re-read items post under.
+        stale: set[Node] = set()
+        keys: set[tuple[Resource, str]] = set()
+        for item, pairs in carried.items():
+            if posted.get(item) is not pairs:
+                stale.add(item)
+                keys.update(pairs)
+        for pairs in fresh.values():
+            keys.update(pairs)
 
-    def _own_postings(self, prop: Resource, token: str) -> None:
-        """Unshare every structure one (prop, token) posting lives in."""
-        if token not in self._owned_overall:
-            self._owned_overall.add(token)
-            leaf = self._overall.get(token)
-            if leaf is not None:
-                self._overall[token] = set(leaf)
-        if prop not in self._owned_props:
-            self._owned_props.add(prop)
-            sub = self._by_property.get(prop)
-            if sub is not None:
-                self._by_property[prop] = defaultdict(set, sub)
-        key = (prop, token)
-        if key not in self._owned_prop_tokens:
-            self._owned_prop_tokens.add(key)
-            sub = self._by_property.get(prop)
-            if sub is not None:
-                leaf = sub.get(token)
-                if leaf is not None:
-                    sub[token] = set(leaf)
+        by_prop: dict[Resource, set[str]] = {}
+        for prop, token in keys:
+            by_prop.setdefault(prop, set()).add(token)
+        tokens = {token for _prop, token in keys}
+        overall = index._overall
+        overall.update(prior._overall)
+        for token in tokens:
+            overall[token] = set(prior._overall.get(token, ())).difference(stale)
+        by_property = index._by_property
+        by_property.update(prior._by_property)
+        for prop, prop_tokens in by_prop.items():
+            sub = by_property[prop] = defaultdict(
+                set, prior._by_property.get(prop, ())
+            )
+            for token in prop_tokens:
+                sub[token] = set(sub.get(token, ())).difference(stale)
+        for item, pairs in fresh.items():
+            for prop, token in pairs:
+                overall[token].add(item)
+                by_property[prop][token].add(item)
+        for token in tokens:
+            if not overall[token]:
+                del overall[token]
+        for prop, prop_tokens in by_prop.items():
+            sub = by_property[prop]
+            for token in prop_tokens:
+                if not sub[token]:
+                    del sub[token]
+            if not sub:
+                del by_property[prop]
+        return index
 
-    def index_item(self, item: Node) -> None:
-        """Index every string value of one item.
-
-        Re-indexing an already-indexed item first withdraws its previous
-        postings, so the index reflects the item's *current* values: a
-        mutated item stops matching tokens it no longer contains.
-        """
-        if item in self._posted:
-            self.unindex_item(item)
-        posted: set[tuple[Resource, str]] = set()
+    def _pairs(self, item: Node) -> set[tuple[Resource, str]]:
+        """The (property, token) pairs of one item's string values."""
+        pairs: set[tuple[Resource, str]] = set()
         for prop, values in self.graph.properties_of(item).items():
             if prop in _SKIP:
                 continue
@@ -104,41 +124,20 @@ class TextIndex:
                 if value.is_numeric or value.is_temporal:
                     continue
                 for token in self.analyzer.tokens(value.lexical):
-                    if self._cow:
-                        self._own_postings(prop, token)
-                    self._overall[token].add(item)
-                    self._by_property[prop][token].add(item)
-                    posted.add((prop, token))
-        self._posted[item] = posted
+                    pairs.add((prop, token))
+        return pairs
 
-    def unindex_item(self, item: Node) -> bool:
-        """Withdraw an item from every postings list it appears in.
+    def index_item(self, item: Node) -> None:
+        """Index every string value of one item.
 
-        Returns whether the item was indexed.  Emptied postings lists
-        (and per-property sub-indexes) are dropped entirely so the
-        vocabulary and ``text_properties`` shrink with the data.
+        For a cold build only: an index made by :meth:`advance` shares
+        its postings sets with the prior epoch's.
         """
-        posted = self._posted.pop(item, None)
-        if posted is None:
-            return False
-        for prop, token in posted:
-            if self._cow:
-                self._own_postings(prop, token)
-            overall = self._overall.get(token)
-            if overall is not None:
-                overall.discard(item)
-                if not overall:
-                    del self._overall[token]
-            by_prop = self._by_property.get(prop)
-            if by_prop is not None:
-                postings = by_prop.get(token)
-                if postings is not None:
-                    postings.discard(item)
-                    if not postings:
-                        del by_prop[token]
-                if not by_prop:
-                    del self._by_property[prop]
-        return True
+        pairs = self._pairs(item)
+        for prop, token in pairs:
+            self._overall[token].add(item)
+            self._by_property[prop][token].add(item)
+        self._posted[item] = pairs
 
     def index_items(self, items) -> int:
         """Index many items; returns the count."""

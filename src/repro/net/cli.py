@@ -83,12 +83,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "background reindexer publishes",
     )
     parser.add_argument(
-        "--publish-interval",
-        type=float,
-        default=0.2,
-        help="seconds between background epoch publishes (with --ingest)",
-    )
-    parser.add_argument(
         "--publish-sync",
         action="store_true",
         help="publish a new epoch inside each POST /ingest instead of in "
@@ -113,7 +107,6 @@ def _build_server(args: argparse.Namespace):
         request_deadline=args.deadline,
         max_body=args.max_body,
         ingest=getattr(args, "ingest", False),
-        publish_interval=getattr(args, "publish_interval", 0.2),
         publish_sync=getattr(args, "publish_sync", False),
     )
     procs = getattr(args, "procs", 1)

@@ -210,7 +210,6 @@ class ShardedServer:
             max_body=self.config.max_body,
             keepalive_idle=max(30.0, self.config.keepalive_idle),
             ingest=self.config.ingest,
-            publish_interval=self.config.publish_interval,
             publish_sync=self.config.publish_sync,
         )
 

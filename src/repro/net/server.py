@@ -74,10 +74,6 @@ class ServerConfig:
     #: ``POST /ingest`` works.  Workers in the sharded tier read this to
     #: build their epoch manager post-fork.
     ingest: bool = False
-    #: How often (seconds) the background reindexer folds ingested
-    #: datoms into a new epoch.  Only meaningful when the manager has an
-    #: EpochManager attached.
-    publish_interval: float = 0.2
     #: Publish synchronously inside each ``POST /ingest`` instead of in
     #: the background thread — deterministic for tests, higher ingest
     #: latency in production.
@@ -131,7 +127,7 @@ class NavigationServer:
             # Started here, not at construction: reindexer threads must
             # be born in the serving process (threads don't survive a
             # fork into a worker).
-            epochs.start_reindexer(self.config.publish_interval)
+            epochs.start_reindexer()
         return self
 
     @property

@@ -198,19 +198,12 @@ class WorkerHandle:
         self,
         index: int,
         config: ServerConfig,
-        spec: DatasetSpec | None = None,
-        manager: SessionManager | None = None,
-        start_method: str | None = None,
+        spec: DatasetSpec | None,
+        manager: SessionManager | None,
+        start_method: str,
     ):
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else methods[0]
         context = multiprocessing.get_context(start_method)
-        forked = start_method == "fork"
-        if forked and manager is None and spec is not None:
-            # Build once in the parent so the fork inherits it COW.
-            manager = SessionManager(spec.build_workspace())
-        if not forked:
+        if start_method != "fork":
             if spec is None:
                 raise ValueError(
                     f"start method {start_method!r} cannot inherit a "

@@ -78,9 +78,13 @@ class StructuralSummary:
         for subject, _p, rdf_type in self.graph.triples(None, RDF.type, None):
             if isinstance(rdf_type, Resource):
                 by_type.setdefault(rdf_type, []).append(subject)
-        summaries = []
-        for rdf_type, instances in by_type.items():
-            summaries.append(self._summarize_type(rdf_type, instances))
+        # Triples come back in set order, which follows string hash
+        # randomization; sorting keeps the sampled values the same from
+        # run to run.
+        summaries = [
+            self._summarize_type(rdf_type, sorted(instances, key=_n3))
+            for rdf_type, instances in by_type.items()
+        ]
         summaries.sort(key=lambda t: (-t.instance_count, t.rdf_type.uri))
         return summaries
 
@@ -100,7 +104,7 @@ class StructuralSummary:
                 bucket.append(len(values))
                 kind_bucket = kinds.setdefault(prop, Counter())
                 sample_bucket = samples.setdefault(prop, [])
-                for value in values:
+                for value in sorted(values, key=_n3):
                     kind_bucket[_kind(value)] += 1
                     display = self.graph.label(value)
                     if (
@@ -157,6 +161,10 @@ class StructuralSummary:
 
     def __repr__(self) -> str:
         return f"<StructuralSummary {len(self.types)} types>"
+
+
+def _n3(node: Node) -> str:
+    return node.n3()
 
 
 def _kind(value: Node) -> str:

@@ -16,15 +16,16 @@ Weighting follows §5.2: per-attribute tf normalization ("divide each
 term frequency by the number of values for the attributes"), the
 log-tf × log-idf term weight, and unit-length document normalization.
 
-Items are indexed incrementally "as they arrive"; weighted vectors are
-cached per corpus-statistics version so repeated reads are cheap while
-adds stay O(item size).
+A model is built once: cold, by :meth:`VectorSpaceModel.index_items`,
+or for the next epoch by :meth:`VectorSpaceModel.advance`, which reuses
+the prior model's profiles of the items a delta left alone and never
+modifies the prior model.  Weighted vectors are cached per item.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema, ValueType
@@ -131,7 +132,7 @@ class VectorSpaceModel:
         self.stats = CorpusStats()
         self._profiles: dict[Node, ItemProfile] = {}
         self._ranges: dict[tuple[str, ...], NumericRange] = {}
-        self._vector_cache: dict[Node, tuple[int, SparseVector]] = {}
+        self._vector_cache: dict[Node, SparseVector] = {}
         self._compositions: list[tuple[Resource, ...]] | None = None
 
     # ------------------------------------------------------------------
@@ -139,7 +140,11 @@ class VectorSpaceModel:
     # ------------------------------------------------------------------
 
     def index_items(self, items: Iterable[Node]) -> int:
-        """Index (or re-index) many items; returns the count indexed."""
+        """Index many items; returns the count of items given.
+
+        An item given twice is indexed once, so it counts once in the
+        document frequencies.
+        """
         count = 0
         for item in items:
             self.add_item(item)
@@ -147,93 +152,70 @@ class VectorSpaceModel:
         return count
 
     def add_item(self, item: Node) -> ItemProfile:
-        """Index one item as it arrives; replaces any prior profile."""
-        if item in self._profiles:
-            self.remove_item(item)
-        profile = self._extract(item)
-        self._profiles[item] = profile
-        self.stats.add_document(profile.coordinates())
-        for path, values in profile.numerics.items():
-            bucket = self._ranges.setdefault(path, NumericRange())
-            for value in values:
-                bucket.observe(value)
-        return profile
+        """Index one item as it arrives; an indexed item is kept as is.
 
-    def remove_item(self, item: Node) -> bool:
-        """Drop an item from the model (ranges are kept conservative)."""
-        profile = self._profiles.pop(item, None)
+        Cached vectors are dropped, since the arrival moves the corpus
+        statistics every weight is taken at.
+        """
+        profile = self._profiles.get(item)
         if profile is None:
-            return False
-        self.stats.remove_document(profile.coordinates())
-        self._vector_cache.pop(item, None)
-        return True
+            profile = self._profiles[item] = self._extract(item)
+            self.stats.add_document(profile.coordinates())
+            _observe_ranges(self._ranges, profile)
+            self._vector_cache.clear()
+        return profile
 
     @property
     def items(self) -> list[Node]:
         """Indexed items, in insertion order."""
         return list(self._profiles)
 
-    # ------------------------------------------------------------------
-    # Epoch advancement
-    # ------------------------------------------------------------------
+    @classmethod
+    def advance(
+        cls,
+        prior: "VectorSpaceModel",
+        graph: Graph,
+        schema: Schema,
+        items: Sequence[Node],
+        dirty: Collection[Node],
+    ) -> "VectorSpaceModel":
+        """The model of the next epoch: ``items`` (distinct) over ``graph``.
 
-    def clone_for(self, graph: Graph, schema: Schema | None = None) -> "VectorSpaceModel":
-        """A model over ``graph`` seeded with this model's state.
-
-        Profiles are shared (they are write-once after extraction),
-        corpus stats and numeric ranges are copied and caches start
-        empty.  The epoch reindexer clones the
-        previous epoch's model, then removes/re-adds only the items a
-        delta touched.
+        Walks ``items`` in order, reusing ``prior``'s profile of every
+        item it indexed that is not in ``dirty`` (profiles are
+        write-once after extraction) and extracting the rest.  Numeric
+        ranges are built from the profiles as :meth:`index_items` builds
+        them, and document frequencies are ``prior``'s less the
+        replaced profiles plus the new ones, so every weight equals a
+        cold build's over ``items``.  ``prior`` is not modified.
         """
-        clone = VectorSpaceModel.__new__(VectorSpaceModel)
-        clone.graph = graph
-        clone.schema = schema if schema is not None else Schema(graph)
-        clone.analyzer = self.analyzer
-        clone.use_compositions = self.use_compositions
-        clone.per_attribute_normalization = self.per_attribute_normalization
-        clone.unit_circle_numerics = self.unit_circle_numerics
-        clone.phrases = self.phrases
-        clone.stats = self.stats.copy()
-        clone._profiles = dict(self._profiles)
-        clone._ranges = {path: r.copy() for path, r in self._ranges.items()}
-        clone._vector_cache = {}
-        clone._compositions = None
-        return clone
-
-    def reorder_items(self, order: Sequence[Node]) -> None:
-        """Rebuild the profile table in ``order`` (a permutation of items).
-
-        Profile-table iteration order feeds :meth:`text_vector`'s
-        coordinate collection, so after an incremental fold the table is
-        put back into the order a cold ``index_items(sorted(...))``
-        build would have produced.
-        """
-        profiles = self._profiles
-        if len(order) != len(profiles):
-            raise ValueError(
-                f"reorder_items: {len(order)} item(s) given, "
-                f"{len(profiles)} indexed"
-            )
-        self._profiles = {item: profiles[item] for item in order}
-
-    def recompute_ranges(self) -> None:
-        """Rebuild numeric ranges from the current profiles.
-
-        ``remove_item`` keeps ranges conservative (they only ever
-        widen), but a cold build over the surviving items computes tight
-        ranges — and range bounds feed the unit-circle encoding, so an
-        epoch fold must recompute them to stay bit-identical to a cold
-        build.  Min/max folds commute, so profile order does not matter.
-        """
-        ranges: dict[tuple[str, ...], NumericRange] = {}
-        for profile in self._profiles.values():
-            for path, values in profile.numerics.items():
-                bucket = ranges.setdefault(path, NumericRange())
-                for value in values:
-                    bucket.observe(value)
-        self._ranges = ranges
-        self._vector_cache.clear()
+        model = cls(
+            graph,
+            schema=schema,
+            analyzer=prior.analyzer,
+            use_compositions=prior.use_compositions,
+            per_attribute_normalization=prior.per_attribute_normalization,
+            unit_circle_numerics=prior.unit_circle_numerics,
+            phrases=prior.phrases,
+        )
+        carried = prior._profiles
+        profiles = model._profiles
+        ranges = model._ranges
+        arrived = []
+        for item in items:
+            profile = None if item in dirty else carried.get(item)
+            if profile is None:
+                profile = model._extract(item)
+                arrived.append(profile.coordinates())
+            profiles[item] = profile
+            _observe_ranges(ranges, profile)
+        gone = [
+            profile.coordinates()
+            for item, profile in carried.items()
+            if profiles.get(item) is not profile
+        ]
+        model.stats = CorpusStats.advance(prior.stats, gone, arrived)
+        return model
 
     def __contains__(self, item: Node) -> bool:
         return item in self._profiles
@@ -248,14 +230,6 @@ class VectorSpaceModel:
     def numeric_range(self, path: tuple[str, ...]) -> NumericRange | None:
         """The observed range of a numeric attribute path."""
         return self._ranges.get(path)
-
-    def invalidate_compositions(self) -> None:
-        """Forget the cached composition list (call after schema edits).
-
-        Items indexed before the change keep their old coordinates until
-        re-indexed via :meth:`add_item`.
-        """
-        self._compositions = None
 
     # ------------------------------------------------------------------
     # Extraction
@@ -338,17 +312,15 @@ class VectorSpaceModel:
     def vector(self, item: Node) -> SparseVector:
         """The weighted, unit-normalized vector of an indexed item.
 
-        Raises ``KeyError`` for unindexed items.  Vectors are cached and
-        recomputed automatically when corpus statistics change.
+        Raises ``KeyError`` for unindexed items.  Vectors are cached per
+        item.
         """
         profile = self._profiles.get(item)
         if profile is None:
             raise KeyError(f"item not indexed: {item!r}")
-        cached = self._vector_cache.get(item)
-        if cached is not None and cached[0] == self.stats.version:
-            return cached[1]
-        vector = self._weigh(profile)
-        self._vector_cache[item] = (self.stats.version, vector)
+        vector = self._vector_cache.get(item)
+        if vector is None:
+            vector = self._vector_cache[item] = self._weigh(profile)
         return vector
 
     def _weigh(self, profile: ItemProfile) -> SparseVector:
@@ -447,6 +419,15 @@ class VectorSpaceModel:
             f"<VectorSpaceModel items={len(self._profiles)} "
             f"vocab={self.stats.vocabulary_size()}>"
         )
+
+
+def _observe_ranges(
+    ranges: dict[tuple[str, ...], NumericRange], profile: ItemProfile
+) -> None:
+    for path, values in profile.numerics.items():
+        bucket = ranges.setdefault(path, NumericRange())
+        for value in values:
+            bucket.observe(value)
 
 
 def _is_continuous(value: Literal, declared: str | None) -> bool:

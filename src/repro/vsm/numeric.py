@@ -52,13 +52,6 @@ class NumericRange:
             self.high = value
         self.count += 1
 
-    def copy(self) -> "NumericRange":
-        clone = NumericRange()
-        clone.low = self.low
-        clone.high = self.high
-        clone.count = self.count
-        return clone
-
     @property
     def is_empty(self) -> bool:
         return self.count == 0

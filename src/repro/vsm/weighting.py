@@ -10,6 +10,10 @@ normalization that "gives equal importance to different attributes in a
 document"), and the final division normalizes each item to unit length
 "to give objects equal importance rather than giving more importance to
 items with more metadata".
+
+The document frequencies behind idf are counted once per epoch: by a
+cold build, or by :meth:`CorpusStats.advance` from the prior epoch's
+counts, which it leaves untouched.
 """
 
 from __future__ import annotations
@@ -40,17 +44,40 @@ def term_weight(freq: float, num_docs: int, num_docs_with_term: int) -> float:
 
 
 class CorpusStats:
-    """Document frequencies for the corpus, updated incrementally.
+    """Document frequencies for the corpus.
 
-    Magnet indexes data "in advance (as it arrives)", so the stats
-    support both adding and removing an item's coordinate set.  A
-    ``version`` counter lets caches detect staleness.
+    Magnet indexes data "in advance (as it arrives)": a cold build adds
+    each item's coordinate set once, and an epoch fold derives the next
+    epoch's statistics with :meth:`advance` instead of editing the
+    prior epoch's.
     """
 
     def __init__(self):
         self._df: dict = {}
         self.num_docs = 0
-        self.version = 0
+
+    @classmethod
+    def advance(cls, prior: "CorpusStats", gone, arrived) -> "CorpusStats":
+        """``prior``'s counts less the documents ``gone``, plus ``arrived``.
+
+        Both are sequences of coordinate sets, one per document; every
+        document of ``gone`` must have been counted in ``prior``.  The
+        counts equal a cold build's over the same documents, and
+        ``prior`` is left untouched.
+        """
+        stats = cls()
+        df = stats._df = dict(prior._df)
+        for coords in gone:
+            for coord in coords:
+                remaining = df[coord] - 1
+                if remaining:
+                    df[coord] = remaining
+                else:
+                    del df[coord]
+        stats.num_docs = prior.num_docs - len(gone)
+        for coords in arrived:
+            stats.add_document(coords)
+        return stats
 
     def doc_frequency(self, coord) -> int:
         """Number of documents containing a coordinate."""
@@ -65,33 +92,10 @@ class CorpusStats:
         for coord in coords:
             self._df[coord] = self._df.get(coord, 0) + 1
         self.num_docs += 1
-        self.version += 1
-
-    def remove_document(self, coords) -> None:
-        """Forget a document's distinct coordinates."""
-        for coord in coords:
-            remaining = self._df.get(coord, 0) - 1
-            if remaining > 0:
-                self._df[coord] = remaining
-            else:
-                self._df.pop(coord, None)
-        self.num_docs = max(0, self.num_docs - 1)
-        self.version += 1
-
-    def copy(self) -> "CorpusStats":
-        """An independent snapshot (epoch folds advance the copy)."""
-        clone = CorpusStats()
-        clone._df = dict(self._df)
-        clone.num_docs = self.num_docs
-        clone.version = self.version
-        return clone
 
     def vocabulary_size(self) -> int:
         """Number of distinct coordinates seen so far."""
         return len(self._df)
 
     def __repr__(self) -> str:
-        return (
-            f"<CorpusStats docs={self.num_docs} "
-            f"vocab={len(self._df)} v{self.version}>"
-        )
+        return f"<CorpusStats docs={self.num_docs} vocab={len(self._df)}>"

@@ -196,7 +196,7 @@ def test_multi_round_parity_on_random_corpus():
 
 def test_background_reindexer_drains_lag():
     manager = _manager()
-    manager.start_reindexer(interval=0.02)
+    manager.start_reindexer()
     try:
         manager.ingest([(OP_ASSERT, EX.bg, RDF.type, EX.Doc)])
         deadline = time.monotonic() + 5.0
@@ -249,7 +249,7 @@ def test_fold_survives_a_concurrent_facet_profile():
     prev = manager.current.workspace
     prev.facet_profile(prev.items)
     memo = prev._facet_profiles = _RacingMemo(prev, prev.items[:3])
-    manager.start_reindexer(interval=0.02)
+    manager.start_reindexer()
     try:
         manager.ingest([(OP_ASSERT, EX.it0, EX.color, EX.green)])
         assert _wait_for(lambda: manager.current.number == 1)

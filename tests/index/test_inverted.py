@@ -1,59 +1,46 @@
 """Tests for the inverted index."""
 
+import pytest
+
 from repro.index import InvertedIndex
 
 
 class TestInvertedIndex:
     def test_add_and_postings(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5), ("b", 0.3)])
+        idx.bulk_load([("d1", [("a", 0.5), ("b", 0.3)])])
         assert idx.postings("a") == {"d1": 0.5}
 
     def test_zero_weights_skipped(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", 0.0)])
+        idx.bulk_load([("d1", [("a", 0.0)])])
         assert idx.postings("a") == {}
         assert "d1" in idx  # document is known, just empty
 
-    def test_re_add_replaces(self):
+    def test_reloading_a_document_raises(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5)])
-        idx.add("d1", [("b", 0.7)])
-        assert idx.postings("a") == {}
-        assert idx.postings("b") == {"d1": 0.7}
-        assert len(idx) == 1
+        idx.bulk_load([("d1", [("a", 0.5)])])
+        with pytest.raises(ValueError):
+            idx.bulk_load([("d1", [("b", 0.7)])])
+        with pytest.raises(ValueError):
+            InvertedIndex().bulk_load([("d2", []), ("d2", [])])
 
-    def test_remove(self):
+    def test_doc_ids_are_insertion_positions(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5)])
-        idx.add("d2", [("a", 0.2)])
-        assert idx.remove("d1") is True
-        assert idx.postings("a") == {"d2": 0.2}
-
-    def test_remove_unknown(self):
-        assert InvertedIndex().remove("ghost") is False
-
-    def test_remove_prunes_empty_postings(self):
-        idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5)])
-        idx.remove("d1")
-        assert idx.vocabulary_size() == 0
+        assert idx.bulk_load([("d0", [("a", 1.0)]), ("d1", [("b", 1.0)])]) == 2
+        assert idx.bulk_load([("d2", [("a", 0.5)])]) == 1
+        assert idx._ids == {"d0": 0, "d1": 1, "d2": 2}
+        assert idx._items == ["d0", "d1", "d2"]
+        assert list(idx.documents()) == ["d0", "d1", "d2"]
 
     def test_document_frequency(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5)])
-        idx.add("d2", [("a", 0.1)])
+        idx.bulk_load([("d1", [("a", 0.5)]), ("d2", [("a", 0.1)])])
         assert idx.document_frequency("a") == 2
         assert idx.document_frequency("zzz") == 0
 
     def test_iteration(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5), ("b", 0.1)])
+        idx.bulk_load([("d1", [("a", 0.5), ("b", 0.1)])])
         assert set(idx.coordinates()) == {"a", "b"}
         assert set(idx.documents()) == {"d1"}
-
-    def test_clear(self):
-        idx = InvertedIndex()
-        idx.add("d1", [("a", 0.5)])
-        idx.clear()
-        assert len(idx) == 0 and idx.vocabulary_size() == 0

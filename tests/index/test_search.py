@@ -13,9 +13,11 @@ from repro.vsm import SparseVector
 @pytest.fixture()
 def index():
     idx = InvertedIndex()
-    idx.add("d1", [("a", 1.0), ("b", 0.5)])
-    idx.add("d2", [("a", 0.2)])
-    idx.add("d3", [("b", 1.0), ("c", 1.0)])
+    idx.bulk_load([
+        ("d1", [("a", 1.0), ("b", 0.5)]),
+        ("d2", [("a", 0.2)]),
+        ("d3", [("b", 1.0), ("c", 1.0)]),
+    ])
     return idx
 
 
@@ -50,8 +52,7 @@ class TestTopK:
 
     def test_tie_break_deterministic(self):
         idx = InvertedIndex()
-        idx.add("x", [("a", 1.0)])
-        idx.add("y", [("a", 1.0)])
+        idx.bulk_load([("x", [("a", 1.0)]), ("y", [("a", 1.0)])])
         hits = top_k(idx, SparseVector({"a": 1.0}), 2)
         assert [h.item for h in hits] == ["x", "y"]
 
@@ -77,13 +78,13 @@ def _random_index(rng, n_docs, n_coords, weight=None):
     idx = InvertedIndex()
     for d in range(n_docs):
         coords = rng.sample(range(n_coords), rng.randint(1, n_coords))
-        idx.add(
+        idx.bulk_load([(
             f"d{d:03d}",
             [
                 (f"c{c}", weight if weight is not None else rng.uniform(0.01, 2.0))
                 for c in coords
             ],
-        )
+        )])
     return idx
 
 
@@ -97,8 +98,7 @@ class TestTopKSelection:
 
     def test_ties_at_the_kth_place_break_on_repr(self):
         idx = InvertedIndex()
-        for d in range(20):
-            idx.add(f"d{d:02d}", [("shared", 1.0)])
+        idx.bulk_load((f"d{d:02d}", [("shared", 1.0)]) for d in range(20))
         query = SparseVector({"shared": 1.0})
         for k in (1, 5, 19, 20):
             hits = top_k(idx, query, k)
@@ -132,8 +132,7 @@ class TestTopKSelection:
 
     def test_negative_weights_rank_exactly(self):
         idx = InvertedIndex()
-        idx.add("d1", [("a", -0.5), ("b", 1.0)])
-        idx.add("d2", [("a", 1.0)])
+        idx.bulk_load([("d1", [("a", -0.5), ("b", 1.0)]), ("d2", [("a", 1.0)])])
         query = SparseVector({"a": 1.0, "b": 1.0})
         assert _pairs(top_k(idx, query, 2)) == [("d2", 1.0), ("d1", 0.5)]
         hits = top_k(idx, SparseVector({"a": -1.0}), 1)
@@ -143,7 +142,7 @@ class TestTopKSelection:
         empty = InvertedIndex()
         assert top_k(empty, SparseVector({"a": 1.0}), 5) == []
         idx = InvertedIndex()
-        idx.add("d1", [("a", 1.0)])
+        idx.bulk_load([("d1", [("a", 1.0)])])
         assert top_k(idx, SparseVector({"a": 1.0}), -1) == []
         assert top_k(idx, SparseVector({"ghost": 1.0}), 5) == []
 
@@ -161,20 +160,12 @@ class TestTopKSelection:
         assert _pairs(top_k(idx, query, k)) == _brute_force(idx, query, k)
 
 
-def _id_tables(idx):
-    """The index's private id state as plain structures."""
-    return (
-        {coord: dict(bucket) for coord, bucket in idx._postings.items()},
-        dict(idx._ids),
-        list(idx._items),
-        list(idx._free),
-    )
-
-
 class TestIdKeyedChurn:
     """Seeded add / re-add / remove sequences against a plain
-    ``{item: {coord: weight}}`` oracle: retrieval, postings and the
-    interned-id tables stay consistent at every step."""
+    ``{item: {coord: weight}}`` oracle.  A changed corpus gets a new
+    index, so every state of the sequence is loaded into a fresh one:
+    retrieval, postings and the interned-id tables match the oracle at
+    every step."""
 
     N_COORDS = 8
 
@@ -186,17 +177,20 @@ class TestIdKeyedChurn:
     def _check(self, idx, oracle, rng):
         assert len(idx) == len(oracle)
         assert list(idx.documents()) == list(oracle)
+        vectors = {
+            item: {coord: weight for coord, weight in entries if weight}
+            for item, entries in oracle.items()
+        }
         for c in range(self.N_COORDS):
             coord = f"c{c}"
             want = {
-                item: vec[coord] for item, vec in oracle.items() if coord in vec
+                item: vec[coord] for item, vec in vectors.items() if coord in vec
             }
             assert idx.postings(coord) == want
             assert idx.document_frequency(coord) == len(want)
-        # Every id is either live or free, exactly once.
-        live = list(idx._ids.values())
-        assert sorted(live + idx._free) == list(range(len(idx._items)))
-        assert all(idx._items[doc] == item for item, doc in idx._ids.items())
+        # Ids are the documents' load positions.
+        assert idx._ids == {item: doc for doc, item in enumerate(oracle)}
+        assert idx._items == list(oracle)
         query = SparseVector(
             {f"c{c}": rng.uniform(-1.0, 2.0) for c in rng.sample(range(self.N_COORDS), 3)}
         )
@@ -208,54 +202,24 @@ class TestIdKeyedChurn:
                 idx, query, k, exclude
             )
 
-    def _step(self, idx, oracle, rng, serial):
+    def _step(self, oracle, rng, serial):
         roll = rng.random()
         if roll < 0.45 or not oracle:
             item = f"d{serial:04d}"
-            entries = self._entries(rng)
         elif roll < 0.7:
             item = rng.choice(sorted(oracle))
-            entries = self._entries(rng)
         else:
-            item = rng.choice(sorted(oracle) + ["ghost"])
-            assert idx.remove(item) is (item in oracle)
-            oracle.pop(item, None)
+            oracle.pop(rng.choice(sorted(oracle) + ["ghost"]), None)
             return
-        idx.add(item, entries)
         oracle.pop(item, None)  # a re-added document moves to the end
-        oracle[item] = {coord: weight for coord, weight in entries if weight}
+        oracle[item] = self._entries(rng)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_churn_matches_oracle(self, seed):
         rng = random.Random(seed)
-        idx, oracle = InvertedIndex(), {}
+        oracle = {}
         for serial in range(120):
-            self._step(idx, oracle, rng, serial)
+            self._step(oracle, rng, serial)
+            idx = InvertedIndex()
+            idx.bulk_load(oracle.items())
             self._check(idx, oracle, rng)
-
-    def test_removed_ids_are_reused(self):
-        idx = InvertedIndex()
-        for d in range(4):
-            idx.add(f"d{d}", [("a", 1.0)])
-        freed = idx._ids["d1"]
-        idx.remove("d1")
-        idx.add("fresh", [("a", 0.5)])
-        assert idx._ids["fresh"] == freed
-        assert len(idx._items) == 4 and not idx._free
-        # A re-add keeps the table size too.
-        idx.add("d2", [("b", 1.0)])
-        assert len(idx._items) == 4
-        assert idx.postings("a") == {"d0": 1.0, "d3": 1.0, "fresh": 0.5}
-        assert _pairs(top_k(idx, SparseVector({"a": 1.0}), 10)) == [
-            ("d0", 1.0), ("d3", 1.0), ("fresh", 0.5),
-        ]
-
-    def test_clear_resets_ids(self):
-        idx = InvertedIndex()
-        idx.add("d0", [("a", 1.0)])
-        idx.remove("d0")
-        idx.add("d1", [("a", 1.0)])
-        idx.clear()
-        assert _id_tables(idx) == ({}, {}, [], [])
-        idx.add("d2", [("a", 1.0)])
-        assert idx._ids == {"d2": 0}

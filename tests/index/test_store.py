@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.workspace import Workspace
 from repro.index import VectorStore
-from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.rdf import Graph, Literal, Namespace, RDF, Schema
 from repro.vsm import VectorSpaceModel
 
 EX = Namespace("http://vs.example/")
@@ -37,13 +37,20 @@ class TestRefresh:
         assert store.refresh() is False  # already current
 
     def test_refresh_after_arrival(self, store):
-        g = store.model.graph
+        """An arrival gets a new store over the advanced model; the
+        prior store keeps its build."""
+        store.refresh()
+        model = store.model
+        g = model.graph.fork()
         g.add(EX.r5, RDF.type, EX.Recipe)
         g.add(EX.r5, EX.ingredient, EX.apple)
-        store.refresh()
-        store.model.add_item(EX.r5)
-        assert store.refresh() is True
-        assert len(store) == 5
+        advanced = VectorStore(VectorSpaceModel.advance(
+            model, g, Schema(g), model.items + [EX.r5], set()
+        ))
+        assert advanced.refresh() is True
+        assert advanced.refresh() is False
+        assert len(advanced) == 5
+        assert len(store) == 4
 
 
 class TestSimilarity:
@@ -82,10 +89,10 @@ class TestSimilarity:
         """Two sessions' first searches on serving threads overlap; the
         second must wait for the first refresh, not rebuild again."""
         expected = VectorStore(store.model).similar_to_collection([EX.r1], 10)
-        original = store._rebuild
+        original = store._build
         first_in, second_in, release = (threading.Event() for _ in range(3))
 
-        def blocking_rebuild():
+        def blocking_build():
             if first_in.is_set():
                 second_in.set()
             else:
@@ -93,7 +100,7 @@ class TestSimilarity:
                 release.wait(timeout=10)
             original()
 
-        monkeypatch.setattr(store, "_rebuild", blocking_rebuild)
+        monkeypatch.setattr(store, "_build", blocking_build)
         hits, errors = {}, []
 
         def search(name):

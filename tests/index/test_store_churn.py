@@ -1,11 +1,11 @@
 """Churn must leave the vector store bit-identical to a fresh build.
 
-A refresh after any change to the model rebuilds the whole index at
-current statistics.  Churn is the adversarial case: a retract followed
-by a re-assert nets the document frequencies back to where they were,
-and the ``_built_version`` gate must still see that the model moved.
-"Bit-identical" here is literal: posting weights compare with ``==``,
-not approx.
+Each state of the corpus gets a model advanced from the prior state's
+and a store built once over it.  Churn is the adversarial case: a
+retract followed by a re-assert nets the document frequencies back to
+where they were, while the carried profiles and the reused statistics
+must still give a cold build's weights.  "Bit-identical" here is
+literal: posting weights compare with ``==``, not approx.
 """
 
 import random
@@ -14,7 +14,7 @@ from repro.check.storecheck import workspace_fingerprint
 from repro.core.epochs import EpochManager
 from repro.core.workspace import Workspace
 from repro.index import VectorStore
-from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.rdf import Graph, Literal, Namespace, RDF, Schema
 from repro.store.datom import OP_ASSERT, OP_RETRACT
 from repro.vsm import VectorSpaceModel
 
@@ -37,6 +37,11 @@ def _build_model(n_items: int = 10) -> VectorSpaceModel:
     return model
 
 
+def _advance(model: VectorSpaceModel, items, dirty=()) -> VectorSpaceModel:
+    graph = model.graph
+    return VectorSpaceModel.advance(model, graph, Schema(graph), items, set(dirty))
+
+
 def _postings_map(store: VectorStore) -> dict:
     return {
         coord: dict(store.index.postings(coord))
@@ -45,65 +50,72 @@ def _postings_map(store: VectorStore) -> dict:
 
 
 def _fresh(model: VectorSpaceModel) -> VectorStore:
-    store = VectorStore(model)
+    """A store over a cold build of ``model``'s items."""
+    cold = VectorSpaceModel(model.graph)
+    cold.index_items(model.items)
+    store = VectorStore(cold)
     store.refresh()
     return store
 
 
 def test_exact_store_survives_retract_assert_loop():
     model = _build_model()
-    store = VectorStore(model)
-    store.refresh()
+    VectorStore(model).refresh()
     for _ in range(3):
-        model.remove_item(EX.r0)
-        store.refresh()
-        model.add_item(EX.r0)
+        model = _advance(model, [i for i in model.items if i != EX.r0])
+        VectorStore(model).refresh()
+        model = _advance(model, model.items + [EX.r0])
+        store = VectorStore(model)
         store.refresh()
     assert _postings_map(store) == _postings_map(_fresh(model))
 
 
 def test_zero_net_churn_may_go_incremental_but_stays_exact():
-    """Remove and re-add before refreshing: document frequencies net
-    back to where they were, but the model moved, so the refresh still
-    rebuilds, and the reindexed item carries exact weights."""
+    """An item re-read with unchanged data: document frequencies net
+    back to where they were, and the new store holds the prior store's
+    postings exactly."""
     model = _build_model()
     store = VectorStore(model)
     store.refresh()
-    model.remove_item(EX.r1)
-    model.add_item(EX.r1)
-    assert store.refresh() is True
-    assert store.maintenance.full_rebuilds == 2
-    assert _postings_map(store) == _postings_map(_fresh(model))
+    advanced = _advance(model, model.items, dirty={EX.r1})
+    assert advanced.profile(EX.r1) is not model.profile(EX.r1)
+    assert advanced.profile(EX.r2) is model.profile(EX.r2)
+    after = VectorStore(advanced)
+    assert after.refresh() is True
+    assert after.maintenance.full_rebuilds == 1
+    assert _postings_map(after) == _postings_map(store)
+    assert _postings_map(after) == _postings_map(_fresh(advanced))
 
 
 def test_seeded_churn_leaves_the_postings_of_a_fresh_store():
-    """Adds, removes and re-adds in random order, refreshing between
-    some of them: every refresh after a change rebuilds, one without a
-    change does nothing, and the store ends with a fresh build's
-    documents and postings."""
+    """Adds, removes and re-reads in random order, each advancing the
+    model: the store over any state, and over the last, holds a fresh
+    build's documents and postings."""
     rng = random.Random(19)
     model = _build_model(n_items=30)
     graph = model.graph
-    store = VectorStore(model)
-    store.refresh()
-    builds = 1
     for serial in range(100):
         roll = rng.random()
+        items = model.items
         if roll < 0.35:
             item = EX[f"new{serial}"]
             graph.add(item, RDF.type, EX.Recipe)
             graph.add(item, EX.ingredient, rng.choice([EX.apple, EX.beef]))
             graph.add(item, EX.title, Literal(f"new dish {serial % 7}"))
-            model.add_item(item)
+            model = _advance(model, items + [item])
         elif roll < 0.7:
-            model.remove_item(rng.choice(model.items))
+            gone = rng.choice(items)
+            model = _advance(model, [i for i in items if i != gone])
         else:
-            model.add_item(rng.choice(list(graph.subjects(RDF.type, EX.Recipe))))
-        if rng.random() < 0.5:
-            assert store.refresh()
-            assert not store.refresh()
-            builds += 1
-    assert store.maintenance.full_rebuilds == builds
+            item = rng.choice(sorted(graph.subjects(RDF.type, EX.Recipe)))
+            if item in model:
+                model = _advance(model, items, dirty={item})
+            else:
+                model = _advance(model, items + [item])
+        if rng.random() < 0.2:
+            assert _postings_map(VectorStore(model)) == \
+                _postings_map(_fresh(model))
+    store = VectorStore(model)
     assert set(store.index.documents()) == set(model.items)
     assert _postings_map(store) == _postings_map(_fresh(model))
 

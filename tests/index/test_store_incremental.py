@@ -1,13 +1,15 @@
-"""Refresh of the vector store after the model changes.
+"""Vector stores over advanced models.
 
-The store keeps one exact build: a refresh after any change to the
-model's items rebuilds the whole index at current statistics, at every
-corpus size.  The class names come from the drift-threshold modes the
-store once had; each now checks that one rule.
+A model is built once, cold or for the next epoch by
+``VectorSpaceModel.advance``, and a store builds its index once over
+one model.  A store over an advanced model must hold the postings of a
+store over a cold build of the same items.  The class names come from
+the drift-threshold modes the store once had; each now checks that one
+rule.
 """
 
 from repro.index import VectorStore
-from repro.rdf import Graph, Literal, Namespace, RDF
+from repro.rdf import Graph, Literal, Namespace, RDF, Schema
 from repro.vsm import VectorSpaceModel
 
 EX = Namespace("http://inc.example/")
@@ -29,13 +31,21 @@ def _build_model(n_items: int = 6) -> VectorSpaceModel:
     return model
 
 
-def _arrive(model: VectorSpaceModel, name: str) -> None:
+def _advance(model: VectorSpaceModel, graph: Graph, items) -> VectorSpaceModel:
+    return VectorSpaceModel.advance(model, graph, Schema(graph), items, set())
+
+
+def _arrive(model: VectorSpaceModel, name: str) -> VectorSpaceModel:
     item = EX[name]
-    graph = model.graph
+    graph = model.graph.fork()
     graph.add(item, RDF.type, EX.Recipe)
     graph.add(item, EX.ingredient, EX.apple)
     graph.add(item, EX.title, Literal(f"fresh {name}"))
-    model.add_item(item)
+    return _advance(model, graph, model.items + [item])
+
+
+def _leave(model: VectorSpaceModel, item) -> VectorSpaceModel:
+    return _advance(model, model.graph, [i for i in model.items if i != item])
 
 
 def _postings_map(store: VectorStore) -> dict:
@@ -45,8 +55,11 @@ def _postings_map(store: VectorStore) -> dict:
     }
 
 
-def _fresh(model: VectorSpaceModel) -> VectorStore:
-    store = VectorStore(model)
+def _cold(model: VectorSpaceModel) -> VectorStore:
+    """A store over a cold build of ``model``'s items."""
+    cold = VectorSpaceModel(model.graph)
+    cold.index_items(model.items)
+    store = VectorStore(cold)
     store.refresh()
     return store
 
@@ -56,55 +69,53 @@ class TestThresholdZero:
         model = _build_model()
         store = VectorStore(model)
         assert store.refresh() is True
-        _arrive(model, "new0")
-        assert store.refresh() is True
-        assert store.maintenance.full_rebuilds == 2
-        assert store.maintenance.items_reindexed == 6 + 7
-        assert _postings_map(store) == _postings_map(_fresh(model))
+        after = VectorStore(_arrive(model, "new0"))
+        assert after.refresh() is True
+        assert store.maintenance.full_rebuilds == 1
+        assert after.maintenance.full_rebuilds == 1
+        assert after.maintenance.items_reindexed == 7
+        assert _postings_map(after) == _postings_map(_cold(after.model))
 
 
 class TestThresholdInf:
     def test_documents_track_model_membership(self):
         model = _build_model()
+        model = _arrive(model, "new0")
+        model = _leave(model, EX.r1)
+        model = _arrive(model, "new1")
+        model = _leave(model, EX.new1)
         store = VectorStore(model)
-        store.refresh()
-        _arrive(model, "new0")
-        model.remove_item(EX.r1)
-        _arrive(model, "new1")
-        model.remove_item(EX.new1)
-        store.refresh()
         assert set(store.index.documents()) == set(model.items)
+        assert EX.new0 in model and EX.r1 not in model
 
     def test_rebuild_restores_exact_weights(self):
-        """Items already indexed are re-weighed at the new statistics,
-        not kept at the weights of the earlier build."""
+        """Items the fold carried are re-weighed at the new statistics,
+        not kept at the weights of the prior store."""
         model = _build_model()
         store = VectorStore(model)
-        store.refresh()
         coord = next(iter(dict(model.vector(EX.r0).items())))
         before = store.index.postings(coord)[EX.r0]
-        _arrive(model, "new0")
-        store.refresh()
-        for item in model.items:
-            expected = dict(model.vector(item).items())
+        advanced = _arrive(model, "new0")
+        assert advanced.profile(EX.r0) is model.profile(EX.r0)
+        after = VectorStore(advanced)
+        for item in advanced.items:
+            expected = dict(advanced.vector(item).items())
             got = {
-                coord: store.index.postings(coord)[item]
+                coord: after.index.postings(coord)[item]
                 for coord in expected
             }
             assert got == expected
-        assert store.index.postings(coord)[EX.r0] != before
-        assert _postings_map(store) == _postings_map(_fresh(model))
+        assert after.index.postings(coord)[EX.r0] != before
+        assert store.index.postings(coord)[EX.r0] == before
+        assert _postings_map(after) == _postings_map(_cold(advanced))
 
 
 class TestDefaultThreshold:
     def test_small_corpus_always_rebuilds_exactly(self):
-        """One arrival among a handful of items rebuilds the index,
+        """One arrival among a handful of items gets a whole new index,
         which keeps every ranking test bit-identical to a cold build."""
         model = _build_model()
-        store = VectorStore(model)
-        store.refresh()
-        _arrive(model, "new0")
-        store.refresh()
-        assert store.maintenance.full_rebuilds == 2
-        assert store.similar_to_item(EX.new0, 5) == \
-            _fresh(model).similar_to_item(EX.new0, 5)
+        VectorStore(model).refresh()
+        after = VectorStore(_arrive(model, "new0"))
+        assert after.similar_to_item(EX.new0, 5) == \
+            _cold(after.model).similar_to_item(EX.new0, 5)

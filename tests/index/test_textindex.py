@@ -81,16 +81,20 @@ class TestIndexing:
         assert EX.d3 in index.search("software")
 
 
+def _advance(index, graph, items, dirty=()):
+    return TextIndex.advance(index, graph, items, set(dirty))
+
+
 class TestReindexAndUnindex:
-    """Regression: reindexing must withdraw stale postings first."""
+    """Regression: an advanced index must withdraw stale postings."""
 
     def test_mutate_then_reindex_drops_stale_postings(self, index):
         # d1's title changes: "software cost estimation" -> "garden news".
-        g = index.graph
+        g = index.graph.fork()
         g.remove(EX.d1, EX.title, Literal("software cost estimation"))
         g.remove(EX.d1, EX.body, Literal("we estimate the costs of software"))
         g.add(EX.d1, EX.title, Literal("garden news"))
-        index.index_item(EX.d1)
+        index = _advance(index, g, [EX.d1, EX.d2], {EX.d1})
         # The stale item must no longer match tokens it dropped...
         assert index.search("cost") == set()
         assert index.search("estimation") == set()
@@ -102,14 +106,14 @@ class TestReindexAndUnindex:
     def test_reindex_unchanged_item_is_idempotent(self, index):
         before_vocab = index.vocabulary_size()
         before = index.search("software")
-        index.index_item(EX.d1)
+        index = _advance(index, index.graph, [EX.d1, EX.d2], {EX.d1})
         assert index.search("software") == before
         assert index.vocabulary_size() == before_vocab
         freqs = index.token_frequencies()
         assert freqs[index.analyzer.stem_token("software")] == 2
 
     def test_unindex_item(self, index):
-        assert index.unindex_item(EX.d1) is True
+        index = _advance(index, index.graph, [EX.d2])
         assert index.search("cost") == set()
         assert index.search("software") == {EX.d2}
         assert index.indexed_items == {EX.d2}
@@ -117,16 +121,18 @@ class TestReindexAndUnindex:
         assert index.analyzer.stem_token("estimation") not in dict(
             index.token_frequencies()
         )
+        assert EX.d1 not in index.search("software", within=EX.body)
 
     def test_unindex_unknown_item_is_a_noop(self, index):
-        assert index.unindex_item(EX.d9) is False
+        index = _advance(index, index.graph, [EX.d1, EX.d2], {EX.d9})
         assert index.indexed_items == {EX.d1, EX.d2}
+        assert index.search("software") == {EX.d1, EX.d2}
 
     def test_token_frequencies_shrink_on_reindex(self, index):
         # Before the fix, frequencies only ever grew (stale postings).
-        g = index.graph
+        g = index.graph.fork()
         g.remove(EX.d2, EX.body, Literal("software for compressing images"))
-        index.index_item(EX.d2)
+        index = _advance(index, g, [EX.d1, EX.d2], {EX.d2})
         freqs = index.token_frequencies()
         assert freqs[index.analyzer.stem_token("software")] == 1
         assert index.search("compression", within=EX.body) == set()
@@ -137,6 +143,7 @@ class TestReindexAndUnindex:
         idx = TextIndex(g)
         idx.index_item(EX.d1)
         assert idx.text_properties() == [EX.note]
-        g.remove(EX.d1, EX.note, Literal("only value"))
-        idx.index_item(EX.d1)
-        assert idx.text_properties() == []
+        fork = g.fork()
+        fork.remove(EX.d1, EX.note, Literal("only value"))
+        assert _advance(idx, fork, [EX.d1], {EX.d1}).text_properties() == []
+        assert idx.text_properties() == [EX.note]

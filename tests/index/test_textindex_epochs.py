@@ -1,9 +1,9 @@
 """Two pinned epochs must never share mutated text postings.
 
-``TextIndex.clone_for`` hands the next epoch a copy-on-write successor:
-postings stay shared until the clone first touches them, at which point
-the touched lists (and only those) are unshared.  The regression pinned
-here is aliasing — ``unindex_item`` on the new epoch's index mutating a
+``TextIndex.advance`` builds the next epoch's index: postings sets no
+changed item posts under are shared with the prior index, and the
+touched ones (and only those) are built fresh.  The regression pinned
+here is aliasing — the new epoch's index dropping an item from a
 postings set an older pinned epoch still resolves, making a session on
 the old epoch "lose" an item it can plainly see in its own graph.
 """
@@ -27,37 +27,56 @@ def _graph() -> Graph:
     return g
 
 
-def test_clone_unindex_leaves_parent_postings_intact():
+def test_advance_dropping_an_item_leaves_prior_postings_intact():
     graph = _graph()
     index = TextIndex(graph)
     index.index_items([EX.a, EX.b])
-    clone = index.clone_for(graph.fork())
-    assert clone.unindex_item(EX.a)
+    advanced = TextIndex.advance(index, graph.fork(), [EX.b], {EX.a})
 
-    # The clone no longer resolves a, the parent still does.
-    assert clone.search("corn") == {EX.b}
+    # The new index no longer resolves a, the prior one still does.
+    assert advanced.search("corn") == {EX.b}
     assert index.search("corn") == {EX.a, EX.b}
-    # "special" was unique to a: pruned from the clone's vocabulary,
-    # alive in the parent's.
-    assert clone.search("special") == set()
+    # "special" was unique to a: pruned from the new vocabulary, alive
+    # in the prior one.
+    assert advanced.search("special") == set()
     assert index.search("special") == {EX.a}
-    assert index.vocabulary_size() > clone.vocabulary_size()
+    assert index.vocabulary_size() > advanced.vocabulary_size()
 
 
-def test_clone_reindex_does_not_leak_new_tokens_backward():
+def test_advance_reindex_does_not_leak_new_tokens_backward():
     graph = _graph()
     index = TextIndex(graph)
     index.index_items([EX.a, EX.b])
     fork = graph.fork()
     fork.remove_matching(EX.a, EX.title, None)
     fork.add(EX.a, EX.title, Literal("quinoa bowl"))
-    clone = index.clone_for(fork)
-    clone.index_item(EX.a)
+    advanced = TextIndex.advance(index, fork, [EX.a, EX.b], {EX.a})
 
-    assert clone.search("quinoa") == {EX.a}
-    assert clone.search("corn") == {EX.b}
+    assert advanced.search("quinoa") == {EX.a}
+    assert advanced.search("corn") == {EX.b}
     assert index.search("quinoa") == set()
     assert index.search("corn") == {EX.a, EX.b}
+
+
+def test_advance_shares_exactly_the_untouched_postings():
+    graph = _graph()
+    graph.add(EX.c, RDF.type, EX.Doc)
+    graph.add(EX.c, EX.note, Literal("pepper"))
+    index = TextIndex(graph)
+    index.index_items([EX.a, EX.b, EX.c])
+    fork = graph.fork()
+    fork.add(EX.a, EX.title, Literal("salad days"))
+    advanced = TextIndex.advance(index, fork, [EX.a, EX.b, EX.c], {EX.a})
+
+    bread, corn = "bread", index.analyzer.stem_token("corn")
+    # b's and c's own postings are shared; every set a posts under is new.
+    assert advanced._overall[bread] is index._overall[bread]
+    assert advanced._by_property[EX.note] is index._by_property[EX.note]
+    assert advanced._overall[corn] is not index._overall[corn]
+    assert advanced._by_property[EX.title] is not index._by_property[EX.title]
+    assert advanced._by_property[EX.title][bread] is \
+        index._by_property[EX.title][bread]
+    assert advanced._posted[EX.b] is index._posted[EX.b]
 
 
 def test_pinned_epoch_search_survives_unindex_in_next_epoch():

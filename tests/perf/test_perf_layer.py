@@ -276,3 +276,27 @@ class TestCacheTelemetryOracle:
         assert snapshot["gauges"]["query.extent_cache.misses"] == 1
         assert snapshot["gauges"]["query.extent_cache.hits"] == 0
         assert snapshot["gauges"]["graph.version"] == graph.version
+
+    def test_historical_and_oracle_builds_leave_the_gauges_alone(self):
+        # An as_of view and the ingest oracle's cold build share the
+        # registry, but /metrics keeps reading the serving workspace.
+        from repro.check.corpus import FUZZ, random_corpus
+        from repro.core.epochs import EpochManager
+
+        workspace = random_corpus(7).workspace
+        predicate = HasValue(FUZZ.color, FUZZ.red)
+        workspace.query_engine.evaluate(predicate)
+        workspace.query_engine.evaluate(predicate)
+        epochs = EpochManager(workspace)
+
+        def gauges():
+            return workspace.obs.metrics.snapshot()["gauges"]
+
+        expected = gauges()
+        assert expected["graph.version"] == workspace.graph.version > 5
+        assert expected["query.extent_cache.hits"] == 1
+        view = workspace.as_of(5)
+        view.query_engine.evaluate(predicate)
+        oracle = epochs.cold_workspace(5)
+        assert view.obs is oracle.obs is workspace.obs
+        assert gauges() == expected

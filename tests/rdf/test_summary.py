@@ -125,3 +125,30 @@ class TestRender:
         summary = StructuralSummary(Graph())
         assert summary.types == []
         assert "REPOSITORY STRUCTURE" in summary.render()
+
+
+def test_render_is_the_same_under_any_hash_seed():
+    """Instances and values are sampled in a fixed order, not in the
+    set order that string hash randomization picks per process."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "from repro.datasets import inbox\n"
+        "from repro.rdf import StructuralSummary\n"
+        "print(StructuralSummary(inbox.build_corpus().graph).render())\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    renders = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        renders.add(done.stdout)
+    assert len(renders) == 1

@@ -34,6 +34,10 @@ def build_recipe_graph():
     return g
 
 
+def _advance(prior, graph, items, dirty):
+    return VectorSpaceModel.advance(prior, graph, Schema(graph), items, dirty)
+
+
 @pytest.fixture()
 def model():
     g = build_recipe_graph()
@@ -185,12 +189,6 @@ class TestCompositions:
         m = self.build(use_compositions=False)
         assert all(len(c.path) == 1 for c in m.profile(EX.p1).tf)
 
-    def test_invalidate_compositions_refreshes(self):
-        m = self.build()
-        Schema(m.graph).add_composition([EX.author, EX.author])
-        m.invalidate_compositions()
-        m.add_item(EX.p1)  # re-index picks up the new chain list
-        assert m.profile(EX.p1) is not None
 
 
 class TestIncremental:
@@ -214,17 +212,32 @@ class TestIncremental:
         assert before != after  # idf moved, cache refreshed
 
     def test_reindex_replaces_profile(self, model):
-        g = model.graph
+        g = model.graph.fork()
         g.add(EX.r1, EX.ingredient, EX.sugar)
-        model.add_item(EX.r1)
-        assert len(model) == 3
+        advanced = _advance(model, g, model.items, {EX.r1})
+        assert len(advanced) == 3
         sugar = Coord((EX.ingredient.uri,), KIND_OBJECT, EX.sugar.uri)
-        assert sugar in model.profile(EX.r1).tf
+        assert sugar in advanced.profile(EX.r1).tf
+        assert sugar not in model.profile(EX.r1).tf
+        assert advanced.stats.doc_frequency(sugar) == 2
 
     def test_remove_item(self, model):
-        assert model.remove_item(EX.r3)
-        assert EX.r3 not in model
-        assert not model.remove_item(EX.r3)
+        advanced = _advance(model, model.graph, [EX.r1, EX.r2], set())
+        assert EX.r3 not in advanced
+        assert EX.r3 in model
+        assert advanced.stats.num_docs == 2
+
+    def test_item_listed_twice_counts_once(self):
+        g = build_recipe_graph()
+        twice = VectorSpaceModel(g)
+        assert twice.index_items([EX.r1, EX.r2, EX.r1, EX.r3]) == 4
+        once = VectorSpaceModel(g)
+        once.index_items([EX.r1, EX.r2, EX.r3])
+        assert twice.items == once.items
+        assert twice.stats.num_docs == 3
+        assert twice.stats._df == once.stats._df
+        for item in once.items:
+            assert twice.vector(item) == once.vector(item)
 
     def test_vector_of_unindexed_raises(self, model):
         with pytest.raises(KeyError):

@@ -52,30 +52,32 @@ class TestCorpusStats:
         stats = CorpusStats()
         stats.add_document(["a", "b"])
         stats.add_document(["b"])
-        stats.remove_document(["a", "b"])
-        assert stats.num_docs == 1
-        assert stats.doc_frequency("a") == 0
-        assert stats.doc_frequency("b") == 1
+        advanced = CorpusStats.advance(stats, [["a", "b"]], [])
+        assert advanced.num_docs == 1
+        assert advanced.doc_frequency("a") == 0
+        assert advanced.doc_frequency("b") == 1
 
     def test_remove_drops_zero_entries(self):
         stats = CorpusStats()
         stats.add_document(["a"])
-        stats.remove_document(["a"])
-        assert stats.vocabulary_size() == 0
+        assert CorpusStats.advance(stats, [["a"]], []).vocabulary_size() == 0
 
-    def test_version_bumps_on_change(self):
-        stats = CorpusStats()
-        v0 = stats.version
-        stats.add_document(["a"])
-        assert stats.version > v0
+    def test_advance_equals_a_cold_count_and_leaves_prior_alone(self):
+        docs = [["a", "b"], ["b", "c"], ["c"], ["a", "d"]]
+        prior = CorpusStats()
+        for coords in docs:
+            prior.add_document(coords)
+        advanced = CorpusStats.advance(prior, [docs[1], docs[3]], [["b", "e"]])
+        cold = CorpusStats()
+        for coords in (docs[0], docs[2], ["b", "e"]):
+            cold.add_document(coords)
+        assert advanced.num_docs == cold.num_docs == 3
+        assert advanced._df == cold._df
+        assert prior.num_docs == 4
+        assert prior._df == {"a": 2, "b": 2, "c": 2, "d": 1}
 
     def test_idf_uses_current_stats(self):
         stats = CorpusStats()
         stats.add_document(["a"])
         stats.add_document(["b"])
         assert stats.idf("a") == pytest.approx(math.log(2))
-
-    def test_remove_never_goes_negative(self):
-        stats = CorpusStats()
-        stats.remove_document(["ghost"])
-        assert stats.num_docs == 0
