@@ -1,8 +1,10 @@
 """Durable-store timings on the shared 64k scaled corpus.
 
-Cold-start (segment decode + log replay into fresh indexes) and
-compaction land as ``store_*`` rows in ``BENCH_perf_core.json``.  The
-non-regression teeth: warm navigation over the replayed graph — the
+Ingest and cold-start (segment decode + log replay into fresh indexes)
+land as the ``store_cold_start`` row of ``BENCH_perf_core.json``.  A
+store keeps the segments ingest wrote; nothing merges them, since
+replay time does not depend on the segment count.  The non-regression
+teeth: warm navigation over the replayed graph — the
 facet profile of the full collection — must be bit-identical to the
 in-memory build's, or the timing is meaningless.  Marked ``slow`` like
 the other scaled benches; CI's perf job runs them with ``-m slow``.
@@ -102,32 +104,5 @@ def test_store_cold_start_replay(corpus, store_root):
             "replay_s": round(replay_s, 4),
             "datoms": store.datom_count,
             "datoms_per_s": round(store.datom_count / replay_s),
-        },
-    )
-
-
-def test_store_compaction(corpus, store_root, tmp_path_factory):
-    root = tmp_path_factory.mktemp("bench-compact") / "store"
-    store = LogStore.init(root)
-    # many segments, so compaction has real merge work to do
-    store.append_log(corpus.graph.log, batch=20_000)
-    segments_before = len(store.segments)
-    assert segments_before > 1
-
-    compact_s, report = _timed(lambda: store.compact())
-    assert report["after"]["segments"] == 1
-    assert report["after"]["datoms"] == report["before"]["datoms"]
-    # compaction preserves history byte for byte
-    assert LogStore.open(root).verify()["ok"] is True
-
-    _record_bench(
-        N_ITEMS,
-        "store_compaction",
-        {
-            "compact_s": round(compact_s, 4),
-            "segments_before": segments_before,
-            "datoms": report["after"]["datoms"],
-            "bytes_before": report["before"]["bytes"],
-            "bytes_after": report["after"]["bytes"],
         },
     )

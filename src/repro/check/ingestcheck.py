@@ -25,7 +25,8 @@ at each watermark:
   carried into every later one the way ``sync_session`` carries it
   (same view, new workspace), and previews one predicate per epoch.  A
   view caches its items' mask per intern table and every epoch has a
-  fresh table, so the count must equal a naive count over the cold
+  fresh table, so the view's mask must equal its items' mask under the
+  new table, and the count must equal a naive count over the cold
   build.
 
 ``mutate_epoch`` is the harness-sensitivity seam: a test can plant a
@@ -264,7 +265,9 @@ def _preview_migrated(
 
     The first epoch lands a session and narrows it by one facet value
     (kept or excluded); later epochs reuse that state, view object and
-    all.  Returns the state to carry on.
+    all.  Before the preview, the view's mask under this epoch's intern
+    table must equal the mask of its items: a count alone can miss a
+    stale mask.  Returns the state to carry on.
     """
     service = NavigationService()
     workspace = epoch.workspace
@@ -292,6 +295,13 @@ def _preview_migrated(
         low, high = corpus.numeric_span
         bounds = sorted(rng.uniform(low, high) for _ in range(2))
         predicate = Range(rng.choice(corpus.numeric_props), *bounds)
+    table = graph.interner
+    if state.view.bits(table) != table.bits_of(items):
+        report.violations.append(
+            f"corpus {corpus_seed} epoch {epoch.number}: migrated session "
+            f"view mask disagrees with its items under the epoch's "
+            f"intern table"
+        )
     count = service.preview_count(workspace, state, predicate)
     naive = len(naive_extent(predicate, set(items), cold.query_context))
     if count != naive:

@@ -58,47 +58,11 @@ from .browser.render import (
 )
 from .browser.session import Session
 from .core.suggestions import OpenRangeWidget
-from .core.workspace import Workspace
-from .datasets import factbook, inbox, recipes, states
+from .datasets.spec import DatasetSpec, add_dataset_arguments
 from .obs import Observability, render_metrics, render_trace_forest
 from .service import SessionManager
 
 __all__ = ["main", "Shell"]
-
-
-def _load_workspace(
-    args: argparse.Namespace, obs: Observability | None = None
-) -> Workspace:
-    if getattr(args, "store", None):
-        from .store.segments import LogStore
-
-        graph = LogStore.open(args.store).replay_graph(obs=obs)
-        return Workspace(graph, obs=obs)
-    if args.ntriples:
-        from .rdf.ntriples import parse_ntriples
-
-        with open(args.ntriples, encoding="utf-8") as handle:
-            graph = parse_ntriples(handle.read())
-        return Workspace(graph, obs=obs)
-    if args.turtle:
-        from .rdf.turtle import parse_turtle
-
-        with open(args.turtle, encoding="utf-8") as handle:
-            graph = parse_turtle(handle.read())
-        return Workspace(graph, obs=obs)
-    if args.dataset == "recipes":
-        corpus = recipes.build_corpus(n_recipes=args.size, seed=args.seed)
-    elif args.dataset == "inbox":
-        corpus = inbox.build_corpus(seed=args.seed)
-    elif args.dataset == "states":
-        corpus = states.build_corpus(annotated=args.annotated)
-    elif args.dataset == "factbook":
-        corpus = factbook.build_corpus(annotated=args.annotated)
-    else:
-        raise SystemExit(f"unknown dataset {args.dataset!r}")
-    return Workspace(
-        corpus.graph, schema=corpus.schema, items=corpus.items, obs=obs
-    )
 
 
 class Shell:
@@ -403,20 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Browse a corpus with Magnet."
     )
-    parser.add_argument(
-        "dataset",
-        nargs="?",
-        default="recipes",
-        choices=["recipes", "inbox", "states", "factbook"],
-        help="bundled dataset to browse",
-    )
-    parser.add_argument("--size", type=int, default=800,
-                        help="recipe corpus size")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--annotated", action="store_true",
-                        help="apply schema annotations (states/factbook)")
-    parser.add_argument("--ntriples", help="browse an N-Triples file")
-    parser.add_argument("--turtle", help="browse a Turtle file")
+    add_dataset_arguments(parser, "browse")
     parser.add_argument(
         "--store",
         help="browse a durable datom-log store directory (log replay)",
@@ -461,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         return store_main(argv[1:])
     args = build_parser().parse_args(argv)
     obs = Observability(tracing=args.trace)
-    workspace = _load_workspace(args, obs)
+    workspace = DatasetSpec.from_args(args).build_workspace(obs)
     shell = Shell(Session(workspace))
     if args.commands:
         with open(args.commands, encoding="utf-8") as handle:

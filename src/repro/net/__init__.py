@@ -15,6 +15,7 @@ byte-level differential wire check (:mod:`repro.net.wirecheck`)
 possible — against either tier.
 """
 
+from ..datasets.spec import DatasetSpec
 from .client import NavigationClient, ServerError
 from .protocol import (
     BadRequest,
@@ -37,7 +38,7 @@ from .protocol import (
 from .router import ShardedServer, shard_for
 from .server import DrainReport, NavigationServer, ServerConfig
 from .wirecheck import WireDivergence, WireReport, run_wire_check
-from .worker import DatasetSpec, WorkerHandle
+from .worker import WorkerHandle
 
 __all__ = [
     "NavigationClient",

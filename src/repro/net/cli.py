@@ -1,8 +1,9 @@
 """``python -m repro serve``.
 
 ``serve`` loads a corpus exactly like the interactive browser (bundled
-datasets or --ntriples/--turtle) into a workspace, which is sealed for
-concurrent reads when built, and runs a
+datasets, --ntriples/--turtle or a --store directory, through one
+:class:`~repro.datasets.spec.DatasetSpec`) into a workspace, which is
+sealed for concurrent reads when built, and runs a
 :class:`~repro.net.server.NavigationServer` until interrupted,
 draining gracefully (and saving every session when ``--save-dir`` is
 given).  With ``--procs N`` (N > 1) it instead runs
@@ -18,29 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-
-def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
-    # Mirrors the browser CLI so `repro serve recipes --size 200` works
-    # the same as `repro recipes --size 200`.
-    parser.add_argument(
-        "dataset",
-        nargs="?",
-        default="recipes",
-        choices=["recipes", "inbox", "states", "factbook"],
-        help="bundled dataset to serve",
-    )
-    parser.add_argument("--size", type=int, default=800,
-                        help="recipe corpus size")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--annotated", action="store_true",
-                        help="apply schema annotations (states/factbook)")
-    parser.add_argument("--ntriples", help="serve an N-Triples file")
-    parser.add_argument("--turtle", help="serve a Turtle file")
-    parser.add_argument(
-        "--store",
-        help="serve a durable datom-log store directory "
-        "(cold start by log replay; see `repro store`)",
-    )
+from ..datasets.spec import DatasetSpec, add_dataset_arguments
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -48,7 +27,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Serve navigation sessions over JSON/HTTP.",
     )
-    _add_dataset_arguments(parser)
+    # The browser's dataset arguments, so `repro serve recipes --size
+    # 200` loads what `repro recipes --size 200` browses.
+    add_dataset_arguments(parser, "serve")
+    parser.add_argument(
+        "--store",
+        help="serve a durable datom-log store directory "
+        "(cold start by log replay; see `repro store`)",
+    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8642,
                         help="listen port (0 picks an ephemeral one)")
@@ -109,23 +95,19 @@ def _build_server(args: argparse.Namespace):
         ingest=getattr(args, "ingest", False),
         publish_sync=getattr(args, "publish_sync", False),
     )
+    spec = DatasetSpec.from_args(args)
     procs = getattr(args, "procs", 1)
     if procs > 1:
         from .router import ShardedServer
-        from .worker import DatasetSpec
 
         return ShardedServer(
-            DatasetSpec.from_args(args),
-            config,
-            procs=procs,
-            start_method=args.start_method,
+            spec, config, procs=procs, start_method=args.start_method
         )
-    from ..cli import _load_workspace
     from ..obs import Observability
     from ..service.manager import SessionManager
 
     obs = Observability(tracing=False)
-    workspace = _load_workspace(args, obs)
+    workspace = spec.build_workspace(obs)
     manager = SessionManager(workspace)
     if config.ingest:
         from ..core.epochs import EpochManager

@@ -53,6 +53,7 @@ import zlib
 from collections import deque
 from typing import Any, Optional
 
+from ..datasets.spec import DatasetSpec
 from ..obs import MetricsRegistry, merge_snapshots
 from .front import Exchange, Front
 from .httpio import Request, content_length, find_head, parse_head
@@ -67,7 +68,7 @@ from .protocol import (
     ok_envelope,
 )
 from .server import DrainReport, ServerConfig
-from .worker import DatasetSpec, WorkerHandle
+from .worker import WorkerHandle
 
 __all__ = ["ShardedServer", "shard_for"]
 

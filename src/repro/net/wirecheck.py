@@ -203,8 +203,8 @@ def _check_corpus(
     local_corpus = random_corpus(corpus_seed)
     config = server_config if server_config is not None else ServerConfig()
     if procs > 1:
+        from ..datasets.spec import DatasetSpec
         from .router import ShardedServer
-        from .worker import DatasetSpec
 
         server = ShardedServer(
             DatasetSpec(kind="check_corpus", seed=corpus_seed),

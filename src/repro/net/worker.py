@@ -12,10 +12,10 @@ Two ways a child gets its workspace:
   workspace once, forks, and every child inherits the frozen replica
   copy-on-write — zero rebuild cost, identical data by construction.
 * **spawn / forkserver**: nothing is inherited, so the parent hands the
-  child a :class:`DatasetSpec` — a small picklable recipe (builder name
-  + seed + flags) — and the child rebuilds an identical dataset from
-  scratch.  Both paths serve the same bytes because every builder here
-  is deterministic in its seed.
+  child a :class:`~repro.datasets.spec.DatasetSpec` — a small picklable
+  recipe (builder name + seed + flags) — and the child rebuilds an
+  identical dataset from scratch.  Both paths serve the same bytes
+  because every builder is deterministic in its seed.
 
 The parent talks to each child over a ``multiprocessing.Pipe``:
 
@@ -34,98 +34,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
+from ..datasets.spec import DatasetSpec
 from ..service.manager import SessionManager
 from .server import DrainReport, NavigationServer, ServerConfig
 
-__all__ = ["DatasetSpec", "WorkerHandle", "worker_main"]
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """A picklable recipe for rebuilding one workspace in a child.
-
-    ``kind`` is one of the bundled dataset builders (``recipes``,
-    ``inbox``, ``states``, ``factbook``), an RDF file (``ntriples``,
-    ``turtle`` with ``path``), a durable datom-log store directory
-    (``store`` with ``path`` — the child cold-starts by log replay),
-    or ``check_corpus`` — the fuzz-harness corpus the differential
-    wire check runs against.  Building twice from the same spec yields
-    workspaces that serve identical bytes.
-    """
-
-    kind: str
-    path: Optional[str] = None
-    size: int = 800
-    seed: int = 7
-    annotated: bool = False
-
-    def build_workspace(self):
-        """Build the (sealed) workspace this spec describes."""
-        from ..core.workspace import Workspace
-        from ..obs import Observability
-
-        obs = Observability(tracing=False)
-        if self.kind == "check_corpus":
-            from ..check.corpus import random_corpus
-
-            return random_corpus(self.seed).workspace
-        if self.kind == "ntriples":
-            from ..rdf.ntriples import parse_ntriples
-
-            with open(str(self.path), encoding="utf-8") as handle:
-                graph = parse_ntriples(handle.read())
-            return Workspace(graph, obs=obs)
-        if self.kind == "turtle":
-            from ..rdf.turtle import parse_turtle
-
-            with open(str(self.path), encoding="utf-8") as handle:
-                graph = parse_turtle(handle.read())
-            return Workspace(graph, obs=obs)
-        if self.kind == "store":
-            from ..store.segments import LogStore
-
-            graph = LogStore.open(str(self.path)).replay_graph(obs=obs)
-            return Workspace(graph, obs=obs)
-        if self.kind == "recipes":
-            from ..datasets import recipes
-
-            corpus = recipes.build_corpus(n_recipes=self.size, seed=self.seed)
-        elif self.kind == "inbox":
-            from ..datasets import inbox
-
-            corpus = inbox.build_corpus(seed=self.seed)
-        elif self.kind == "states":
-            from ..datasets import states
-
-            corpus = states.build_corpus(annotated=self.annotated)
-        elif self.kind == "factbook":
-            from ..datasets import factbook
-
-            corpus = factbook.build_corpus(annotated=self.annotated)
-        else:
-            raise ValueError(f"unknown dataset spec kind {self.kind!r}")
-        return Workspace(
-            corpus.graph, schema=corpus.schema, items=corpus.items, obs=obs
-        )
-
-    @classmethod
-    def from_args(cls, args: Any) -> "DatasetSpec":
-        """The spec equivalent of ``repro.cli._load_workspace(args)``."""
-        if getattr(args, "store", None):
-            return cls(kind="store", path=args.store)
-        if getattr(args, "ntriples", None):
-            return cls(kind="ntriples", path=args.ntriples)
-        if getattr(args, "turtle", None):
-            return cls(kind="turtle", path=args.turtle)
-        return cls(
-            kind=args.dataset,
-            size=args.size,
-            seed=args.seed,
-            annotated=args.annotated,
-        )
+__all__ = ["WorkerHandle", "worker_main"]
 
 
 def worker_main(

@@ -6,7 +6,6 @@ Subcommands::
     ingest <dir> [dataset]    build a corpus and append its datom log
     stats <dir>               print the store's shape as JSON
     verify <dir>              full integrity check (checksums + replay)
-    compact <dir>             merge segments, sweep orphans
 
 ``ingest`` accepts the same dataset arguments as the browser and the
 server (bundled datasets or ``--ntriples``/``--turtle``), so::
@@ -20,10 +19,15 @@ is the durable path to the same bytes ``repro serve recipes --size
 existing log first and appends only *effective* new assertions, so
 re-ingesting the same corpus is a no-op rather than a corruption.
 
+Segments are never merged: a store keeps the segments its appends
+made.  A writer (``ingest`` here, or ``serve --store --ingest``) deletes
+the orphans a crashed writer left on its first append; ``stats`` lists
+them, and neither ``stats`` nor ``verify`` deletes anything.
+
 The hidden ``--crash-after N`` flag kills the process (``os._exit``)
 partway through the N-th segment write; the CI crash-recovery smoke
 uses it to prove a killed ingest never leaves a store that fails
-``verify``.
+``verify``, and that the resumed ingest sweeps the torn temp file.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import os
 import sys
 from typing import IO
 
+from ..datasets.spec import DatasetSpec, add_dataset_arguments
 from .segments import LogStore, StoreError
 
 __all__ = ["store_main", "build_store_parser"]
@@ -52,20 +57,7 @@ def build_store_parser() -> argparse.ArgumentParser:
         "ingest", help="build a corpus and append its datom log"
     )
     ingest.add_argument("dir")
-    ingest.add_argument(
-        "dataset",
-        nargs="?",
-        default="recipes",
-        choices=["recipes", "inbox", "states", "factbook"],
-        help="bundled dataset to ingest",
-    )
-    ingest.add_argument("--size", type=int, default=800,
-                        help="recipe corpus size")
-    ingest.add_argument("--seed", type=int, default=7)
-    ingest.add_argument("--annotated", action="store_true",
-                        help="apply schema annotations (states/factbook)")
-    ingest.add_argument("--ntriples", help="ingest an N-Triples file")
-    ingest.add_argument("--turtle", help="ingest a Turtle file")
+    add_dataset_arguments(ingest, "ingest")
     ingest.add_argument("--batch", type=int, default=50_000,
                         help="datoms per segment (with --follow: triples "
                         "per appended transaction)")
@@ -84,7 +76,6 @@ def build_store_parser() -> argparse.ArgumentParser:
     for action, help_text in (
         ("stats", "print the store's shape as JSON"),
         ("verify", "full integrity check (checksums + replay)"),
-        ("compact", "merge segments into one and sweep orphans"),
     ):
         sub.add_parser(action, help=help_text).add_argument("dir")
     return parser
@@ -109,7 +100,7 @@ def _ingest(args: argparse.Namespace) -> int:
     store = LogStore.open(args.dir)
     if args.follow:
         return _ingest_follow(args, store)
-    source = _build_source_graph(args)
+    source, _schema, _items = DatasetSpec.from_args(args).build_source()
     if store.last_tx == 0:
         fresh = source
     else:
@@ -190,36 +181,6 @@ def _ingest_follow(args: argparse.Namespace, store: LogStore) -> int:
     return 0
 
 
-def _build_source_graph(args: argparse.Namespace):
-    if args.ntriples:
-        from ..rdf.ntriples import parse_ntriples
-
-        with open(args.ntriples, encoding="utf-8") as handle:
-            return parse_ntriples(handle.read())
-    if args.turtle:
-        from ..rdf.turtle import parse_turtle
-
-        with open(args.turtle, encoding="utf-8") as handle:
-            return parse_turtle(handle.read())
-    if args.dataset == "recipes":
-        from ..datasets import recipes
-
-        return recipes.build_corpus(n_recipes=args.size, seed=args.seed).graph
-    if args.dataset == "inbox":
-        from ..datasets import inbox
-
-        return inbox.build_corpus(seed=args.seed).graph
-    if args.dataset == "states":
-        from ..datasets import states
-
-        return states.build_corpus(annotated=args.annotated).graph
-    if args.dataset == "factbook":
-        from ..datasets import factbook
-
-        return factbook.build_corpus(annotated=args.annotated).graph
-    raise SystemExit(f"unknown dataset {args.dataset!r}")
-
-
 def store_main(argv=None) -> int:
     args = build_store_parser().parse_args(argv)
     try:
@@ -235,10 +196,6 @@ def store_main(argv=None) -> int:
             return 0
         if args.action == "verify":
             result = LogStore.open(args.dir).verify()
-            print(json.dumps(result, indent=2, sort_keys=True))
-            return 0
-        if args.action == "compact":
-            result = LogStore.open(args.dir).compact()
             print(json.dumps(result, indent=2, sort_keys=True))
             return 0
     except StoreError as error:

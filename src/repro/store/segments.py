@@ -12,12 +12,18 @@ land under a temp name, are replaced into place, and only then is the
 manifest — itself temp-written and replaced — updated to reference
 them.  The manifest is the source of truth: a crash in any window
 leaves either the old manifest (a fully consistent store, possibly with
-an orphaned segment file that compaction sweeps) or the new one (the
-append fully visible).  Nothing is ever overwritten in place.  Every
+an orphaned segment or temp file) or the new one (the append fully
+visible).  Nothing is ever overwritten in place.  Every
 ``os.replace`` is followed by an fsync of the store directory, so the
 segment-before-manifest ordering survives power loss too, not just
 process kills (on platforms whose directories cannot be fsynced the
 guarantee degrades to process crashes).
+
+Segments are never merged: a store keeps the segment count its appends
+made.  Orphans are swept by the writer — the first ``append`` through a
+handle deletes them before it writes — and reading a store (``open``,
+``datoms``, ``replay_graph``, ``stats``, ``verify``) never deletes
+anything.  That is safe because a store has one writer at a time.
 
 Each manifest entry records the segment's datom count, tx span, and the
 SHA-256 of its *uncompressed* payload; gzip streams are written with
@@ -166,6 +172,7 @@ class LogStore:
         self.root = root
         self._segments = segments
         self._last_tx = last_tx
+        self._swept = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -244,12 +251,13 @@ class LogStore:
         """The next free segment filename.
 
         Indices only ever grow: the successor of the *highest* index any
-        live segment carries, never ``len(segments) + 1`` — after
-        compaction the list shrinks but the merged segment keeps a high
-        index, and reusing a lower name would ``os.replace`` over live
-        bytes.  Colliding with an *orphan* (a crashed append the
-        manifest never published) is fine — orphans are never read, and
-        overwriting one simply recycles its slot.
+        live segment carries, never ``len(segments) + 1``.  Stores
+        compacted by earlier builds hold one segment with a high index,
+        and a count-derived name would ``os.replace`` over its live
+        bytes.  Colliding with an *orphan* (an append the manifest
+        never published) is harmless: orphans are never read, the
+        writer sweeps them before its first write, and one this handle
+        left behind by a failed manifest write is simply replaced.
         """
         highest = 0
         for info in self._segments:
@@ -271,6 +279,8 @@ class LogStore:
         greater than ``last_tx``, non-decreasing within the batch).
         Returns the new :class:`SegmentInfo`, or None for an empty
         batch.  The two writer arguments are the crash-injection seams.
+        The first non-empty append through this handle first deletes
+        every file :meth:`orphans` lists.
         """
         datoms = list(datoms)
         if not datoms:
@@ -288,6 +298,10 @@ class LogStore:
                     f"within the batch (previous {previous})"
                 )
             previous = datom.tx
+        if not self._swept:
+            for orphan in self.orphans():
+                os.unlink(os.path.join(self.root, orphan))
+            self._swept = True
         name = self._next_segment_name()
         blob, digest = _encode_segment(datoms)
         info = SegmentInfo(
@@ -423,8 +437,9 @@ class LogStore:
         """Segment-like files the manifest does not reference.
 
         A crash between segment write and manifest publication leaves
-        one of these; they are harmless (never read) and compaction
-        sweeps them.
+        one of these, and a crash mid-write leaves a torn ``.tmp.``
+        file.  They are never read; the first :meth:`append` through a
+        handle deletes them.
         """
         referenced = {info.name for info in self._segments}
         found = []
@@ -452,76 +467,6 @@ class LogStore:
         result["triples"] = len(graph)
         result["ok"] = True
         return result
-
-    def compact(
-        self,
-        segment_writer: SegmentWriter | None = None,
-        obs=None,
-    ) -> dict:
-        """Merge every segment into one and sweep orphans.
-
-        History is preserved — all datoms, all tx ids — so ``as_of``
-        views survive compaction unchanged; only the segment-file count
-        (and gzip overhead) shrinks.  Publication is atomic: the merged
-        segment lands first, then the manifest switches over, then the
-        old segment files and any orphans are unlinked.
-        """
-        before = {
-            "segments": len(self._segments),
-            "datoms": self.datom_count,
-            "bytes": sum(
-                v for v in (
-                    s["bytes"] for s in self.stats()["segments"]
-                ) if v
-            ),
-        }
-        datoms = list(self.datoms())
-        old_names = [info.name for info in self._segments]
-        orphans = self.orphans()
-        if datoms:
-            # The merged segment takes the next index past every live
-            # one, so it can never collide with a file it is replacing.
-            name = self._next_segment_name()
-            blob, digest = _encode_segment(datoms)
-            info = SegmentInfo(
-                name=name,
-                count=len(datoms),
-                first_tx=datoms[0].tx,
-                last_tx=datoms[-1].tx,
-                sha256=digest,
-            )
-            _atomic_write(
-                os.path.join(self.root, name), blob, segment_writer
-            )
-            self._segments = [info]
-        else:
-            self._segments = []
-        self._write_manifest()
-        for stale in old_names + orphans:
-            if datoms and stale == self._segments[0].name:
-                continue
-            try:
-                os.unlink(os.path.join(self.root, stale))
-            except OSError:
-                pass
-        if obs is not None:
-            obs.metrics.counter("store.compactions").inc()
-        after = self.stats()
-        return {
-            "before": before,
-            "after": {
-                "segments": len(self._segments),
-                "datoms": self.datom_count,
-                "bytes": sum(
-                    v for v in (
-                        s["bytes"] for s in after["segments"]
-                    ) if v
-                ),
-            },
-            "swept": sorted(set(old_names + orphans) - {
-                info.name for info in self._segments
-            }),
-        }
 
     # -- ingest helpers ----------------------------------------------------
 

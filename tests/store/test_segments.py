@@ -1,9 +1,8 @@
-"""The durable layer: segments, manifest, checksums, compaction."""
+"""The durable layer: segments, manifest, checksums, orphan sweeps."""
 
 import gzip
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -137,34 +136,31 @@ def test_verify_runs_the_strict_replay(tmp_path):
     assert result["triples"] == len(g)
 
 
-def test_compact_preserves_history_and_sweeps(tmp_path):
+def _store_left_by_compaction(root) -> LogStore:
+    """The sample history as one high-indexed segment.
+
+    Earlier builds merged a store's segments into one file named past
+    the highest index in use (three batch-1 appends, then a merge, left
+    ``seg-00000004``).  Stores written that way still exist.
+    """
     g = _sample_graph()
-    store = LogStore.init(tmp_path / "store")
-    store.append_log(g.log, batch=1)
-    assert len(store.segments) > 1
-    before = list(store.datoms())
-    report = store.compact()
-    assert len(store.segments) == 1
-    assert list(store.datoms()) == before
-    assert report["after"]["segments"] == 1
-    # swept files are gone from disk
-    for name in report["swept"]:
-        assert not os.path.exists(tmp_path / "store" / name)
-    # as_of history survives compaction
-    replayed = LogStore.open(tmp_path / "store").replay_graph()
-    assert len(replayed.as_of(2)) == 2
+    store = LogStore.init(root)
+    store.append_log(g.log)
+    (root / store.segments[0].name).rename(root / "seg-00000004.jsonl.gz")
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    manifest["segments"][0]["name"] = "seg-00000004.jsonl.gz"
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+    store = LogStore.open(root)
+    assert [info.name for info in store.segments] == ["seg-00000004.jsonl.gz"]
+    return store
 
 
 def test_append_after_compact_never_reuses_a_live_segment_name(tmp_path):
     # Regression: append() once named segments seg-{len(segments)+1}, so
-    # after compacting N segments (merged file at index N+1, list length
-    # 1) the (N-1)th subsequent append replaced the live compacted
-    # segment's bytes and corrupted the store.
-    g = _sample_graph()
-    store = LogStore.init(tmp_path / "store")
-    store.append_log(g.log, batch=1)  # three segments, tx 1..3
-    assert len(store.segments) == 3
-    store.compact()
+    # on a compacted store (merged file at index N+1, list length 1) the
+    # (N-1)th subsequent append replaced the live compacted segment's
+    # bytes and corrupted the store.
+    store = _store_left_by_compaction(tmp_path / "store")
     tx = store.last_tx
     for i in range(4):
         tx += 1
@@ -180,10 +176,7 @@ def test_append_after_compact_never_reuses_a_live_segment_name(tmp_path):
 
 
 def test_append_after_compact_survives_a_reopen(tmp_path):
-    g = _sample_graph()
-    store = LogStore.init(tmp_path / "store")
-    store.append_log(g.log, batch=1)
-    store.compact()
+    _store_left_by_compaction(tmp_path / "store")
     reopened = LogStore.open(tmp_path / "store")
     tx = reopened.last_tx
     for i in range(4):
@@ -201,8 +194,28 @@ def test_orphan_segments_are_ignored_and_reported(tmp_path):
     reopened = LogStore.open(tmp_path / "store")
     assert reopened.orphans() == ["seg-99999999.jsonl.gz"]
     assert reopened.verify()["ok"] is True  # orphan never read
-    reopened.compact()
+    # the first append through the reopened handle sweeps it
+    tx = reopened.last_tx + 1
+    reopened.append([Datom(S, P, Literal("after"), tx, OP_ASSERT)])
     assert not orphan.exists()
+    assert reopened.orphans() == []
+    assert LogStore.open(tmp_path / "store").verify()["ok"] is True
+
+
+def test_readers_never_delete_orphans(tmp_path):
+    g = _sample_graph()
+    root = tmp_path / "store"
+    store = LogStore.init(root)
+    store.append_log(g.log)
+    orphan = root / "seg-99999999.jsonl.gz"
+    orphan.write_bytes(b"garbage")
+    torn = root / "seg-00000002.jsonl.gz.tmp.12345"
+    torn.write_bytes(b"torn")
+    reopened = LogStore.open(root)
+    assert reopened.stats()["orphans"] == [torn.name, orphan.name]
+    assert reopened.verify()["ok"] is True
+    assert len(reopened.replay_graph()) == len(g)
+    assert orphan.exists() and torn.exists()
 
 
 def test_failed_segment_write_leaves_store_untouched(tmp_path):

@@ -51,18 +51,13 @@ def test_ingest_from_ntriples_and_verify(tmp_path, capsys):
     assert report["triples"] == 2
 
 
-def test_compact_reports_shape(tmp_path, capsys):
+def test_there_is_no_compact_verb(tmp_path, capsys):
     root = str(tmp_path / "store")
     store_main(["init", root])
-    store_main(
-        ["ingest", root, "recipes", "--size", "20", "--batch", "10"]
-    )
-    capsys.readouterr()
-    assert store_main(["compact", root]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["before"]["segments"] > 1
-    assert report["after"]["segments"] == 1
-    assert report["after"]["datoms"] == report["before"]["datoms"]
+    with pytest.raises(SystemExit) as exit_info:
+        store_main(["compact", root])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'compact'" in capsys.readouterr().err
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):
