@@ -21,10 +21,12 @@ request stream.  Session state, terms, and predicates reuse the
 A session state is most of an ``apply`` or create response: every item
 of the current view and of every view on the back stack.  Those
 payloads carry the state as :class:`Spliced` bytes built by
-:meth:`SessionState.json_parts` from memoized term fragments, and
-:func:`canonical_json` splices them into the envelope verbatim.  The bytes
-are exactly those of encoding :meth:`SessionState.to_dict` — the dict
-form stays the oracle that the wire check and the fuzzer compare with.
+:meth:`SessionState.json_parts`: each view's body is encoded once, from
+memoized term fragments, and kept on the view, so a response joins the
+back stack's bodies as they are.  :func:`canonical_json` splices them
+into the envelope verbatim.  The bytes are exactly those of encoding
+:meth:`SessionState.to_dict` — the dict form stays the oracle that the
+wire check and the fuzzer compare with.
 """
 
 from __future__ import annotations

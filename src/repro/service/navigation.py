@@ -16,6 +16,7 @@ oracle.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import Sequence
 
@@ -31,6 +32,28 @@ from . import commands as cmd
 from .state import SessionState, ViewState
 
 __all__ = ["Transition", "NavigationService"]
+
+#: Each workspace's landing view, shared by all of its sessions.  A
+#: workspace is sealed, so the view never goes stale; it is dropped
+#: with the workspace.
+_landings: "weakref.WeakKeyDictionary[Workspace, ViewState]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def landing_view(workspace: Workspace) -> ViewState:
+    """The view of everything in ``workspace``, built once.
+
+    Every session of the workspace starts at this one object, so its
+    intern mask and its encoded body are derived once per workspace
+    (once per epoch under live ingestion), not once per session.
+    """
+    view = _landings.get(workspace)
+    if view is None:
+        view = ViewState.of_collection(workspace.items, description="everything")
+        view.keep_bits(workspace.graph.interner, workspace.landing_bits())
+        _landings[workspace] = view
+    return view
 
 
 class Transition:
@@ -77,16 +100,13 @@ class NavigationService:
         session_id: str | None = None,
     ) -> SessionState:
         """A fresh session over the workspace: viewing everything."""
-        state = SessionState.initial(
-            workspace.items,
+        return SessionState.initial(
+            landing_view(workspace),
             fuzzy_on_empty=fuzzy_on_empty,
             fuzzy_k=fuzzy_k,
             back_limit=back_limit,
             session_id=session_id,
         )
-        landing = workspace.landing_bits()
-        state.view.keep_bits(workspace.graph.interner, landing)
-        return state
 
     def history_of(self, state: SessionState) -> NavigationHistory:
         """A NavigationHistory rebuilt from the state's raw sequences."""
@@ -306,9 +326,7 @@ class NavigationService:
             raise IndexError(f"no constraint at {command.index}")
         remaining = [c for i, c in enumerate(parts) if i != command.index]
         if not remaining:
-            return self._go_collection(
-                workspace, state, tuple(workspace.items), "everything"
-            )
+            return self._go_collection(state, landing_view(workspace))
         query = remaining[0] if len(remaining) == 1 else And(remaining)
         return self._run_query(workspace, state, query)
 
@@ -340,21 +358,18 @@ class NavigationService:
         self, workspace, state, command: cmd.GoCollection
     ) -> Transition:
         return self._go_collection(
-            workspace, state, command.items, command.description
+            state,
+            ViewState.of_collection(
+                command.items, description=command.description
+            ),
         )
 
-    def _go_collection(
-        self,
-        workspace: Workspace,
-        state: SessionState,
-        items: tuple[Node, ...],
-        description: str | None,
-    ) -> Transition:
+    def _go_collection(self, state: SessionState, view: ViewState) -> Transition:
         new_state = replace(
             state,
-            view=ViewState.of_collection(items, description=description),
+            view=view,
             back_stack=self._push_back(state),
-            trail=state.trail + ((None, description or "collection"),),
+            trail=state.trail + ((None, view.description or "collection"),),
             last_was_fuzzy=False,
         )
         return Transition(new_state)
@@ -362,7 +377,9 @@ class NavigationService:
     def _do_go_bookmarks(
         self, workspace, state, command: cmd.GoBookmarks
     ) -> Transition:
-        return self._go_collection(workspace, state, state.bookmarks, "bookmarks")
+        return self._go_collection(
+            state, ViewState.of_collection(state.bookmarks, description="bookmarks")
+        )
 
     # ------------------------------------------------------------------
     # Bookmarks
@@ -478,10 +495,11 @@ class NavigationService:
             feedback.query_vector(), command.k, exclude=feedback.judged()
         )
         return self._go_collection(
-            workspace,
             state,
-            tuple(hit.item for hit in hits if hit.score > 0.0),
-            "more like the marked items",
+            ViewState.of_collection(
+                (hit.item for hit in hits if hit.score > 0.0),
+                description="more like the marked items",
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -506,14 +524,13 @@ class NavigationService:
             trail.pop()  # discard the step that produced the current view
         previous = trail.pop() if trail else None
         state = replace(state, trail=tuple(trail))
-        if previous is None:
-            return self._go_collection(
-                workspace, state, tuple(workspace.items), "everything"
-            )
+        if previous is None or previous == (None, "everything"):
+            return self._go_collection(state, landing_view(workspace))
         query, description = previous
         if query is None:
             return self._go_collection(
-                workspace, state, tuple(workspace.items), description
+                state,
+                ViewState.of_collection(workspace.items, description=description),
             )
         return self._run_query(workspace, state, query, description)
 

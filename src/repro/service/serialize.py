@@ -15,10 +15,12 @@ predicate always serializes to the same bytes.
 
 :func:`value_json` is the one JSON byte encoding (sorted keys,
 minimal separators, ASCII).  :func:`node_json` memoizes a term's
-canonical bytes on the immutable term itself, so a session state that
-lists thousands of items (:meth:`SessionState.json_parts`) is
-assembled by joining fragments instead of re-encoding every term per
-response.
+canonical bytes on the immutable term itself, so a view that lists
+thousands of items is assembled by joining fragments instead of
+re-encoding every term.  The view then keeps the joined body
+(:meth:`ViewState.json_bytes`), and :meth:`SessionState.json_parts`
+splices views' bodies whole.  :func:`object_parts` memoizes the
+encoded member names, so a response encodes no key.
 """
 
 from __future__ import annotations
@@ -145,13 +147,22 @@ def _fragment_of(node: Node) -> bytes:
     return data
 
 
+#: ``"key":`` as bytes, per member name.  The objects assembled from
+#: parts are the session state, its views and the response envelopes,
+#: whose member names are fixed, so this holds a few dozen entries.
+_member_keys: dict[str, bytes] = {}
+
+
 def object_parts(members: Mapping[str, bytes | Parts]) -> Parts:
     """A JSON object from already-encoded member values, keys sorted."""
     parts = [b"{"]
     for key in sorted(members):
         if len(parts) > 1:
             parts.append(b",")
-        parts.append(value_json(key) + b":")
+        prefix = _member_keys.get(key)
+        if prefix is None:
+            prefix = _member_keys[key] = value_json(key) + b":"
+        parts.append(prefix)
         value = members[key]
         if isinstance(value, bytes):
             parts.append(value)

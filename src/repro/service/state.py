@@ -17,10 +17,16 @@ save/load and the :class:`~repro.service.manager.SessionManager`.
 term fragments; ``to_dict`` stays the oracle it must equal byte for
 byte.
 
-A collection view also caches its items' bitmask over one intern table
-(:meth:`ViewState.bits`), so a preview against it is one AND and one
-popcount.  The cache is not part of the value: equality, hashing and the
-wire form ignore it.
+A view caches two things derived from its items.  One is their
+bitmask over one intern table (:meth:`ViewState.bits`), so a preview
+against it is one AND and one popcount.  The other is its encoded body
+(:meth:`ViewState.json_bytes`), so a view is encoded once, when a
+response first carries it, and every later state that holds it on its
+back stack splices the same bytes.  Neither cache is part of the value:
+equality, hashing and the wire form ignore them.  The bodies cost
+memory in proportion to the distinct collection views that live
+sessions hold; the landing view, the largest, is one object per
+workspace (:func:`~repro.service.navigation.landing_view`).
 """
 
 from __future__ import annotations
@@ -142,8 +148,24 @@ class ViewState:
             "description": self.description,
         }
 
-    def json_parts(self) -> Parts:
-        """The canonical JSON of :meth:`to_dict`, as pieces to be joined."""
+    def json_bytes(self) -> bytes:
+        """The canonical JSON of :meth:`to_dict`, encoded once per view.
+
+        A view is encoded when a response first carries it and its bytes
+        are kept, so an apply encodes only the view it arrives at and
+        splices the back stack's bodies as they are.  Like the mask, the
+        memo is not part of the value: equality, hashing and the wire
+        form ignore it, and :func:`dataclasses.replace` makes a new view
+        with none.
+        """
+        try:
+            return self.__dict__["_json"]
+        except KeyError:
+            data = b"".join(self._encode())
+            object.__setattr__(self, "_json", data)
+            return data
+
+    def _encode(self) -> Parts:
         return object_parts({
             "kind": value_json(self.kind),
             "item": b"null" if self.item is None else node_json(self.item),
@@ -210,17 +232,22 @@ class SessionState:
     @classmethod
     def initial(
         cls,
-        items: Iterable[Node],
+        landing: ViewState,
         fuzzy_on_empty: bool = False,
         fuzzy_k: int = 10,
         back_limit: int = DEFAULT_BACK_LIMIT,
         session_id: str | None = None,
     ) -> "SessionState":
-        """The fresh-session state: viewing everything, empty memories."""
+        """The fresh-session state: at ``landing``, empty memories.
+
+        ``landing`` is the view of every item, described "everything";
+        the sessions of one workspace share one such view, so its body
+        and mask are derived once.
+        """
         if back_limit < 1:
             raise ValueError("back_limit must be at least 1")
         return cls(
-            view=ViewState.of_collection(items, description="everything"),
+            view=landing,
             fuzzy_on_empty=fuzzy_on_empty,
             fuzzy_k=fuzzy_k,
             back_limit=back_limit,
@@ -247,18 +274,22 @@ class SessionState:
     def json_parts(self) -> Parts:
         """:meth:`json_bytes` as pieces, for splicing into a response.
 
-        The views, the visit log and the bookmarks are where a state's
-        size lies (every item of every view on the back stack); they are
-        joined from :func:`~repro.service.serialize.node_json` fragments.
-        Everything else is small and is encoded whole.
+        The views are where a state's size lies (every item of every
+        view on the back stack).  Each is one piece, the body the view
+        memoized when it was first encoded, so a new state encodes only
+        the view it arrived at.  The visit log and the bookmarks are
+        joined from :func:`~repro.service.serialize.node_json`
+        fragments.  Everything else is small and is encoded whole.
         """
         members: dict[str, bytes | Parts] = {
             key: value_json(value) for key, value in self._small_fields().items()
         }
         members.update(
-            view=self.view.json_parts(),
+            view=self.view.json_bytes(),
             visits=nodes_json(self.visits),
-            back_stack=array_parts(view.json_parts() for view in self.back_stack),
+            back_stack=array_parts(
+                [view.json_bytes()] for view in self.back_stack
+            ),
             bookmarks=nodes_json(self.bookmarks),
         )
         return object_parts(members)

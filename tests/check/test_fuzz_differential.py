@@ -130,6 +130,32 @@ class TestHarnessSensitivity:
         assert not wire.ok, "wire check missed a corrupted term fragment"
         assert "differ" in wire.failure.detail
 
+    def test_catches_a_corrupted_view_body(self, monkeypatch):
+        # A view is encoded once and its body memoized; every later
+        # state that holds it on its back stack splices the memo.  A
+        # memo that goes wrong after a correct first encoding must trip
+        # both the fuzzer's per-step byte check and the wire check.
+        from repro.net.wirecheck import run_wire_check
+        from repro.service.state import ViewState
+
+        original = ViewState.json_bytes
+
+        def poisoning(view):
+            fresh = "_json" not in view.__dict__
+            data = original(view)
+            if fresh and view.is_collection:
+                wrong = data.replace(b'"collection"', b'"collectiom"')
+                object.__setattr__(view, "_json", wrong)  # the memo is wrong
+            return data
+
+        monkeypatch.setattr(ViewState, "json_bytes", poisoning)
+        report = fuzz(7, steps=40, corpora=2, minimize_failures=False)
+        assert not report.ok, "fuzzer missed a corrupted view body"
+        assert "spliced state bytes" in report.failure.detail
+        wire = run_wire_check(1337, steps=10, corpora=1)
+        assert not wire.ok, "wire check missed a corrupted view body"
+        assert "differ" in wire.failure.detail
+
 
 def test_corpora_include_adversarial_literals():
     # Guard the guard: corpora really do contain NaN readings,

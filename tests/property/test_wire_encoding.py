@@ -1,10 +1,12 @@
 """Byte parity of the spliced state encoding with the plain-dict one.
 
 Served states are assembled from term fragments memoized on the terms
-(:func:`repro.service.serialize.node_json`) and spliced into the
-response envelope by :func:`repro.net.protocol.canonical_json`.  The
-oracle is ``json.dumps`` of :meth:`SessionState.to_dict` with the
-canonical settings: whatever the state holds, the bytes must match.
+(:func:`repro.service.serialize.node_json`) and from view bodies
+memoized on the views (:meth:`ViewState.json_bytes`), and spliced into
+the response envelope by :func:`repro.net.protocol.canonical_json`.
+The oracle is ``json.dumps`` of :meth:`SessionState.to_dict` with the
+canonical settings: whatever the state holds, and whichever state first
+encoded a view it shares, the bytes must match.
 """
 
 import json
@@ -100,11 +102,16 @@ views = st.one_of(
 small = st.integers(min_value=0, max_value=2**40)
 
 
+view_pools = st.lists(views, min_size=1, max_size=4)
+
+
 @st.composite
-def states(draw):
+def states(draw, pool=None):
     # Back stacks share ViewState objects, as real ones do once a view
-    # is pushed, popped and pushed again.
-    pool = draw(st.lists(views, min_size=1, max_size=4))
+    # is pushed, popped and pushed again; states drawn from one pool
+    # share them as successive states of one session do.
+    if pool is None:
+        pool = draw(view_pools)
     term_pool = draw(st.lists(nodes, min_size=1, max_size=6))
     shared = st.sampled_from(term_pool)
     return SessionState(
@@ -153,11 +160,32 @@ def test_apply_body_equals_the_dict_encoding(state, outcome):
         {"ok": True, "result": {"state": state.to_dict(), "outcome": expected_outcome}}
     )
     transition = Transition(state, outcome)
-    # Twice: the second encoding reads every fragment from the memo.
+    # Twice: the second encoding reads every term fragment and every
+    # view body from its memo.
     for _ in range(2):
         body = canonical_json(ok_envelope(transition_payload(transition)))
         assert body == expected
     assert state.json_bytes() == dict_bytes(state.to_dict())
+
+
+@st.composite
+def state_pairs(draw):
+    pool = draw(view_pools)
+    return draw(states(pool)), draw(states(pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_pairs())
+def test_a_view_shared_between_states_encodes_alike_from_its_memo(pair):
+    # The first state encodes the shared views; the second reads their
+    # bodies from the memo, and so does the first when encoded again.
+    first, second = pair
+    for state in (first, second, first, second):
+        assert state.json_bytes() == dict_bytes(state.to_dict())
+        body = canonical_json(ok_envelope(transition_payload(Transition(state))))
+        assert body == dict_bytes(
+            {"ok": True, "result": {"state": state.to_dict(), "outcome": None}}
+        )
 
 
 @settings(max_examples=100, deadline=None)
