@@ -263,13 +263,13 @@ def test_range_leaf_miss(corpus):
 
 #: The acceptance floor for encoding an ``apply`` or create-session
 #: body at 64k, as served: the new view from term fragments and the
-#: back stack from view bodies, against ``json.dumps`` of the state's
-#: dict form, which is what every response paid before.
+#: back stack from memoized view headers, against ``json.dumps`` of the
+#: state's response form as a dict.
 ENCODE_SPEEDUP_FLOOR = 3.0
 
 
 def _dict_body(result) -> bytes:
-    """The pre-splice encoding: the state as a dict, through json."""
+    """The pre-splice encoding: the response as a dict, through json."""
     return json.dumps(
         ok_envelope(result), sort_keys=True, separators=(",", ":"),
         ensure_ascii=True,
@@ -278,7 +278,8 @@ def _dict_body(result) -> bytes:
 
 def _clicks(corpus):
     """A facets-style session: ranges and a category, then a negation
-    and a removal, so later bodies carry a back stack of full views."""
+    and a removal, so later bodies carry a back stack of headers,
+    the landing view's among them."""
     year, weight = corpus.extras["p_year"], corpus.extras["p_weight"]
     return [
         cmd.Refine(Range(year, low=1900, high=2010), "filter"),
@@ -298,10 +299,10 @@ def _median(values):
 
 def _served(state):
     """``state`` as a response meets it: its current view a fresh copy
-    that nothing has encoded yet, every view on its back stack encoded
-    by an earlier response and kept on the view."""
+    that nothing has encoded yet, the header of every view on its back
+    stack encoded by an earlier response and kept on the view."""
     for view in state.back_stack:
-        view.json_bytes()
+        view.header_json()
     return replace(state, view=replace(state.view))
 
 
@@ -309,9 +310,9 @@ def _apply_encode(corpus):
     """Median per-body seconds, (dict, spliced), for landings and applies.
 
     The spliced side is timed as serving pays it: the view a response
-    arrives at is encoded cold, and the back stack's bodies are spliced
-    from their views.  A landing is timed as the first session of a
-    workspace pays it, before its shared landing view is encoded.
+    arrives at is encoded cold, and the back stack's headers are
+    spliced from their views.  A landing is timed as the first session
+    of a workspace pays it, before its shared landing view is encoded.
     """
     workspace = Workspace(
         corpus.graph, schema=corpus.schema, items=corpus.items
@@ -319,7 +320,7 @@ def _apply_encode(corpus):
     session = SessionManager(workspace).create("bench")
     landing = session.state
     bodies = [(
-        lambda: _dict_body({"name": "bench", "state": landing.to_dict()}),
+        lambda: _dict_body({"name": "bench", "state": landing.wire_dict()}),
         lambda served: canonical_json(
             ok_envelope(session_payload("bench", served))
         ),
@@ -328,7 +329,9 @@ def _apply_encode(corpus):
     for command in _clicks(corpus):
         t = session.apply(command)
         bodies.append((
-            lambda t=t: _dict_body({"state": t.state.to_dict(), "outcome": t.outcome}),
+            lambda t=t: _dict_body(
+                {"state": t.state.wire_dict(), "outcome": t.outcome}
+            ),
             lambda served, t=t: canonical_json(
                 ok_envelope(transition_payload(Transition(served, t.outcome)))
             ),
@@ -357,8 +360,8 @@ def _encode_row(rows):
 
 
 def test_apply_encode(corpus):
-    """Response bodies spliced from memoized fragments and view bodies
-    instead of ``json.dumps`` over the dict form, bytes identical."""
+    """Response bodies spliced from memoized fragments and view headers
+    instead of ``json.dumps`` over the response dict, bytes identical."""
     rows = {
         str(size): _apply_encode(sized)
         for size, sized in ((8_192, scaled.build_corpus(8_192)), (N_ITEMS, corpus))

@@ -271,18 +271,20 @@ class DifferentialRunner:
             )
 
     def _check_roundtrip(self, command: cmd.Command) -> None:
-        # The served encoding is spliced from memoized term fragments;
-        # it must be byte for byte the plain-dict encoding, and decode
-        # back to the same state.
-        wire = self.state.json_bytes()
-        if wire != value_json(self.state.to_dict()):
+        # The served encoding is spliced from memoized term fragments,
+        # view bodies and view headers; it must be byte for byte the
+        # plain-dict encoding of the response form.  The lossless form
+        # that saves hold must decode back to the same state.
+        wire = b"".join(self.state.json_parts())
+        if wire != value_json(self.state.wire_dict()):
             self._fail(
                 command, "spliced state bytes differ from the dict encoding"
             )
         every = self.config.roundtrip_every
         if not every or self.steps % every:
             return
-        restored = SessionState.from_dict(json.loads(wire))
+        saved = value_json(self.state.to_dict())
+        restored = SessionState.from_dict(json.loads(saved))
         if restored != self.state:
             self._fail(
                 command, "state does not survive a JSON round-trip"

@@ -159,34 +159,69 @@ def _smoke_command(rng):
 
 
 def _selftest(server) -> int:
-    """The blocking CI smoke: 50 mixed commands, drain, zero drops."""
+    """The blocking CI smoke: 50 mixed commands, drain, zero drops.
+
+    It also checks both JSON forms of a state: every ``apply`` response
+    carries its back stack as headers only, and every drained save file
+    restores with each back-stack view's items, as many as the last
+    response's header said.
+    """
+    import json
+    import os
     import random
     import tempfile
 
+    from ..service.state import SessionState
     from .client import NavigationClient, ServerError
 
     host, port = server.address
     client = NavigationClient(host, port)
     rng = random.Random(20260807)
     names = [f"smoke-{i}" for i in range(5)]
-    for name in names:
-        client.create_session(name)
+    last = {name: client.create_session(name)["state"] for name in names}
     ok = typed_errors = 0
+    problems: list[str] = []
     for step in range(50):
+        name = names[step % len(names)]
         try:
-            client.apply(names[step % len(names)], _smoke_command(rng))
+            state = client.apply(name, _smoke_command(rng))["state"]
             ok += 1
         except ServerError:
             typed_errors += 1  # typed service errors are expected traffic
+            continue
+        last[name] = state
+        if any(
+            "items" in view or not isinstance(view.get("size"), int)
+            for view in state["back_stack"]
+        ):
+            problems.append(f"{name}: an apply response's back stack lists items")
     health = client.healthz()
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         report = server.drain(save_dir=tmp)
+        for name in report.saved:
+            path = os.path.join(tmp, f"{name}.json")
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    saved = SessionState.from_dict(json.load(handle))
+            except (OSError, ValueError) as error:
+                problems.append(f"{name}: the save does not load: {error}")
+                continue
+            sizes = [len(view.items) for view in saved.back_stack]
+            if sizes != [view["size"] for view in last[name]["back_stack"]]:
+                problems.append(f"{name}: the save's back stack lost items")
     print(
         f"selftest: {ok} ok, {typed_errors} typed error(s), "
         f"{health['sessions']} session(s), saved {len(report.saved)}, "
         f"dropped {len(report.dropped)}"
     )
-    if ok == 0 or sorted(report.saved) != sorted(names) or report.dropped:
+    for problem in problems:
+        print(f"selftest: {problem}")
+    if (
+        ok == 0
+        or sorted(report.saved) != sorted(names)
+        or report.dropped
+        or problems
+    ):
         print("selftest: FAILED")
         return 1
     print("selftest: OK")

@@ -19,6 +19,9 @@ one handler; neither keeps a copy of any of this:
   received, or still waiting to start, when its deadline passes;
 * **bounded admission** — once ``queue_limit`` complete requests wait
   to start, the next one is answered ``ServerOverloaded`` (503);
+* **gathered writes** — a response goes out as its pieces (a memoized
+  view body among them) through ``socket.sendmsg``, never joined
+  into one buffer first;
 * **keep-alive** — an explicit ``Connection: keep-alive`` is honoured
   (pipelined requests are served in order), idle connections are
   swept after ``keepalive_idle`` seconds, and every response says
@@ -41,6 +44,7 @@ pool (:meth:`Front.submit`), or parks the exchange and later
 from __future__ import annotations
 
 import math
+import os
 import selectors
 import socket
 import threading
@@ -49,6 +53,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from ..obs import MetricsRegistry
+from ..service.serialize import Parts
 from .httpio import (
     STATUS_REASONS,
     Request,
@@ -73,8 +78,24 @@ LATENCY_BUCKETS_MS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0)
 _MAX_HEAD = 16384
 _TICK = 0.05  # seconds between deadline/idle sweeps
 
+
+def _iov_max() -> int:
+    """The most buffers one ``sendmsg`` may gather on this system."""
+    try:
+        limit = os.sysconf("SC_IOV_MAX")
+    except (AttributeError, ValueError, OSError):
+        limit = -1
+    return limit if limit > 0 else 16  # 16: the POSIX minimum
+
+
+_IOV_MAX = _iov_max()
+
+#: Pieces shorter than this are joined with their neighbours before a
+#: write: copying them costs less than one more buffer for the kernel.
+_SMALL_PIECE = 4096
+
 #: Pool work: the request in, (status, encoded body) out.
-Work = Callable[[Request], "tuple[int, bytes]"]
+Work = Callable[[Request], "tuple[int, bytes | Parts]"]
 
 
 class _Conn:
@@ -93,10 +114,11 @@ class _Conn:
     def __init__(self, sock: socket.socket):
         self.sock: Optional[socket.socket] = sock
         self.inbuf = bytearray()
-        #: The unsent rest of the one response in progress.  The next
-        #: pipelined request is framed only once this is empty, so a
-        #: client that stops reading gets no more work done for it.
-        self.outbuf: bytes | memoryview = b""
+        #: The unsent rest of the one response in progress, as the
+        #: buffers still to gather (the first perhaps partly sent).  The
+        #: next pipelined request is framed only once this is empty, so
+        #: a client that stops reading gets no more work done for it.
+        self.outbuf: list[bytes | memoryview] = []
         #: When the request now being received began arriving.
         self.first_byte: Optional[float] = None
         self.last_activity = time.monotonic()
@@ -153,7 +175,7 @@ class Front:
         self._work_ready = threading.Condition(self._lock)
         self._tasks: deque[tuple[Optional[Exchange], Optional[Work]]] = deque()
         #: Responses finished off the loop thread, for the loop to write.
-        self._done: deque[tuple[Exchange, int, bytes]] = deque()
+        self._done: deque[tuple[Exchange, int, bytes | Parts]] = deque()
         self._wake_r: socket.socket | None = None
         self._wake_w: socket.socket | None = None
         self._loop_thread: threading.Thread | None = None
@@ -267,8 +289,14 @@ class Front:
         with self._lock:
             return self._claim_locked(exchange)
 
-    def respond(self, exchange: Exchange, status: int, body: bytes) -> None:
-        """Answer an exchange (loop thread only)."""
+    def respond(
+        self, exchange: Exchange, status: int, body: bytes | Parts
+    ) -> None:
+        """Answer an exchange (loop thread only).
+
+        ``body`` is the encoded JSON, whole or as the list of pieces
+        :func:`~repro.net.protocol.canonical_parts` makes.
+        """
         conn = exchange.conn
         if conn.exchange is not exchange:
             return  # already answered
@@ -348,7 +376,9 @@ class Front:
             exchange, error.status, canonical_json(error_envelope(error))
         )
 
-    def _complete(self, exchange: Exchange, status: int, body: bytes) -> None:
+    def _complete(
+        self, exchange: Exchange, status: int, body: bytes | Parts
+    ) -> None:
         """Hand a finished response to the loop (any thread)."""
         self._done.append((exchange, status, body))
         self._poke()
@@ -453,7 +483,7 @@ class Front:
             except OSError:
                 chunk = b""
             if chunk == b"":
-                if conn.exchange is not None or conn.inbuf:
+                if conn.exchange is not None or conn.inbuf or conn.outbuf:
                     self._disconnects.inc()
                 return self._drop(conn)
             if chunk:
@@ -526,18 +556,19 @@ class Front:
         self.metrics.counter(f"{self._prefix}.responses{{status={status}}}").inc()
         self._latency_ms.observe((time.monotonic() - started) * 1000.0)
 
-    def _write(self, conn: _Conn, status: int, body: bytes,
+    def _write(self, conn: _Conn, status: int, body: bytes | Parts,
                keep_alive: bool) -> None:
         keep = keep_alive and self.accepting
         reason = STATUS_REASONS.get(status, "Unknown")
+        pieces = [body] if isinstance(body, bytes) else body
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
+            f"Content-Length: {sum(map(len, pieces))}\r\n"
             f"Connection: {'keep-alive' if keep else 'close'}\r\n"
             f"\r\n"
         ).encode("latin-1")
-        conn.outbuf = head + body
+        conn.outbuf = _gather(head, pieces)
         conn.close_after_flush = not keep
         self._flush(conn)
 
@@ -545,9 +576,10 @@ class Front:
         sock = conn.sock
         if sock is None:
             return
-        while conn.outbuf:
+        out = conn.outbuf
+        while out:
             try:
-                sent = sock.send(conn.outbuf)
+                sent = sock.sendmsg(out[:_IOV_MAX])
             except (BlockingIOError, InterruptedError):
                 self.set_mask(sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
                 return
@@ -555,8 +587,13 @@ class Front:
                 self._disconnects.inc()
                 self._drop(conn)
                 return
-            conn.outbuf = memoryview(conn.outbuf)[sent:]
-        conn.outbuf = b""  # drop the view: it pins the whole response
+            done = 0
+            while done < len(out) and sent >= len(out[done]):
+                sent -= len(out[done])
+                done += 1
+            del out[:done]
+            if sent:
+                out[0] = memoryview(out[0])[sent:]
         conn.last_activity = time.monotonic()
         if conn.close_after_flush:
             self._drop(conn)
@@ -566,7 +603,7 @@ class Front:
     def _drop(self, conn: _Conn) -> None:
         sock, conn.sock = conn.sock, None
         self._conns.discard(conn)
-        conn.outbuf = b""
+        conn.outbuf = []
         if conn.exchange is not None:
             with self._lock:
                 self._waiting.pop(conn.exchange, None)  # never start it
@@ -606,3 +643,25 @@ class Front:
             sock.close()
         except OSError:
             pass
+
+
+def _gather(head: bytes, pieces: Parts) -> list[bytes | memoryview]:
+    """The buffers to write for ``head`` then ``pieces``, in order.
+
+    A large piece (a view body) is written from where it lies; a run
+    of small ones (keys, separators, small members) is joined into one
+    buffer, so a write gathers a few buffers, not hundreds.
+    """
+    out: list[bytes | memoryview] = []
+    run = [head]
+    for piece in pieces:
+        if len(piece) < _SMALL_PIECE:
+            run.append(piece)
+            continue
+        if run:
+            out.append(b"".join(run))
+            run = []
+        out.append(piece)
+    if run:
+        out.append(b"".join(run))
+    return out

@@ -18,15 +18,21 @@ same format repro files use), so a recorded fuzz sequence IS a valid
 request stream.  Session state, terms, and predicates reuse the
 :mod:`repro.service.serialize` codecs.
 
-A session state is most of an ``apply`` or create response: every item
-of the current view and of every view on the back stack.  Those
-payloads carry the state as :class:`Spliced` bytes built by
-:meth:`SessionState.json_parts`: each view's body is encoded once, from
-memoized term fragments, and kept on the view, so a response joins the
-back stack's bodies as they are.  :func:`canonical_json` splices them
-into the envelope verbatim.  The bytes are exactly those of encoding
-:meth:`SessionState.to_dict` — the dict form stays the oracle that the
-wire check and the fuzzer compare with.
+A session state is most of an ``apply`` or create response.  It
+travels in the response form, :meth:`SessionState.wire_dict`: every
+item of the current view, and a header (kind, item, query, description,
+``size``) for each view on the back stack.  A response is not a save
+file; saves keep the lossless :meth:`SessionState.to_dict`.  Those
+payloads carry the state as :class:`Spliced` pieces built by
+:meth:`SessionState.json_parts`: the current view's body and each
+back-stack header are encoded once, from memoized term fragments, and
+kept on the view.  :func:`canonical_parts` splices them into the
+envelope verbatim and hands the pieces on as a list, which the front
+writes to the socket with one gathering ``sendmsg``, so a large view
+body is never copied into a joined response.  :func:`canonical_json`
+is the same bytes joined.  They are exactly those of encoding
+:meth:`SessionState.wire_dict` — the dict form stays the oracle that
+the wire check and the fuzzer compare with.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "ClientDisconnect",
     "Spliced",
     "canonical_json",
+    "canonical_parts",
     "ok_envelope",
     "error_envelope",
     "error_payload",
@@ -166,16 +173,21 @@ _encode = json.JSONEncoder(
 
 
 def canonical_json(payload: Any) -> bytes:
-    """The one true byte encoding of a wire payload.
+    """The one true byte encoding of a wire payload."""
+    return b"".join(canonical_parts(payload))
+
+
+def canonical_parts(payload: Any) -> Parts:
+    """:func:`canonical_json` as pieces, to be written without a join.
 
     A payload holding :class:`Spliced` values (inside string-keyed
-    dicts and lists) is encoded piecewise and joined once; anything
-    else is one ``json`` call.
+    dicts and lists) is encoded piecewise, each spliced piece kept as
+    it is; anything else is one ``json`` call and one piece.
     """
     try:
-        return _encode(payload).encode("ascii")
+        return [_encode(payload).encode("ascii")]
     except _HasSpliced:
-        return b"".join(_parts(payload))
+        return _parts(payload)
 
 
 def _parts(value: Any) -> Parts:
@@ -231,13 +243,13 @@ def status_for(error: BaseException) -> int:
 
 
 def transition_payload(transition: Transition) -> dict[str, Any]:
-    """What an ``apply`` responds with: the full new state + outcome.
+    """What an ``apply`` responds with: the new state + outcome.
 
-    The state is the lossless :meth:`SessionState.to_dict` wire form
+    The state is the :meth:`SessionState.wire_dict` response form
     (pre-encoded, see the module docstring), so a client holds
     everything needed to render the view (its extension, description,
-    and query), the chips, the trail, and the back stack — and the
-    parity check compares entire states, not summaries.
+    and query), the chips, the trail, and where Back goes — and the
+    parity check compares entire responses, not summaries.
     """
     outcome = transition.outcome
     if outcome is not None and not isinstance(outcome, (bool, int, float, str)):

@@ -27,12 +27,14 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
 from ..check.codec import command_from_dict
 from ..service.manager import SessionManager
 from ..service.serialize import (
+    Parts,
     StateSerializationError,
     predicate_from_dict,
 )
@@ -44,6 +46,7 @@ from .protocol import (
     NetError,
     NotFound,
     canonical_json,
+    canonical_parts,
     error_envelope,
     ok_envelope,
     session_payload,
@@ -105,7 +108,8 @@ class NavigationServer:
         #: Serializes manager-level mutation (create/remove/save).
         self._manager_lock = threading.Lock()
         #: name -> per-session lock; commands on one session serialize,
-        #: different sessions proceed in parallel.
+        #: different sessions proceed in parallel.  An entry lives while
+        #: its session does (see :meth:`_session_lock`).
         self._session_locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
         #: Guards the one-shot parts of drain (pool stop, session saves).
@@ -195,12 +199,14 @@ class NavigationServer:
     def _handle(self, exchange: Exchange) -> None:
         self._front.submit(exchange, self._serve)
 
-    def _serve(self, request: Request) -> tuple[int, bytes]:
+    def _serve(self, request: Request) -> tuple[int, bytes | Parts]:
+        """Dispatch, then encode: a state's pieces go to the front as
+        they are, for it to write without joining them."""
         try:
             status, payload = self._dispatch(request)
         except NetError as error:
-            status, payload = error.status, error_envelope(error)
-        return status, canonical_json(payload)
+            return error.status, canonical_json(error_envelope(error))
+        return status, canonical_parts(payload)
 
     # ------------------------------------------------------------------
     # Routing
@@ -302,8 +308,11 @@ class NavigationServer:
         return 200, ok_envelope(session_payload(name, session.state))
 
     def _delete_session(self, name: str) -> tuple[int, dict]:
-        with self._manager_lock:
-            removed = self.manager.remove(name)
+        # Under the session's lock, so no command on it is in flight;
+        # leaving the lock drops its entry.
+        with self._session_lock(name):
+            with self._manager_lock:
+                removed = self.manager.remove(name)
         return 200, ok_envelope({"removed": removed})
 
     def _ingest(self, request: Request) -> tuple[int, dict]:
@@ -336,12 +345,32 @@ class NavigationServer:
         self.obs.metrics.counter("net.ingests").inc()
         return 200, ok_envelope(summary)
 
-    def _lock_for(self, name: str) -> threading.RLock:
-        with self._locks_guard:
-            lock = self._session_locks.get(name)
-            if lock is None:
-                lock = self._session_locks[name] = threading.RLock()
-            return lock
+    @contextmanager
+    def _session_lock(self, name: str):
+        """Hold ``name``'s lock; on leaving, drop it if no session holds
+        the name (deleted, or never created).
+
+        A request that waited on a lock that was dropped meanwhile
+        holds a lock no one else will take, so it lets go and takes the
+        current one: a re-created name never runs under two locks.
+        """
+        while True:
+            with self._locks_guard:
+                lock = self._session_locks.get(name)
+                if lock is None:
+                    lock = self._session_locks[name] = threading.RLock()
+            with lock:
+                with self._locks_guard:
+                    if self._session_locks.get(name) is not lock:
+                        continue
+                try:
+                    yield
+                finally:
+                    if name not in self.manager:
+                        with self._locks_guard:
+                            if self._session_locks.get(name) is lock:
+                                del self._session_locks[name]
+                return
 
     def _session(self, name: str):
         """The named session, migrated to the current epoch first.
@@ -363,7 +392,7 @@ class NavigationServer:
         command_dict = body.get("command")
         if not isinstance(command_dict, dict):
             raise BadRequest("'command' must be a tagged command object")
-        with self._lock_for(name):
+        with self._session_lock(name):
             session = self._session(name)
             try:
                 command = command_from_dict(command_dict)
@@ -382,7 +411,7 @@ class NavigationServer:
             return 200, ok_envelope(transition_payload(transition))
 
     def _suggest(self, name: str) -> tuple[int, dict]:
-        with self._lock_for(name):
+        with self._session_lock(name):
             session = self._session(name)
             with self.obs.tracer.span("net.suggest", session=name):
                 result = session.suggestions()
@@ -393,7 +422,7 @@ class NavigationServer:
         if not isinstance(predicate_dict, dict):
             raise BadRequest("'predicate' must be a tagged predicate object")
         mode = body.get("mode", "filter")
-        with self._lock_for(name):
+        with self._session_lock(name):
             session = self._session(name)
             try:
                 predicate = predicate_from_dict(predicate_dict)

@@ -14,9 +14,11 @@ Because the server and the local side both build their payloads with
 difference — a float formatted differently, a key ordered differently,
 an exception translated differently, state drift from a lost update —
 shows up as the first unequal byte.  The one exception is the session
-state: the server splices it from memoized term fragments, and the
-local side encodes :meth:`SessionState.to_dict` as a plain dict, so
-the check also proves the spliced encoder writes the dict's bytes.
+state: the server splices it from memoized term fragments, view
+bodies and back-stack headers, and the local side encodes
+:meth:`SessionState.wire_dict` (the response form, a projection of the
+lossless :meth:`SessionState.to_dict`) as a plain dict, so the check
+also proves the spliced encoder writes the dict's bytes.
 
 At the end of each corpus the ``{session=wire}``-tagged telemetry of
 both workspaces is compared too: the served session must bump exactly
@@ -310,13 +312,13 @@ def _check_create(
     session: str,
     as_of: int | None = None,
 ) -> WireDivergence | None:
-    """Create the served session; its body must encode ``state.to_dict()``."""
+    """Create the served session; its body must encode ``state.wire_dict()``."""
     request: dict = {"name": session}
     if as_of is not None:
         request["as_of"] = as_of
     wire_status, wire_body = client.request_raw("POST", "/sessions", request)
     expected_body = canonical_json(
-        ok_envelope({"name": session, "state": state.to_dict()})
+        ok_envelope({"name": session, "state": state.wire_dict()})
     )
     if wire_status != 200 or wire_body != expected_body:
         return WireDivergence(
@@ -348,9 +350,10 @@ def _check_step(
         expected_body = canonical_json(error_envelope(error))
     else:
         expected_status = 200
-        # The state as a plain dict, not the server's spliced encoding.
+        # The response form as a plain dict, not the server's spliced
+        # encoding.
         payload = transition_payload(transition)
-        payload["state"] = transition.state.to_dict()
+        payload["state"] = transition.state.wire_dict()
         expected_body = canonical_json(ok_envelope(payload))
     if wire_status != expected_status:
         return WireDivergence(

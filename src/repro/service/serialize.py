@@ -18,9 +18,13 @@ minimal separators, ASCII).  :func:`node_json` memoizes a term's
 canonical bytes on the immutable term itself, so a view that lists
 thousands of items is assembled by joining fragments instead of
 re-encoding every term.  The view then keeps the joined body
-(:meth:`ViewState.json_bytes`), and :meth:`SessionState.json_parts`
-splices views' bodies whole.  :func:`object_parts` memoizes the
-encoded member names, so a response encodes no key.
+(:meth:`ViewState.json_bytes`) and its back-stack header
+(:meth:`ViewState.header_json`), and :meth:`SessionState.json_parts`
+splices both whole into the response form.  These pieces travel as
+they are down to the socket (:func:`repro.net.protocol.canonical_parts`).
+:func:`object_parts` memoizes the encoded member names, so a response
+encodes no key.  Saves do not use the pieces: they write
+:meth:`SessionState.to_dict` through ``json``.
 """
 
 from __future__ import annotations

@@ -11,22 +11,32 @@ concurrent serving all fall out of this shape).
 The state deliberately holds no workspace references: terms and
 predicates are value objects, so a state built against one workspace can
 be replayed against any workspace holding the same corpus.
-``to_dict``/``from_dict`` give the JSON wire form used by session
-save/load and the :class:`~repro.service.manager.SessionManager`.
-``json_bytes`` is that form's canonical JSON, assembled from memoized
-term fragments; ``to_dict`` stays the oracle it must equal byte for
-byte.
 
-A view caches two things derived from its items.  One is their
+A state has two JSON forms.  ``to_dict``/``from_dict`` give the
+lossless form that session save/load and the
+:class:`~repro.service.manager.SessionManager` use: every item of every
+view.  A back-stack view that has no query (Similar Items, bookmarks,
+fuzzy results) cannot be evaluated again, so a save keeps its items.
+``wire_dict`` is the response form, a projection of ``to_dict``: each
+back-stack view becomes a *header* (kind, item, query, description and
+``size``, the number of items), because Back needs to know where it
+goes, not every item on the way.  A response is not a save file, and
+``from_dict`` refuses one whose back stack holds headers.
+``json_parts`` is the response form's canonical JSON, assembled from
+memoized pieces; ``wire_dict`` stays the oracle it must equal byte for
+byte, and ``to_dict`` the one every check starts from.
+
+A view caches three things derived from its items.  One is their
 bitmask over one intern table (:meth:`ViewState.bits`), so a preview
-against it is one AND and one popcount.  The other is its encoded body
-(:meth:`ViewState.json_bytes`), so a view is encoded once, when a
-response first carries it, and every later state that holds it on its
-back stack splices the same bytes.  Neither cache is part of the value:
-equality, hashing and the wire form ignore them.  The bodies cost
-memory in proportion to the distinct collection views that live
-sessions hold; the landing view, the largest, is one object per
-workspace (:func:`~repro.service.navigation.landing_view`).
+against it is one AND and one popcount.  The others are its encoded
+body (:meth:`ViewState.json_bytes`), so a view is encoded once, when a
+response arrives at it, and its encoded header
+(:meth:`ViewState.header_json`), so every later response that holds
+it on its back stack splices the same few bytes.  No cache is part of
+the value: equality, hashing and both JSON forms ignore them.  The
+bodies cost memory in proportion to the distinct collection views that
+live sessions have arrived at; the landing view, the largest, is one
+object per workspace (:func:`~repro.service.navigation.landing_view`).
 """
 
 from __future__ import annotations
@@ -151,30 +161,45 @@ class ViewState:
     def json_bytes(self) -> bytes:
         """The canonical JSON of :meth:`to_dict`, encoded once per view.
 
-        A view is encoded when a response first carries it and its bytes
-        are kept, so an apply encodes only the view it arrives at and
-        splices the back stack's bodies as they are.  Like the mask, the
-        memo is not part of the value: equality, hashing and the wire
-        form ignore it, and :func:`dataclasses.replace` makes a new view
-        with none.
+        A view is encoded when a response first arrives at it and its
+        bytes are kept, so a later response that returns to it (Back,
+        undo, a new session at the shared landing view) splices them as
+        they are.  Like the mask, the memo is not part of the value:
+        equality, hashing and both JSON forms ignore it, and
+        :func:`dataclasses.replace` makes a new view with none.
         """
         try:
             return self.__dict__["_json"]
         except KeyError:
-            data = b"".join(self._encode())
-            object.__setattr__(self, "_json", data)
-            return data
+            return self._keep("_json", {"items": nodes_json(self.items)})
 
-    def _encode(self) -> Parts:
-        return object_parts({
-            "kind": value_json(self.kind),
-            "item": b"null" if self.item is None else node_json(self.item),
-            "items": nodes_json(self.items),
-            "query": value_json(
+    def header_json(self) -> bytes:
+        """The canonical JSON of this view's back-stack header, memoized.
+
+        The header is :meth:`to_dict` with ``items`` replaced by
+        ``size``, their number: what a response says of a view on the
+        back stack (see :meth:`SessionState.wire_dict`).  It is kept
+        beside the body, so a view pushed onto the back stack is
+        described once however many responses carry it.
+        """
+        try:
+            return self.__dict__["_head"]
+        except KeyError:
+            return self._keep("_head", {"size": value_json(len(self.items))})
+
+    def _keep(self, memo: str, members: dict[str, bytes | Parts]) -> bytes:
+        """Encode the view's fields plus ``members`` and keep the bytes."""
+        members.update(
+            kind=value_json(self.kind),
+            item=b"null" if self.item is None else node_json(self.item),
+            query=value_json(
                 predicate_to_dict(self.query) if self.query is not None else None
             ),
-            "description": value_json(self.description),
-        })
+            description=value_json(self.description),
+        )
+        data = b"".join(object_parts(members))
+        object.__setattr__(self, memo, data)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ViewState":
@@ -183,6 +208,11 @@ class ViewState:
             raise StateSerializationError(f"unknown view kind {kind!r}")
         if kind == cls.KIND_ITEM and data["item"] is None:
             raise StateSerializationError("item view without an item")
+        if "items" not in data and "size" in data:
+            raise StateSerializationError(
+                "a view header lists no items: a response's back stack "
+                "cannot be restored, only a saved state can"
+            )
         return cls(
             kind=kind,
             item=node_from_dict(data["item"]) if data["item"] is not None else None,
@@ -194,6 +224,13 @@ class ViewState:
             ),
             description=data["description"],
         )
+
+
+def _header(view: dict[str, Any]) -> dict[str, Any]:
+    """A view's dict form with its items replaced by their number."""
+    header = dict(view)
+    header["size"] = len(header.pop("items"))
+    return header
 
 
 @dataclass(frozen=True)
@@ -257,7 +294,7 @@ class SessionState:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON-safe wire form (lossless; see ``from_dict``)."""
+        """The lossless JSON-safe form that saves hold (see ``from_dict``)."""
         data = self._small_fields()
         data.update(
             view=self.view.to_dict(),
@@ -267,19 +304,23 @@ class SessionState:
         )
         return data
 
-    def json_bytes(self) -> bytes:
-        """The canonical JSON of :meth:`to_dict`, byte for byte."""
-        return b"".join(self.json_parts())
+    def wire_dict(self) -> dict[str, Any]:
+        """The response form: :meth:`to_dict` with every back-stack view
+        reduced to its header, ``items`` replaced by ``size``."""
+        data = self.to_dict()
+        data["back_stack"] = [_header(view) for view in data["back_stack"]]
+        return data
 
     def json_parts(self) -> Parts:
-        """:meth:`json_bytes` as pieces, for splicing into a response.
+        """The canonical JSON of :meth:`wire_dict`, as pieces for
+        splicing into a response.
 
-        The views are where a state's size lies (every item of every
-        view on the back stack).  Each is one piece, the body the view
-        memoized when it was first encoded, so a new state encodes only
-        the view it arrived at.  The visit log and the bookmarks are
-        joined from :func:`~repro.service.serialize.node_json`
-        fragments.  Everything else is small and is encoded whole.
+        The current view is one piece, the body it memoized when a
+        response first arrived at it, so a new state encodes only the
+        view it arrived at.  Each back-stack view is its memoized
+        header.  The visit log and the bookmarks are joined from
+        :func:`~repro.service.serialize.node_json` fragments.
+        Everything else is small and is encoded whole.
         """
         members: dict[str, bytes | Parts] = {
             key: value_json(value) for key, value in self._small_fields().items()
@@ -288,7 +329,7 @@ class SessionState:
             view=self.view.json_bytes(),
             visits=nodes_json(self.visits),
             back_stack=array_parts(
-                [view.json_bytes()] for view in self.back_stack
+                [view.header_json()] for view in self.back_stack
             ),
             bookmarks=nodes_json(self.bookmarks),
         )

@@ -132,9 +132,10 @@ class TestHarnessSensitivity:
 
     def test_catches_a_corrupted_view_body(self, monkeypatch):
         # A view is encoded once and its body memoized; every later
-        # state that holds it on its back stack splices the memo.  A
-        # memo that goes wrong after a correct first encoding must trip
-        # both the fuzzer's per-step byte check and the wire check.
+        # response that returns to it (Back, undo, the shared landing
+        # view) splices the memo.  A memo that goes wrong after a
+        # correct first encoding must trip both the fuzzer's per-step
+        # byte check and the wire check.
         from repro.net.wirecheck import run_wire_check
         from repro.service.state import ViewState
 
@@ -154,6 +155,32 @@ class TestHarnessSensitivity:
         assert "spliced state bytes" in report.failure.detail
         wire = run_wire_check(1337, steps=10, corpora=1)
         assert not wire.ok, "wire check missed a corrupted view body"
+        assert "differ" in wire.failure.detail
+
+    def test_catches_a_wrong_back_stack_header(self, monkeypatch):
+        # A view on the back stack travels as its memoized header.  A
+        # header memo whose size goes wrong after a correct first
+        # encoding must trip both the fuzzer's per-step byte check and
+        # the wire check, whose expected bodies encode wire_dict().
+        from repro.net.wirecheck import run_wire_check
+        from repro.service.state import ViewState
+
+        original = ViewState.header_json
+
+        def poisoning(view):
+            fresh = "_head" not in view.__dict__
+            data = original(view)
+            if fresh:
+                wrong = data.replace(b'"size":', b'"size":1')
+                object.__setattr__(view, "_head", wrong)  # the memo is wrong
+            return data
+
+        monkeypatch.setattr(ViewState, "header_json", poisoning)
+        report = fuzz(7, steps=40, corpora=2, minimize_failures=False)
+        assert not report.ok, "fuzzer missed a wrong back-stack header"
+        assert "spliced state bytes" in report.failure.detail
+        wire = run_wire_check(1337, steps=10, corpora=1)
+        assert not wire.ok, "wire check missed a wrong back-stack header"
         assert "differ" in wire.failure.detail
 
 

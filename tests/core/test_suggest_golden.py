@@ -23,8 +23,8 @@ import pytest
 
 #: sha256 of the script's payload stream, per corpus.
 GOLDEN = {
-    "recipes": "4390515e7519266f44ad7fefcf16c5acd3515d51f4c1e1872c316edd75e2405f",
-    "inbox": "aaffd554ea73e68575a330652d6e62731fbb1cee30b3947d9dcf47249a6c0446",
+    "recipes": "17c7e4c169bc7a0d7041888b6b7a2a9c2fdc94a003f9de31e5c3b388e6b214b3",
+    "inbox": "c0e72d946c4f8f2664570ed28473a6b24c87c6fc7a8688cdc0f13d54def935ce",
 }
 
 #: Which analyst's first presented suggestion each click follows.

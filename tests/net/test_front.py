@@ -1,4 +1,6 @@
-"""The shared front door under thread interleavings: one answer per request."""
+"""The shared front door: one answer per request, under thread
+interleavings, and every byte of it, however the body was handed over
+and however slowly the client reads."""
 
 import random
 import socket
@@ -6,7 +8,11 @@ import sys
 import threading
 import time
 
+import pytest
+
+from repro.net import front as front_module
 from repro.net.front import Front
+from repro.net.protocol import Spliced, canonical_json, canonical_parts
 from repro.net.server import ServerConfig
 from repro.obs import MetricsRegistry
 
@@ -96,3 +102,144 @@ def test_every_pipelined_request_gets_exactly_one_answer_in_order():
     )
     assert front.served == CLIENTS * REQUESTS
     assert snapshot["gauges"]["t.queue_depth"] == 0
+
+
+# ----------------------------------------------------------------------
+# Gathered writes: a body handed over as pieces reaches the client whole
+# ----------------------------------------------------------------------
+
+
+def _pieces(count: int, size: int) -> list[bytes]:
+    """Distinct pieces, so a lost, doubled or reordered one shows."""
+    return [
+        (b"%08d" % index) * (size // 8) for index in range(count)
+    ]
+
+
+class _Stub:
+    """A front whose handler answers each path with a fixed body."""
+
+    def __init__(self, bodies: dict):
+        self.metrics = MetricsRegistry()
+        self.front = Front(
+            ServerConfig(workers=1),
+            lambda exchange: self.front.submit(
+                exchange, lambda request: (200, bodies[request.path])
+            ),
+            self.metrics,
+            "t",
+        )
+
+    def __enter__(self):
+        self.front.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.front.drain(timeout=10.0)
+
+    def connect(self, rcvbuf: int | None = None) -> socket.socket:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        sock.settimeout(10.0)
+        sock.connect(self.front.address)
+        return sock
+
+
+def _get(path: str) -> bytes:
+    return (
+        f"GET {path} HTTP/1.1\r\nConnection: keep-alive\r\n"
+        f"Content-Length: 0\r\n\r\n"
+    ).encode("ascii")
+
+
+def _count_flushes(monkeypatch) -> list:
+    calls = []
+    original = Front._flush
+
+    def counting(self, conn):
+        calls.append(conn)
+        return original(self, conn)
+
+    monkeypatch.setattr(Front, "_flush", counting)
+    return calls
+
+
+def test_a_slow_reader_gets_the_canonical_bytes(monkeypatch):
+    # A 6 MB body of large and small pieces cannot fit the kernel's
+    # buffers while the client is not reading, so the front writes it
+    # in several partial gathers, resuming mid-piece.
+    big = _pieces(600, 10_000)
+    payload = {"ok": True, "result": {
+        "state": Spliced([b'{"items":[', b",".join(
+            b'"' + piece + b'"' for piece in big
+        ), b"]}"]),
+        "small": list(range(50)),
+    }}
+    parts = canonical_parts(payload)
+    expected = canonical_json(payload)
+    assert len(expected) > 6_000_000
+    flushes = _count_flushes(monkeypatch)
+    with _Stub({"/big": parts}) as stub:
+        sock = stub.connect(rcvbuf=4096)
+        sock.sendall(_get("/big"))
+        time.sleep(0.3)  # let the front fill every buffer and wait
+        status, body = _read_one(sock, bytearray())
+        sock.close()
+    assert status == 200
+    assert body == expected
+    assert len(flushes) > 1, "the body went out in one write"
+
+
+def test_a_body_of_more_pieces_than_one_gather_takes_arrives_intact():
+    pieces = _pieces(front_module._IOV_MAX + 50, front_module._SMALL_PIECE)
+    with _Stub({"/many": pieces}) as stub:
+        sock = stub.connect()
+        sock.sendall(_get("/many"))
+        status, body = _read_one(sock, bytearray())
+        sock.close()
+    assert status == 200
+    assert body == b"".join(pieces)
+
+
+def test_a_request_pipelined_behind_a_partial_write_is_answered_in_order(
+    monkeypatch,
+):
+    big = _pieces(700, 10_000)
+    flushes = _count_flushes(monkeypatch)
+    with _Stub({"/big": big, "/small": [b"{", b'"x":1', b"}"]}) as stub:
+        sock = stub.connect(rcvbuf=4096)
+        sock.sendall(_get("/big") + _get("/small") + _get("/big"))
+        time.sleep(0.3)
+        buffer = bytearray()
+        answers = [_read_one(sock, buffer) for _ in range(3)]
+        sock.close()
+    assert answers == [
+        (200, b"".join(big)), (200, b'{"x":1}'), (200, b"".join(big))
+    ]
+    assert len(flushes) > 3, "no response was written in parts"
+
+
+@pytest.mark.parametrize("how", ["reset", "end_of_stream"])
+def test_a_client_gone_mid_write_is_one_disconnect_and_freed(how):
+    # A close with unread bytes resets the connection, which the next
+    # write meets; an end of stream while the front's buffers are full
+    # reaches it as a read with no write possible.
+    big = _pieces(700, 10_000)
+    with _Stub({"/big": big}) as stub:
+        sock = stub.connect(rcvbuf=4096)
+        sock.sendall(_get("/big"))
+        assert sock.recv(1024)  # the response has started
+        time.sleep(0.1)
+        if how == "end_of_stream":
+            sock.shutdown(socket.SHUT_WR)
+            time.sleep(0.2)
+        sock.close()
+        deadline = time.monotonic() + 10.0
+        while stub.front._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not stub.front._conns
+        assert not stub.front._busy()
+        counters = stub.metrics.snapshot()["counters"]
+    assert counters["t.disconnects"] == 1
+    assert counters["t.responses{status=200}"] == 1

@@ -9,6 +9,7 @@ from repro.net import NavigationClient, NavigationServer, ServerConfig
 from repro.net.client import ServerError
 from repro.service import commands as cmd
 from repro.service.manager import SessionManager
+from repro.service.serialize import StateSerializationError
 from repro.service.state import SessionState
 
 
@@ -33,12 +34,20 @@ class TestRoutes:
         assert excinfo.value.status == 422
         assert excinfo.value.error_type == "ValueError"
 
-    def test_apply_returns_full_state(self, client, corpus):
+    def test_apply_returns_full_state(self, client, manager):
         client.create_session("s")
         result = client.apply("s", cmd.Search("corn"))
-        # The wire state is the lossless SessionState encoding.
-        state = SessionState.from_dict(result["state"])
-        assert state.view.is_collection
+        # The wire state is the response form: the current view with
+        # every item, the back stack as headers.  Saves keep the items.
+        state = manager.get("s").state
+        assert result["state"] == state.wire_dict()
+        assert len(result["state"]["view"]["items"]) == len(state.view.items)
+        [landing] = result["state"]["back_stack"]
+        assert "items" not in landing
+        assert landing["size"] == len(state.back_stack[0].items) > 0
+        assert SessionState.from_dict(state.to_dict()) == state
+        with pytest.raises(StateSerializationError):
+            SessionState.from_dict(result["state"])  # not a save file
 
     def test_apply_unknown_session_is_404(self, client):
         with pytest.raises(ServerError) as excinfo:

@@ -1,21 +1,26 @@
 """Byte parity of the spliced state encoding with the plain-dict one.
 
 Served states are assembled from term fragments memoized on the terms
-(:func:`repro.service.serialize.node_json`) and from view bodies
-memoized on the views (:meth:`ViewState.json_bytes`), and spliced into
-the response envelope by :func:`repro.net.protocol.canonical_json`.
-The oracle is ``json.dumps`` of :meth:`SessionState.to_dict` with the
-canonical settings: whatever the state holds, and whichever state first
-encoded a view it shares, the bytes must match.
+(:func:`repro.service.serialize.node_json`) and from view bodies and
+back-stack headers memoized on the views (:meth:`ViewState.json_bytes`,
+:meth:`ViewState.header_json`), and spliced into the response envelope
+by :func:`repro.net.protocol.canonical_parts`.  The oracle is
+``json.dumps`` of :meth:`SessionState.wire_dict`, the response form,
+with the canonical settings: whatever the state holds, and whichever
+state first encoded a view it shares, the bytes must match.  The
+lossless :meth:`SessionState.to_dict`, which saves hold, must decode
+back to the same state.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.protocol import (
     canonical_json,
+    canonical_parts,
     ok_envelope,
     session_payload,
     transition_payload,
@@ -24,6 +29,7 @@ from repro.query.ast import And, HasValue, Not, Range, TextMatch, TypeIs, ValueI
 from repro.rdf.terms import BlankNode, Literal, Resource
 from repro.service import serialize
 from repro.service.navigation import Transition
+from repro.service.serialize import StateSerializationError
 from repro.service.state import SessionState, ViewState
 
 
@@ -31,6 +37,14 @@ def dict_bytes(value) -> bytes:
     return json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("ascii")
+
+
+def assert_both_forms(state: SessionState) -> None:
+    """The spliced bytes are the response form's; the saved form is
+    lossless."""
+    assert b"".join(state.json_parts()) == dict_bytes(state.wire_dict())
+    saved = json.loads(dict_bytes(state.to_dict()))
+    assert SessionState.from_dict(saved) == state
 
 
 text = st.text(min_size=1, max_size=12)  # any code point: non-ASCII too
@@ -157,15 +171,17 @@ def test_apply_body_equals_the_dict_encoding(state, outcome):
         else repr(outcome)
     )
     expected = dict_bytes(
-        {"ok": True, "result": {"state": state.to_dict(), "outcome": expected_outcome}}
+        {"ok": True, "result": {"state": state.wire_dict(), "outcome": expected_outcome}}
     )
     transition = Transition(state, outcome)
-    # Twice: the second encoding reads every term fragment and every
-    # view body from its memo.
+    # Twice: the second encoding reads every term fragment, view body
+    # and view header from its memo.
     for _ in range(2):
+        parts = canonical_parts(ok_envelope(transition_payload(transition)))
+        assert b"".join(parts) == expected
         body = canonical_json(ok_envelope(transition_payload(transition)))
         assert body == expected
-    assert state.json_bytes() == dict_bytes(state.to_dict())
+    assert_both_forms(state)
 
 
 @st.composite
@@ -181,10 +197,10 @@ def test_a_view_shared_between_states_encodes_alike_from_its_memo(pair):
     # bodies from the memo, and so does the first when encoded again.
     first, second = pair
     for state in (first, second, first, second):
-        assert state.json_bytes() == dict_bytes(state.to_dict())
+        assert_both_forms(state)
         body = canonical_json(ok_envelope(transition_payload(Transition(state))))
         assert body == dict_bytes(
-            {"ok": True, "result": {"state": state.to_dict(), "outcome": None}}
+            {"ok": True, "result": {"state": state.wire_dict(), "outcome": None}}
         )
 
 
@@ -192,9 +208,22 @@ def test_a_view_shared_between_states_encodes_alike_from_its_memo(pair):
 @given(states(), st.text(min_size=1, max_size=10))
 def test_create_body_equals_the_dict_encoding(state, name):
     expected = dict_bytes(
-        {"ok": True, "result": {"name": name, "state": state.to_dict()}}
+        {"ok": True, "result": {"name": name, "state": state.wire_dict()}}
     )
     assert canonical_json(ok_envelope(session_payload(name, state))) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(states())
+def test_a_response_state_is_not_a_save_file(state):
+    # A back stack of headers cannot be restored: the typed error,
+    # never a KeyError for the missing items.
+    response = json.loads(b"".join(state.json_parts()))
+    if not state.back_stack:
+        assert SessionState.from_dict(response) == state
+        return
+    with pytest.raises(StateSerializationError, match="view header"):
+        SessionState.from_dict(response)
 
 
 def test_an_encoded_term_is_not_encoded_again(monkeypatch):
@@ -209,10 +238,10 @@ def test_an_encoded_term_is_not_encoded_again(monkeypatch):
         return original(node)
 
     monkeypatch.setattr(serialize, "_fragment_of", counting)
-    first = state.json_bytes()
+    first = b"".join(state.json_parts())
     assert sorted(calls, key=lambda n: n.uri) == items  # once per term
     calls.clear()
-    assert state.json_bytes() == first
-    assert SessionState(view=ViewState.of_item(items[2])).json_bytes()
+    assert b"".join(state.json_parts()) == first
+    assert SessionState(view=ViewState.of_item(items[2])).json_parts()
     assert calls == []
     assert serialize.node_json(items[2]) is serialize.node_json(items[2])

@@ -1,11 +1,13 @@
-"""A view's encoded body: encoded once per view, spliced ever after.
+"""A view's encoded body and header: encoded once per view, spliced ever after.
 
-A served state lists every item of its view and of every view on its
-back stack.  Each :class:`ViewState` keeps its canonical JSON body
-once a response has carried it, so an apply encodes only the view it
-arrives at.  The memo is not part of the value, it survives epoch
-migration with the view, and the landing view, the largest, is one
-object per workspace.
+A served state lists every item of its current view and a header
+(kind, item, query, description, size) for each view on its back
+stack.  Each :class:`ViewState` keeps its canonical JSON body once a
+response has arrived at it, and its header once a response has carried
+it on the back stack, so an apply encodes only the view it arrives at.
+The memos are not part of the value, they survive epoch migration with
+the view, and the landing view, the largest, is one object per
+workspace.
 """
 
 import dataclasses
@@ -57,15 +59,25 @@ class TestTheMemoIsNotPartOfTheValue:
         assert hash(cached) == hash(plain)
         assert cached.to_dict() == plain.to_dict()
         assert body == value_json(plain.to_dict()) == plain.json_bytes()
+        head = cached.header_json()
+        assert cached.__dict__["_head"] is head
+        assert cached == plain and hash(cached) == hash(plain)
+        header = {**plain.to_dict(), "size": 2}
+        del header["items"]
+        assert head == value_json(header) == plain.header_json()
 
     def test_replace_makes_a_view_without_a_memo(self):
         view = _red_view()
         view.json_bytes()
+        view.header_json()
         renamed = dataclasses.replace(view, description="crimson")
         assert "_json" not in renamed.__dict__
+        assert "_head" not in renamed.__dict__
         assert renamed.json_bytes() == value_json(renamed.to_dict())
         assert b"crimson" in renamed.json_bytes()
         assert b"crimson" not in view.json_bytes()
+        assert b"crimson" in renamed.header_json()
+        assert b"crimson" not in view.header_json()
 
 
 class TestEachViewIsEncodedOnce:
@@ -91,13 +103,18 @@ class TestEachViewIsEncodedOnce:
             cmd.RemoveConstraint(0),  # back to the landing view
             cmd.Refine(HasValue(EX.color, EX.blue)),
         ]
+        heads = {}
         for command in commands:
             transition = service.apply(workspace, state, command)
             state = transition.state
             body = canonical_json(ok_envelope(transition_payload(transition)))
             assert body == value_json(
-                {"ok": True, "result": {"state": state.to_dict(), "outcome": None}}
+                {"ok": True, "result": {"state": state.wire_dict(), "outcome": None}}
             )
+            for view in state.back_stack:
+                # A view's header is encoded once, then spliced.
+                head = view.__dict__["_head"]
+                assert heads.setdefault(id(view), head) is head
         views = {id(view): view for view in (state.view, *state.back_stack)}
         assert len(state.back_stack) == len(commands)
         assert landing_view(workspace) in state.back_stack
@@ -157,7 +174,7 @@ class TestMigration:
         session.apply(cmd.Refine(HasValue(EX.size, EX.big)))
         session.apply(cmd.Refine(HasValue(EX.color, EX.red)))
         before = session.state
-        before.json_bytes()  # fills every view's memo
+        before.json_parts()  # fills the view's body and the headers
         epochs.ingest([
             (OP_ASSERT, EX.it99, RDF.type, EX.Doc),
             (OP_ASSERT, EX.it99, EX.size, EX.big),
@@ -167,6 +184,7 @@ class TestMigration:
         assert state.epoch != before.epoch
         assert state.view is before.view  # the memo migrates with the view
         assert "_json" in state.view.__dict__
-        assert state.json_bytes() == value_json(state.to_dict())
+        assert all("_head" in view.__dict__ for view in state.back_stack)
+        assert b"".join(state.json_parts()) == value_json(state.wire_dict())
         state = session.apply(cmd.RemoveConstraint(1)).state
-        assert state.json_bytes() == value_json(state.to_dict())
+        assert b"".join(state.json_parts()) == value_json(state.wire_dict())
