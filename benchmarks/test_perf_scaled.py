@@ -413,12 +413,18 @@ def _folded_centroid(vectors):
     return total.normalized()
 
 
-def _vector_search(corpus, k=10):
-    """Per-kind seconds (before, after) for collection and item queries."""
+def _vector_search(corpus, k=10, rounds=3):
+    """Per-kind seconds (before, after, repeat) for collection and item
+    queries.
+
+    ``after`` runs every query once on a fresh store, so it times real
+    searches, not the store's search memo; the best of ``rounds`` fresh
+    stores counts.  ``repeat`` runs the same queries again on the last
+    store: every one is a memo hit.
+    """
     model = VectorSpaceModel(corpus.graph, schema=corpus.schema)
     model.index_items(corpus.items)
-    store = VectorStore(model)
-    index = store.index  # the one-time build, outside the timed region
+    index = _fresh_store(model).index
     postings = {coord: index.postings(coord) for coord in index.coordinates()}
     rng = random.Random(len(corpus.items))
     kinds = {
@@ -442,22 +448,39 @@ def _vector_search(corpus, k=10):
             out.append(_node_keyed_search(postings, query, k, exclude))
         return out
 
-    def after(views, members):
+    def after(store, views, members):
         if members:
             return [store.similar_to_collection(view, k) for view in views]
         return [store.similar_to_item(view[0], k) for view in views]
 
+    expected = {}
+    before_s = {}
+    for kind, views in kinds.items():
+        before_s[kind], expected[kind] = _best_of(
+            lambda: before(views, kind != "item")
+        )
+    after_s = {}
+    for _round in range(rounds):
+        store = _fresh_store(model)
+        for kind, views in kinds.items():
+            seconds, actual = _best_of(
+                lambda: after(store, views, kind != "item"), rounds=1
+            )
+            assert actual == expected[kind]  # items and exact scores
+            after_s[kind] = min(seconds, after_s.get(kind, seconds))
     rows = {}
     for kind, views in kinds.items():
-        members = kind != "item"
-        before_s, expected = _best_of(lambda: before(views, members))
-        after_s, actual = _best_of(lambda: after(views, members))
-        assert actual == expected  # items and exact scores
+        repeat_s, again = _best_of(
+            lambda: after(store, views, kind != "item")
+        )
+        assert again == expected[kind]
         rows[kind] = {
-            "before_ms": round(before_s / len(views) * 1000, 3),
-            "after_ms": round(after_s / len(views) * 1000, 3),
+            "before_ms": round(before_s[kind] / len(views) * 1000, 3),
+            "after_ms": round(after_s[kind] / len(views) * 1000, 3),
+            "repeat_ms": round(repeat_s / len(views) * 1000, 4),
             "queries": len(views),
         }
+    assert store.memo.stats.misses == sum(map(len, kinds.values()))
     before_ms = sum(row["before_ms"] * row["queries"] for row in rows.values())
     after_ms = sum(row["after_ms"] * row["queries"] for row in rows.values())
     return {
@@ -467,10 +490,19 @@ def _vector_search(corpus, k=10):
     }
 
 
+def _fresh_store(model):
+    """A store with its index built, outside any timed region, and an
+    empty search memo."""
+    store = VectorStore(model)
+    store.refresh()
+    return store
+
+
 def test_vector_search(corpus):
     """Similar-by-Content over interned doc ids, with set exclusion and
     a one-pass centroid, against the ``Node``-keyed search it replaced;
-    hits identical."""
+    hits identical.  Also records a repeated search, served from the
+    store's search memo."""
     rows = {
         str(size): _vector_search(sized)
         for size, sized in ((8_192, scaled.build_corpus(8_192)), (N_ITEMS, corpus))

@@ -81,7 +81,9 @@ def workspace_fingerprint(workspace, engine=None):
 
     A whole-corpus landing ranks no item by vector score, so the
     fingerprint also carries the top-10 ``similar_to_item`` hits, items
-    and scores, of two fixed item views: the first and the last item.
+    and scores, of two fixed item views: the first and the last item;
+    and the top-10 ``similar_to_collection`` hits of the collection of
+    the first 20 items, whose scores come from a centroid.
     """
     from ..browser.session import Session
     from ..net.protocol import canonical_json, suggestions_payload
@@ -100,6 +102,10 @@ def workspace_fingerprint(workspace, engine=None):
             ],
         }
         for item in dict.fromkeys(items[:1] + items[-1:])
+    ]
+    payload["similar_collection"] = [
+        [node_to_dict(hit.item), hit.score]
+        for hit in store.similar_to_collection(items[:20], 10)
     ]
     return canonical_json(payload)
 

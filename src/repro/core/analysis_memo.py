@@ -38,9 +38,17 @@ from .suggestions import Suggestion
 __all__ = ["ANALYSIS_MEMO_CAP", "AnalysisMemo", "ViewSignature"]
 
 #: Most (analyst, view) entries one workspace keeps; past it the least
-#: recently used entry is evicted.  An entry holds about 4.5 kB on the
-#: 1,000-recipe corpus, so a full memo adds under 2% to the served
-#: process's resident set; 2,048 entries added 13%.
+#: recently used entry is evicted.  What an entry holds depends on its
+#: analyst.  Median sizes on the 1,000-recipe corpus, counting the
+#: suggestions, their actions and strings but not the graph's terms:
+#: refine-by-property-value 14 kB (4-17), sharing-a-property 10 kB,
+#: refine-by-text 7.4 kB, refine-by-path 6.3 kB, refine-by-range
+#: 2.6 kB (1.5-19), related-collections 2.4 kB, contrary-constraints
+#: 1.2 kB, both similar-by-content analysts 0.7 kB, and
+#: keyword-search-within 0.55 kB.  A full memo adds under 2% to the
+#: served process's resident set; 2,048 entries added 13%.  The vector
+#: store keeps its own memo of similarity searches
+#: (:class:`~repro.index.store.SearchMemo`), so those outlive this LRU.
 ANALYSIS_MEMO_CAP = 256
 
 

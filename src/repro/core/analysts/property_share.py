@@ -4,10 +4,16 @@ For an item view, suggests collections of items "that have a given
 metadata attribute and value in common with the currently viewed item".
 Rarer shared values weigh more (a shared corpus-unique ingredient is a
 better hop than a shared ubiquitous one).
+
+The fellows of one (property, value) pair are its ``HasValue`` extent
+mask, taken through the extent cache, ANDed with the universe and less
+the item's own bit, then listed in view order.
 """
 
 from __future__ import annotations
 
+from ...query.ast import HasValue
+from ...rdf.terms import Node, Resource
 from ..advisors import RELATED_ITEMS
 from ..blackboard import Blackboard
 from ..suggestions import GoToCollection
@@ -16,7 +22,17 @@ from ..weights import share_weight
 from .base import Analyst
 from .common import ANNOTATION_PROPERTIES, is_facetable_value, value_idf
 
-__all__ = ["SharingPropertyAnalyst"]
+__all__ = ["SharingPropertyAnalyst", "fellows"]
+
+
+def fellows(workspace, item: Node, prop: Resource, value: Node) -> list[Node]:
+    """The universe's items other than ``item`` having ``(prop, value)``,
+    in view order (``n3``)."""
+    mask = workspace.query_engine.select(HasValue(prop, value))
+    item_id = workspace.graph.interner.id_of(item)
+    if item_id is not None:
+        mask &= ~(1 << item_id)
+    return workspace.query_context.ordered_nodes(mask)
 
 
 class SharingPropertyAnalyst(Analyst):
@@ -45,16 +61,8 @@ class SharingPropertyAnalyst(Analyst):
             for value in sorted(values, key=lambda v: v.n3()):
                 if not is_facetable_value(value, declared):
                     continue
-                fellows = sorted(
-                    (
-                        other
-                        for other in workspace.graph.subjects(prop, value)
-                        if other != view.item
-                        and other in workspace.query_context.universe
-                    ),
-                    key=lambda n: n.n3(),
-                )
-                if not fellows:
+                shared = fellows(workspace, view.item, prop, value)
+                if not shared:
                     continue
                 idf = value_idf(workspace.graph, universe, prop, value)
                 self.post(
@@ -62,13 +70,13 @@ class SharingPropertyAnalyst(Analyst):
                     RELATED_ITEMS,
                     (
                         f"{workspace.schema.label(prop)}: "
-                        f"{workspace.schema.label(value)} ({len(fellows)})"
+                        f"{workspace.schema.label(value)} ({len(shared)})"
                     ),
                     GoToCollection(
-                        fellows[: self.max_collection],
+                        shared[: self.max_collection],
                         f"items sharing {workspace.schema.label(prop)} = "
                         f"{workspace.schema.label(value)}",
                     ),
-                    weight=share_weight(len(fellows), idf),
+                    weight=share_weight(len(shared), idf),
                     group=group,
                 )

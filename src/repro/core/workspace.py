@@ -12,9 +12,10 @@ query context seals the graph, so a later ``add`` or ``remove`` raises
 multiple threads, and no derived cache (the extent cache, the
 facet-profile memo, the analyst records, the analysis memo) needs a
 version key or an invalidation path; they keep exact counters under
-that load.  New data reaches a serving process as a new workspace:
-:class:`~repro.core.epochs.EpochManager` folds ingested transactions
-into the next epoch.
+that load.  The vector store memoizes its Similar-by-Content searches
+on the same terms.  New data reaches a serving process as a new
+workspace: :class:`~repro.core.epochs.EpochManager` folds ingested
+transactions into the next epoch.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ class Workspace:
         metrics.gauge_fn("nav.analysis_memo.misses", lambda: analysis.misses)
         metrics.gauge_fn(
             "nav.analysis_memo.evictions", lambda: analysis.evictions
+        )
+        search = self.vector_store.memo.stats
+        metrics.gauge_fn("index.search_memo.hits", lambda: search.hits)
+        metrics.gauge_fn("index.search_memo.misses", lambda: search.misses)
+        metrics.gauge_fn(
+            "index.search_memo.evictions", lambda: search.evictions
         )
         maintenance = self.vector_store.maintenance
         metrics.gauge_fn(

@@ -380,7 +380,9 @@ class VectorSpaceModel:
                     by_token.setdefault(coord.token, []).append(coord)
         vector = SparseVector()
         for token, freq in tokens.items():
-            for coord in set(by_token.get(token, ())):
+            # First-seen order, not set order: the coordinate order is
+            # the order scores accumulate in, so it decides their bits.
+            for coord in dict.fromkeys(by_token.get(token, ())):
                 weight = term_weight(
                     float(freq), self.stats.num_docs, self.stats.doc_frequency(coord)
                 )

@@ -48,13 +48,16 @@ def test_planted_stale_memo_demands_divergence():
 def _nudge_one_posting(epoch):
     """Scale by (1 + 1e-9) one posting weight that the first item's
     Similar Items search reads: its top hit's weight on a shared
-    coordinate."""
+    coordinate.  The top hit is found below the store's search memo,
+    so the planted drift is not hidden behind an answer memoized from
+    the index before it was planted."""
     workspace = epoch.workspace
     store = workspace.vector_store
     item = workspace.items[0]
     index = store.index
-    top = index._ids[store.similar_to_item(item, 10)[0].item]
-    for coord, _weight in store.model.vector(item).items():
+    query = store.model.vector(item)
+    top = index._ids[store.search(query, 10, exclude=(item,))[0].item]
+    for coord, _weight in query.items():
         postings = index._postings.get(coord, {})
         if top in postings:
             postings[top] *= 1 + 1e-9
@@ -68,6 +71,41 @@ def test_nudged_vector_score_demands_divergence():
     report = run_ingest_check(
         1234, corpora=1, epochs=2, nav_steps=2,
         mutate_epoch=_nudge_one_posting,
+    )
+    assert not report.ok
+    assert any("diverge" in violation for violation in report.violations)
+
+
+def _nudge_one_collection_posting(epoch):
+    """Scale by (1 + 1e-9) one posting weight of the last hit that the
+    first 20 items' collection search returns, on a centroid
+    coordinate that neither fixed item view reads."""
+    workspace = epoch.workspace
+    store = workspace.vector_store
+    members = workspace.items[:20]
+    index = store.index
+    query = store.model.centroid(members)
+    hits = store.search(query, 10, exclude=set(members))
+    last = index._ids[hits[-1].item]
+    item_coords = {
+        coord
+        for item in workspace.items[:1] + workspace.items[-1:]
+        for coord, _weight in store.model.vector(item).items()
+    }
+    for coord, _weight in query.items():
+        postings = index._postings.get(coord, {})
+        if last in postings and coord not in item_coords:
+            postings[last] *= 1 + 1e-9
+            return
+    raise AssertionError("no coordinate of the centroid alone")
+
+
+def test_nudged_collection_score_demands_divergence():
+    """The fingerprint's collection search must see a 1e-9 drift that
+    the two item searches cannot."""
+    report = run_ingest_check(
+        1234, corpora=1, epochs=2, nav_steps=2,
+        mutate_epoch=_nudge_one_collection_posting,
     )
     assert not report.ok
     assert any("diverge" in violation for violation in report.violations)

@@ -9,6 +9,7 @@ from repro.core.analysts import (
     SimilarToCollectionAnalyst,
     SimilarToItemAnalyst,
 )
+from repro.core.analysts.property_share import fellows
 from repro.core.suggestions import GoToCollection
 from repro.rdf import Graph, Literal, Namespace, RDF
 
@@ -125,3 +126,56 @@ class TestSharingProperty:
         view = View.of_item(workspace, EX.r1)
         board = run(SharingPropertyAnalyst(), view)
         assert "Sharing ingredient" in {s.group for s in board.entries}
+
+    def test_item_outside_the_universe_lists_fellows_inside_it(
+        self, workspace
+    ):
+        """Fellows are universe items only, whether or not the viewed
+        item is in the universe."""
+        graph = workspace.graph
+        outside = Workspace(
+            graph, items=[EX.r1, EX.r2, EX.r4, EX.r5]
+        )
+        assert fellows(outside, EX.r3, EX.ingredient, EX.apple) == [
+            EX.r1, EX.r2,
+        ]
+        assert fellows(outside, EX.r1, EX.ingredient, EX.honey) == []
+
+
+def _old_fellows(workspace, item, prop, value):
+    """The fellows as the analyst listed them by sorting each extent."""
+    return sorted(
+        (
+            other
+            for other in workspace.graph.subjects(prop, value)
+            if other != item and other in workspace.query_context.universe
+        ),
+        key=lambda n: n.n3(),
+    )
+
+
+def _every_shared_pair(workspace, items):
+    for item in items:
+        for prop, values in workspace.graph.properties_of(item).items():
+            for value in values:
+                yield item, prop, value
+
+
+@pytest.mark.parametrize("name", ["recipe", "inbox"])
+def test_fellows_equal_the_sorted_extent_filter(name, request):
+    """Mask-listed fellows equal the old per-view sort for every item of
+    the corpus, and for every item of a workspace over half of it (so
+    that both fellows and the viewed item fall outside the universe)."""
+    corpus = request.getfixturevalue(f"{name}_corpus")
+    whole = request.getfixturevalue(f"{name}_workspace")
+    half = Workspace(
+        corpus.graph, schema=corpus.schema, items=corpus.items[::2]
+    )
+    checked = 0
+    for workspace in (whole, half):
+        for item, prop, value in _every_shared_pair(workspace, corpus.items):
+            assert fellows(workspace, item, prop, value) == _old_fellows(
+                workspace, item, prop, value
+            ), (item, prop, value)
+            checked += 1
+    assert checked > 2 * len(corpus.items)

@@ -1,5 +1,9 @@
 """Tests for the vector store (Lucene substitute)."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -134,3 +138,35 @@ class TestSimilarity:
         query = store.model.pair_vector([(EX.ingredient, EX.beef)])
         found = {h.item for h in store.search(query, 10)}
         assert EX.r3 in found and EX.r4 in found
+
+
+def test_search_text_scores_ignore_the_hash_seed():
+    """Ranked keyword search gives the same items and score bits under
+    every ``PYTHONHASHSEED``: the query's coordinates are listed in a
+    fixed order, and that order is the order scores accumulate in."""
+    import repro
+
+    script = (
+        "import hashlib\n"
+        "from repro.core.workspace import Workspace\n"
+        "from repro.datasets import recipes\n"
+        "corpus = recipes.build_corpus(n_recipes=1000, seed=7)\n"
+        "ws = Workspace(corpus.graph, schema=corpus.schema, "
+        "items=corpus.items)\n"
+        "digest = hashlib.sha256()\n"
+        "for text in ('chicken garlic', 'lemon', 'tomato basil',\n"
+        "             'chocolate cake', 'rice', 'fresh parsley'):\n"
+        "    for hit in ws.vector_store.search_text(text, 10):\n"
+        "        digest.update(f'{hit.item.n3()} {hit.score.hex()}'.encode())\n"
+        "print(digest.hexdigest())\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    digests = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.add(done.stdout)
+    assert len(digests) == 1

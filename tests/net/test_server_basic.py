@@ -114,6 +114,18 @@ class TestMetrics:
         assert gauges["nav.analysis_memo.hits"] == gauges["nav.analysis_memo.misses"]
         assert gauges["nav.analysis_memo.evictions"] == 0
 
+    def test_search_memo_gauges_after_two_landings(self, client):
+        client.create_session("s1")
+        client.suggest("s1")
+        client.create_session("s2")
+        client.suggest("s2")
+        gauges = client.metrics()["gauges"]
+        # The landing's collection search ran once; the second landing's
+        # analysts were served from the analysis memo, above the store.
+        assert gauges["index.search_memo.misses"] == 1
+        assert gauges["index.search_memo.hits"] == 0
+        assert gauges["index.search_memo.evictions"] == 0
+
     def test_latency_histogram_fills(self, client):
         client.healthz()
         snapshot = client.metrics()

@@ -75,6 +75,9 @@ class TestGoldenTinyFlow:
                 "facets.profile_memo.misses": 0,
                 "graph.version": workspace.graph.version,
                 "index.postings_touched": 0,
+                "index.search_memo.evictions": 0,
+                "index.search_memo.hits": 0,
+                "index.search_memo.misses": 0,
                 "nav.analysis_memo.evictions": 0,
                 "nav.analysis_memo.hits": 0,
                 "nav.analysis_memo.misses": 0,
